@@ -20,7 +20,13 @@ from pathlib import Path
 
 from .coop_relay import RateWeights, RoutingClass
 from .forwarding import Protocol
-from .sim_engine import MetricsReport, ScenarioConfig, form_network, with_protocol
+from .sim_engine import (
+    MetricsReport,
+    ScenarioConfig,
+    bound_violation,
+    form_network,
+    with_protocol,
+)
 
 CSV_COLUMNS = [
     "protocol", "class", "axis", "axis_value", "seed",
@@ -186,7 +192,11 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
         if schema is None:
             raise ConfigError(f"unknown key {key!r} in [{section}]", lineno)
         attr, converter = schema
-        fields[attr] = converter(raw_value, lineno)
+        value = converter(raw_value, lineno)
+        message = bound_violation(attr, value)
+        if message is not None:
+            raise ConfigError(message, lineno)
+        fields[attr] = value
     if weights:
         missing = [k for k in _WEIGHT_KEYS if k not in weights]
         if missing:
@@ -532,6 +542,7 @@ def _report_lines(report: MetricsReport) -> list[str]:
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
+    d = ScenarioConfig()  # the epilog quotes the real defaults
     parser = argparse.ArgumentParser(
         prog="coopmesh",
         description=(
@@ -539,11 +550,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
             "opportunistic, and cooperative relaying over a gateway-rooted DAG."
         ),
         epilog=(
-            "Defaults: 300 m square region, ~80 meters, 50 m range, 1000 "
-            "packets, slot 10 ms, trickle 100 ms, retry budget 3, relay "
-            "retry 1, forwarding set 3, cooperation probability 1.0. The "
-            "LSR axis calibrates the detection threshold so a reference "
-            "link (0.7x range) matches the swept value; pass "
+            f"Defaults: {d.region_side:g} m square region, "
+            f"~{d.effective_intensity * d.region_side ** 2:.0f} meters, "
+            f"{d.tx_range_m:g} m range, {d.n_packets} packets, slot "
+            f"{d.slot_ms:g} ms, trickle {d.trickle_imin_ms:g} ms, retry budget "
+            f"{d.max_retx}, relay retry {d.relay_retx}, forwarding set "
+            f"{d.fset_size}, cooperation probability {d.p_coop}. The LSR axis "
+            "calibrates the detection threshold so a reference link "
+            f"({d.reference_distance:g} m) matches the swept value; pass "
             "lsr_mapping=uniform for one shared probability on every link."
         ),
     )

@@ -155,17 +155,21 @@ def compute_rates(
     return {m.relay: compute_rate(m, w, bounds) for m in candidates}
 
 
+def best_relay(rates: dict[int, float]) -> int | None:
+    """Relay with the maximum rate; ties go to the lowest node id. No rates
+    means the direct path is used."""
+    if not rates:
+        return None
+    return min(rates, key=lambda relay: (-rates[relay], relay))
+
+
 def select_relay(
     candidates: list[CandidateMetrics],
     w: RateWeights,
     bounds: TermBounds | None = None,
 ) -> int | None:
-    """Candidate with the maximum rate; ties go to the lowest node id.
-    An empty candidate list means the direct path is used."""
-    rates = compute_rates(candidates, w, bounds)
-    if not rates:
-        return None
-    return min(rates, key=lambda relay: (-rates[relay], relay))
+    """Candidate with the maximum rate, as best_relay picks it."""
+    return best_relay(compute_rates(candidates, w, bounds))
 
 
 def decide_use_relay(selected: int | None, p_coop: float, rng) -> bool:
@@ -242,4 +246,4 @@ def run_selection(
     candidates = [m for m in metrics if eligible(m, routing_class)]
     w = weights if weights is not None else WEIGHT_PRESETS[routing_class]
     rates = compute_rates(candidates, w)
-    return select_relay(candidates, w), rates
+    return best_relay(rates), rates

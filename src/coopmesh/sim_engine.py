@@ -5,6 +5,11 @@ plus DIS solicitation and DAO route recording) until ranks are quiet, then
 traffic (uniform random sources and slots) with the control plane still
 live. Events are processed in (slot, kind priority, issue id) order, so a
 replay with the same config and seed is bit-identical.
+
+A heap entry is a plain tuple ``(slot, priority, event_id, kind, payload)``.
+``event_id`` is unique per run, so tuple comparison is always settled within
+the first three fields and never reaches ``kind`` or ``payload``, which need
+not be orderable at all.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import copy
 import heapq
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -63,6 +68,39 @@ DEFAULT_NODE_COUNT = 80.0
 DEFAULT_INTENSITY = DEFAULT_NODE_COUNT / (DEFAULT_REGION_SIDE * DEFAULT_REGION_SIDE)
 
 
+# field -> (lowest allowed value, whether that value itself is allowed);
+# ScenarioConfig and the config-file parser both check against this table
+FIELD_BOUNDS: dict[str, tuple[float, bool]] = {
+    "intensity": (0, False),
+    "density_ratio": (0, False),
+    "n_packets": (1, True),
+    "warmup_slots": (0, True),
+    "slot_ms": (0, False),
+    "dis_timeout_ms": (0, False),
+    "traffic_window_slots": (1, True),
+    "quiescence_slots": (1, True),
+    "fset_size": (1, True),
+    "max_retx": (0, True),
+    "relay_retx": (0, True),
+    "retx_wait_slots": (0, True),
+    "trickle_doublings": (0, True),
+    "hysteresis": (0, True),
+    "etx_max": (1, True),
+}
+
+
+def bound_violation(name: str, value) -> str | None:
+    """Why value is out of FIELD_BOUNDS for field name, or None when it is
+    allowed (fields without a bound and unset optional fields always are)."""
+    bound = FIELD_BOUNDS.get(name)
+    if bound is None or value is None:
+        return None
+    lowest, inclusive = bound
+    if value > lowest or (inclusive and value == lowest):
+        return None
+    return f"{name} must be {'>=' if inclusive else '>'} {lowest}"
+
+
 class EventKind(Enum):
     # enum values double as same-slot processing priority
     TRICKLE_FIRE = 0
@@ -71,16 +109,6 @@ class EventKind(Enum):
     DAO_TX = 3
     PACKET_GEN = 4
     HOP_ATTEMPT = 5
-    METRICS_SNAPSHOT = 6
-
-
-@dataclass(order=True)
-class Event:
-    slot: int
-    priority: int
-    event_id: int
-    kind: EventKind = field(compare=False)
-    payload: object = field(compare=False, default=None)
 
 
 @dataclass(frozen=True)
@@ -129,14 +157,12 @@ class ScenarioConfig:
     sweep_values: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.n_packets <= 0:
-            raise ValueError("n_packets must be positive")
-        if self.warmup_slots < 0:
-            raise ValueError("warmup_slots must be >= 0")
+        for name in FIELD_BOUNDS:
+            message = bound_violation(name, getattr(self, name))
+            if message is not None:
+                raise ValueError(message)
         if not 0.0 <= self.p_coop <= 1.0:
             raise ValueError("p_coop must be in [0, 1]")
-        if self.intensity <= 0 or self.density_ratio <= 0:
-            raise ValueError("intensity and density_ratio must be positive")
         if self.lsr_value is not None and not 0.0 < self.lsr_value <= 1.0:
             raise ValueError("lsr_value must be in (0, 1]")
         if self.lsr_mapping not in ("reference", "uniform"):
@@ -286,14 +312,14 @@ class Simulation:
         }
         self.states[GATEWAY_ID].rank = 0.0
         self.etx_table: dict[tuple[int, int], EtxEstimate] = {}
-        self.queue: list[Event] = []
+        # (slot, priority, event_id, kind, payload); see the module docstring
+        self.queue: list[tuple] = []
         self.event_id = 0
         self.trickle_seq: dict[int, int] = {n: 0 for n in self.states}
         self.last_change_slot = 0
         self.now = 0
         self.formation_slots = 0
         self.registry: dict[int, set[int]] = {}
-        self.event_log: list[tuple] = []
         self.trace_sink: list[dict] | None = None
         self.relay_for: dict[int, int | None] = {}
         self.relay_rates: dict[int, dict[int, float]] = {}
@@ -307,9 +333,7 @@ class Simulation:
 
     def push(self, slot: int, kind: EventKind, payload=None) -> None:
         self.event_id += 1
-        heapq.heappush(
-            self.queue, Event(slot, kind.value, self.event_id, kind, payload)
-        )
+        heapq.heappush(self.queue, (slot, kind.value, self.event_id, kind, payload))
 
     def etx_of(self, src: int, dst: int) -> float:
         est = self.etx_table.get((src, dst))
@@ -473,24 +497,23 @@ class Simulation:
             if node != GATEWAY_ID:
                 self.push(dis_at, EventKind.DIS_TX, node)
         while self.queue:
-            head = self.queue[0]
-            if head.slot >= self.last_change_slot + cfg.quiescence_slots:
+            head_slot = self.queue[0][0]
+            if head_slot >= self.last_change_slot + cfg.quiescence_slots:
                 self.formation_slots = self.last_change_slot + cfg.quiescence_slots
                 break
-            if head.slot > cfg.warmup_slots:
+            if head_slot > cfg.warmup_slots:
                 self.formation_slots = cfg.warmup_slots
                 break
-            event = heapq.heappop(self.queue)
-            self.now = event.slot
-            self.event_log.append((event.slot, event.kind.name, event.payload))
-            if event.kind is EventKind.TRICKLE_FIRE:
-                self._handle_trickle_fire(event.slot, event.payload)
-            elif event.kind is EventKind.DIO_TX:
-                self._handle_dio_tx(event.slot, event.payload, data_phase=False)
-            elif event.kind is EventKind.DIS_TX:
-                self._handle_dis_tx(event.slot, event.payload)
-            elif event.kind is EventKind.DAO_TX:
-                self._handle_dao_tx(event.slot, event.payload)
+            slot, _, _, kind, payload = heapq.heappop(self.queue)
+            self.now = slot
+            if kind is EventKind.TRICKLE_FIRE:
+                self._handle_trickle_fire(slot, payload)
+            elif kind is EventKind.DIO_TX:
+                self._handle_dio_tx(slot, payload, data_phase=False)
+            elif kind is EventKind.DIS_TX:
+                self._handle_dis_tx(slot, payload)
+            elif kind is EventKind.DAO_TX:
+                self._handle_dao_tx(slot, payload)
         else:
             self.formation_slots = min(
                 cfg.warmup_slots, self.last_change_slot + cfg.quiescence_slots
@@ -563,44 +586,28 @@ class Simulation:
             self.push(slot, EventKind.PACKET_GEN, (packet_id, source))
         net = self.network_view()
         unresolved = cfg.n_packets
+        hop_attempt = EventKind.HOP_ATTEMPT
         while self.queue and unresolved > 0:
-            event = heapq.heappop(self.queue)
-            self.now = event.slot
-            self.event_log.append((event.slot, event.kind.name, event.payload))
-            if event.kind is EventKind.TRICKLE_FIRE:
-                self._handle_trickle_fire(event.slot, event.payload)
-            elif event.kind is EventKind.DIO_TX:
-                self._handle_dio_tx(event.slot, event.payload, data_phase=True)
-            elif event.kind is EventKind.DIS_TX:
-                self._handle_dis_tx(event.slot, event.payload)
-            elif event.kind is EventKind.DAO_TX:
-                self._handle_dao_tx(event.slot, event.payload)
-            elif event.kind is EventKind.PACKET_GEN:
-                packet_id, source = event.payload
-                packet = Packet(packet_id, source, event.slot, source)
-                packets[packet_id] = packet
-                layers[packet_id] = LinkLayer(
-                    self.channel, cfg.seed, packet_id, self.registry
-                )
-                relay_hops[packet_id] = 0
-                self.push(event.slot, EventKind.HOP_ATTEMPT, packet_id)
-            elif event.kind is EventKind.HOP_ATTEMPT:
-                packet = packets[event.payload]
+            slot, _, _, kind, payload = heapq.heappop(self.queue)
+            self.now = slot
+            # hop attempts are most of the traffic phase's events: test them first
+            if kind is hop_attempt:
+                packet = packets[payload]
                 holder = packet.current_holder
                 parent = self.states[holder].default_parent
                 relay = self.relay_for.get(holder)
                 outcome = advance_one_hop(
-                    packet, cfg.protocol, net, layers[event.payload], event.slot
+                    packet, cfg.protocol, net, layers[payload], slot
                 )
                 self._record_hop_observations(outcome, holder, parent, relay)
                 if outcome is not None and outcome.relay_used:
-                    relay_hops[event.payload] += 1
+                    relay_hops[payload] += 1
                 if self.trace_sink is not None and outcome is not None and (
                     cfg.protocol is Protocol.COOP_RPL
                 ):
                     self.trace_sink.append({
                         "type": "relay",
-                        "slot": event.slot,
+                        "slot": slot,
                         "sender": holder,
                         "class": cfg.routing_class.value,
                         "candidates": [
@@ -611,18 +618,30 @@ class Simulation:
                         "used": outcome.relay_used,
                     })
                 if packet.status is PacketStatus.IN_FLIGHT:
-                    self.push(
-                        event.slot + outcome.slots_consumed,
-                        EventKind.HOP_ATTEMPT,
-                        event.payload,
-                    )
+                    self.push(slot + outcome.slots_consumed, hop_attempt, payload)
                 else:
                     unresolved -= 1
                     if self.trace_sink is not None:
                         self.trace_sink.append(
-                            packet_trace(packet, relay_hops[event.payload])
+                            packet_trace(packet, relay_hops[payload])
                         )
-        self.event_log.append((self.now, EventKind.METRICS_SNAPSHOT.name, None))
+            elif kind is EventKind.PACKET_GEN:
+                packet_id, source = payload
+                packet = Packet(packet_id, source, slot, source)
+                packets[packet_id] = packet
+                layers[packet_id] = LinkLayer(
+                    self.channel, cfg.seed, packet_id, self.registry
+                )
+                relay_hops[packet_id] = 0
+                self.push(slot, hop_attempt, packet_id)
+            elif kind is EventKind.TRICKLE_FIRE:
+                self._handle_trickle_fire(slot, payload)
+            elif kind is EventKind.DIO_TX:
+                self._handle_dio_tx(slot, payload, data_phase=True)
+            elif kind is EventKind.DIS_TX:
+                self._handle_dis_tx(slot, payload)
+            elif kind is EventKind.DAO_TX:
+                self._handle_dao_tx(slot, payload)
         return collect_metrics(
             list(packets.values()),
             cfg.slot_ms,

@@ -5,6 +5,7 @@ import pytest
 from coopmesh.cli import (
     ConfigError,
     SweepSpec,
+    build_arg_parser,
     default_variants,
     emit_comparison,
     main,
@@ -83,6 +84,43 @@ def test_partial_weights_rejected():
 def test_lsr_out_of_range_diagnostic():
     with pytest.raises(ConfigError, match="line 2.*probability out of range"):
         parse_scenario_text("[channel]\nlsr_value = 1.3\n")
+
+
+@pytest.mark.parametrize(
+    "section, key, bad, lowest_ok",
+    [
+        ("scenario", "intensity", 0.0, 1e-9),
+        ("scenario", "density_ratio", -1.0, 1e-9),
+        ("scenario", "n_packets", 0, 1),
+        ("scenario", "warmup_slots", -1, 0),
+        ("scenario", "slot_ms", 0.0, 1e-9),
+        ("scenario", "traffic_window_slots", 0, 1),
+        ("scenario", "quiescence_slots", 0, 1),
+        ("scenario", "fset_size", 0, 1),
+        ("scenario", "max_retx", -1, 0),
+        ("scenario", "relay_retx", -1, 0),
+        ("scenario", "retx_wait_slots", -2, 0),
+        ("rpl", "dis_timeout_ms", 0.0, 1e-9),
+        ("rpl", "trickle_doublings", -1, 0),
+        ("rpl", "hysteresis", -0.5, 0.0),
+        ("rpl", "etx_max", 0.5, 1.0),
+    ],
+)
+def test_field_bounds_enforced_by_config_and_parser(section, key, bad, lowest_ok):
+    with pytest.raises(ValueError, match=f"{key} must be"):
+        ScenarioConfig(**{key: bad})
+    with pytest.raises(ConfigError, match=f"line 3: {key} must be"):
+        parse_scenario_text(f"[{section}]\n# lowest bound\n{key} = {bad}\n")
+    assert getattr(ScenarioConfig(**{key: lowest_ok}), key) == lowest_ok
+    parsed = parse_scenario_text(f"[{section}]\n{key} = {lowest_ok}\n")
+    assert getattr(parsed, key) == lowest_ok
+
+
+def test_help_epilog_quotes_scenario_defaults():
+    epilog = build_arg_parser().epilog
+    defaults = ScenarioConfig()
+    assert f"{defaults.tx_range_m:g} m range" in epilog
+    assert f"reference link ({defaults.reference_distance:g} m)" in epilog
 
 
 def test_comments_and_blank_values_are_ignored():

@@ -1,9 +1,13 @@
+import heapq
+
 import pytest
 
 from coopmesh.forwarding import PacketStatus, Protocol
 from coopmesh.sim_engine import (
+    EventKind,
     MetricsReport,
     ScenarioConfig,
+    Simulation,
     collect_metrics,
     form_network,
     generate_traffic,
@@ -65,14 +69,58 @@ def test_run_scenario_bit_identical_replay():
     assert first == second
 
 
-def test_event_log_replay_is_identical():
-    cfg = tiny_config(lsr_value=0.6)
-    sim_a = form_network(cfg)
-    report_a = sim_a.run_traffic()
-    sim_b = form_network(cfg)
-    report_b = sim_b.run_traffic()
-    assert sim_a.event_log == sim_b.event_log
+def test_trace_replay_is_identical():
+    # sparse enough that a meter out of everyone's range keeps sending DIS
+    cfg = tiny_config(
+        region_side=150.0, intensity=10.0 / 150.0**2, lsr_value=0.6,
+        protocol=Protocol.COOP_RPL, seed=2,
+    )
+    sink_a, sink_b = [], []
+    report_a = run_scenario(cfg, trace_sink=sink_a)
+    report_b = run_scenario(cfg, trace_sink=sink_b)
+    assert {"DIO", "DIS", "DAO", "relay"} <= {r.get("type") for r in sink_a}
+    assert sum(1 for r in sink_a if "packet_id" in r) == cfg.n_packets
+    assert sink_a == sink_b
     assert report_a == report_b
+
+
+def test_events_pop_by_slot_then_kind_then_push_order():
+    sim = Simulation(tiny_config())
+    # dict payloads are not orderable: comparing one would raise TypeError
+    pushes = [
+        (7, EventKind.HOP_ATTEMPT, {"n": 0}),
+        (3, EventKind.DAO_TX, {"n": 1}),
+        (7, EventKind.TRICKLE_FIRE, {"n": 2}),
+        (7, EventKind.HOP_ATTEMPT, {"n": 3}),
+        (3, EventKind.TRICKLE_FIRE, {"n": 4}),
+        (7, EventKind.PACKET_GEN, {"n": 5}),
+        (7, EventKind.DIO_TX, {"n": 6}),
+        (1, EventKind.HOP_ATTEMPT, {"n": 7}),
+        (7, EventKind.HOP_ATTEMPT, {"n": 8}),
+        (7, EventKind.DIS_TX, {"n": 9}),
+        (7, EventKind.TRICKLE_FIRE, {"n": 10}),
+        (3, EventKind.DAO_TX, {"n": 11}),
+    ]
+    for slot, kind, payload in pushes:
+        sim.push(slot, kind, payload)
+    popped = []
+    while sim.queue:
+        slot, _, _, kind, payload = heapq.heappop(sim.queue)
+        popped.append((slot, kind, payload["n"]))
+    assert popped == [
+        (1, EventKind.HOP_ATTEMPT, 7),
+        (3, EventKind.TRICKLE_FIRE, 4),
+        (3, EventKind.DAO_TX, 1),
+        (3, EventKind.DAO_TX, 11),
+        (7, EventKind.TRICKLE_FIRE, 2),
+        (7, EventKind.TRICKLE_FIRE, 10),
+        (7, EventKind.DIO_TX, 6),
+        (7, EventKind.DIS_TX, 9),
+        (7, EventKind.PACKET_GEN, 5),
+        (7, EventKind.HOP_ATTEMPT, 0),
+        (7, EventKind.HOP_ATTEMPT, 3),
+        (7, EventKind.HOP_ATTEMPT, 8),
+    ]
 
 
 def test_with_protocol_clone_matches_fresh_run():
