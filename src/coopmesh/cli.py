@@ -2,9 +2,12 @@
 
 The config file is flat ``key = value`` text grouped into sections; every
 key is optional and unknown keys are rejected with their line number. A
-sweep fans (protocol, class, axis value, seed) combinations out to worker
-processes, writes one CSV row per run plus mean/stddev rows per point, and
-prints the headline protocol comparison when the baselines are present.
+sweep fans (axis value, seed) points out to worker processes; each point
+runs every (protocol, class) variant as its own scenario, forming its own
+network (formation ignores the protocol, so every variant of a point sees
+the same DAG). It writes one CSV row per run plus mean/stddev rows per
+point, and prints the headline protocol comparison when the baselines are
+present.
 """
 
 from __future__ import annotations
@@ -18,15 +21,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+from . import sim_engine
 from .coop_relay import RateWeights, RoutingClass
 from .forwarding import Protocol
-from .sim_engine import (
-    MetricsReport,
-    ScenarioConfig,
-    bound_violation,
-    form_network,
-    with_protocol,
-)
+from .sim_engine import FieldConflict, MetricsReport, ScenarioConfig, bound_violation
+from .topology import DisconnectedRootError
 
 CSV_COLUMNS = [
     "protocol", "class", "axis", "axis_value", "seed",
@@ -164,6 +163,7 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
     """Parse config text; see parse_scenario for the file variant."""
     section = None
     fields: dict[str, object] = {}
+    field_lines: dict[str, int] = {}
     weights: dict[str, float] = {}
     weights_line: int | None = None
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
@@ -197,6 +197,7 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
         if message is not None:
             raise ConfigError(message, lineno)
         fields[attr] = value
+        field_lines[attr] = lineno
     if weights:
         missing = [k for k in _WEIGHT_KEYS if k not in weights]
         if missing:
@@ -207,6 +208,10 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
             raise ConfigError(str(exc), weights_line)
     try:
         return ScenarioConfig(**fields)
+    except FieldConflict as exc:
+        # point at the last of the conflicting keys the text set
+        lines = [field_lines[f] for f in exc.fields if f in field_lines]
+        raise ConfigError(str(exc), max(lines, default=None))
     except ValueError as exc:
         raise ConfigError(str(exc))
 
@@ -251,7 +256,7 @@ def render_scenario(config: ScenarioConfig) -> str:
         f"sinr_threshold_db = {config.sinr_threshold_db!r}",
         f"lsr_value = {'' if config.lsr_value is None else repr(config.lsr_value)}",
         f"lsr_mapping = {config.lsr_mapping}",
-        f"reference_distance = {'' if config.reference_distance is None else repr(config.reference_distance)}",
+        f"reference_distance = {config.reference_distance!r}",
         f"sinr_per_slot = {'true' if config.sinr_per_slot else 'false'}",
         "",
         "[rpl]",
@@ -272,11 +277,11 @@ def render_scenario(config: ScenarioConfig) -> str:
             f"w_nch = {w.w_nch!r}",
             f"w_etx = {w.w_etx!r}",
         ]
-    if config.sweep_axis is not None:
+    if config.sweep_axis is not None or config.sweep_values:
         lines += [
             "",
             "[sweep]",
-            f"axis = {config.sweep_axis}",
+            f"axis = {config.sweep_axis or ''}",
             f"values = {', '.join(repr(v) for v in config.sweep_values)}",
         ]
     return "\n".join(lines) + "\n"
@@ -359,7 +364,6 @@ def _sweep_point(args) -> list[dict]:
     """Worker: run every protocol variant on one (axis value, seed) point."""
     base, axis, value, seed, variants = args
     rows = []
-    formed = None
     for protocol, routing_class in variants:
         config = _variant_config(base, axis, value, seed, protocol, routing_class)
         row = {
@@ -370,9 +374,7 @@ def _sweep_point(args) -> list[dict]:
             "seed": seed,
         }
         try:
-            if formed is None:
-                formed = form_network(config)
-            report = with_protocol(formed, config).run_traffic()
+            report = sim_engine.run_scenario(config)
             row.update(
                 pdr=report.pdr,
                 mean_retx=report.mean_retransmissions,
@@ -382,7 +384,7 @@ def _sweep_point(args) -> list[dict]:
                 delivered=report.delivered,
                 dropped=report.dropped,
             )
-        except Exception as exc:  # point failure must not sink the sweep
+        except DisconnectedRootError as exc:  # an unlucky topology, not a bug
             row.update(
                 pdr=None, mean_retx=None, mean_delay_slots=None,
                 mean_delay_ms=None, sent=None, delivered=None, dropped=None,
@@ -590,7 +592,7 @@ def main(argv: list[str] | None = None) -> int:
         if axis is None:
             # single run
             trace_sink = [] if args.trace else None
-            report = form_network(config, trace_sink).run_traffic()
+            report = sim_engine.run_scenario(config, trace_sink)
             for line in _report_lines(report):
                 print(line)
             if args.trace:

@@ -172,13 +172,14 @@ def select_relay(
     return best_relay(compute_rates(candidates, w, bounds))
 
 
-def decide_use_relay(selected: int | None, p_coop: float, rng) -> bool:
-    """Bernoulli(p_coop) choice to actually cooperate on a packet."""
+def decide_use_relay(selected: int | None, p_coop: float, draw: float) -> bool:
+    """Bernoulli(p_coop) choice to actually cooperate on a packet, given a
+    uniform draw in [0, 1)."""
     if not 0.0 <= p_coop <= 1.0:
         raise ValueError("p_coop must be in [0, 1]")
     if selected is None:
         return False
-    return rng.random() < p_coop
+    return draw < p_coop
 
 
 def gather_metrics(

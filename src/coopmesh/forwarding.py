@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .coop_relay import decide_use_relay
-from .rng import KeyedStream, uniform
-from .topology import Channel, ChannelParams, LinkModel, link_success_probability
+from .rng import derive_seed, uniform
+from .topology import Channel
 
 DOMAIN_TRANSMIT = 0x7B
 DOMAIN_COOP_DECISION = 0xC0
@@ -75,11 +75,6 @@ class HopOutcome:
 class ForwardingSet:
     owner: int
     members: tuple[int, ...]  # priority order, best next hop first
-
-
-def transmit(link: LinkModel, params: ChannelParams, slot: int, rng) -> bool:
-    """One Bernoulli trial against the link's success probability."""
-    return rng.random() < link_success_probability(link, params, slot)
 
 
 class LinkLayer:
@@ -282,10 +277,14 @@ def advance_one_hop(
         )
     elif protocol is Protocol.COOP_RPL:
         relay = net.relay_for.get(holder)
-        cooperate = decide_use_relay(
+        # without a relay there is nothing to decide, and no draw to spend
+        cooperate = relay is not None and decide_use_relay(
             relay,
             net.p_coop,
-            KeyedStream(net.seed, DOMAIN_COOP_DECISION, packet.packet_id, holder),
+            uniform(
+                derive_seed(net.seed, DOMAIN_COOP_DECISION, packet.packet_id, holder),
+                0,
+            ),
         )
         outcome = forward_hop_coop(
             link_layer, holder, parent, relay, slot,

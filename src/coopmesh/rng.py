@@ -31,25 +31,3 @@ def _draw_u64(seed: int, key: tuple) -> int:
 def uniform(seed: int, *key: object) -> float:
     """Uniform draw in [0, 1), deterministic in (seed, key)."""
     return _draw_u64(seed, key) / _U64
-
-
-def bernoulli(p: float, seed: int, *key: object) -> bool:
-    return uniform(seed, *key) < p
-
-
-class KeyedStream:
-    """random.Random-like counter stream rooted at a (seed, key) pair.
-
-    Successive .random() calls advance an internal counter, so a stream
-    handed to a consumer yields a reproducible sequence no matter who else
-    drew in the meantime.
-    """
-
-    def __init__(self, seed: int, *key: object):
-        self._seed = derive_seed(seed, *key)
-        self._n = 0
-
-    def random(self) -> float:
-        u = uniform(self._seed, self._n)
-        self._n += 1
-        return u

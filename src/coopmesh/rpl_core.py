@@ -2,8 +2,8 @@
 
 Nodes learn parents from DIO advertisements, keep an additive ETX-based rank
 (gateway = 0), pick the default parent minimizing parent_rank + link_etx, and
-pace their own DIOs with a trickle timer. DAO processing records reverse
-routes only; downward traffic is out of scope.
+pace their own DIOs with a trickle timer. Traffic flows upward only, so a
+DAO is an advertisement with no downward route table behind it.
 """
 
 from __future__ import annotations
@@ -137,9 +137,7 @@ class NodeState:
     default_parent: int | None = None
     children: set[int] = field(default_factory=set)
     active_connections: int = 0
-    selected_relay: int | None = None
     trickle: TrickleState = field(default_factory=TrickleState)
-    route_table: dict[int, int] = field(default_factory=dict)
     last_dio_slot: int | None = None
 
     @property
@@ -264,12 +262,6 @@ def process_dis(state: NodeState) -> None:
     """A solicitation resets the receiver's trickle so a DIO follows promptly."""
     state.trickle.current_interval_ms = state.trickle.interval_min_ms
     state.trickle.counter = 0
-
-
-def process_dao(routes: dict[int, int], dao: DaoMessage) -> dict[int, int]:
-    """Record target -> next-hop from a DAO; freshest advertisement wins."""
-    routes[dao.target] = dao.sender
-    return routes
 
 
 def update_children_and_connections(states: dict[int, NodeState]) -> None:

@@ -1,7 +1,7 @@
 """Discrete-event scheduler tying the pieces together.
 
 One run has two phases on one event queue: DAG formation (trickle-paced DIOs
-plus DIS solicitation and DAO route recording) until ranks are quiet, then
+plus DIS solicitation and DAO advertisements) until ranks are quiet, then
 traffic (uniform random sources and slots) with the control plane still
 live. Events are processed in (slot, kind priority, issue id) order, so a
 replay with the same config and seed is bit-identical.
@@ -14,7 +14,6 @@ not be orderable at all.
 
 from __future__ import annotations
 
-import copy
 import heapq
 import math
 from dataclasses import dataclass, replace
@@ -43,7 +42,6 @@ from .rpl_core import (
     NodeState,
     TrickleState,
     emit_dis,
-    process_dao,
     process_dio,
     process_dis,
     trace_record,
@@ -71,6 +69,7 @@ DEFAULT_INTENSITY = DEFAULT_NODE_COUNT / (DEFAULT_REGION_SIDE * DEFAULT_REGION_S
 # field -> (lowest allowed value, whether that value itself is allowed);
 # ScenarioConfig and the config-file parser both check against this table
 FIELD_BOUNDS: dict[str, tuple[float, bool]] = {
+    "region_side": (0, False),
     "intensity": (0, False),
     "density_ratio": (0, False),
     "n_packets": (1, True),
@@ -78,7 +77,7 @@ FIELD_BOUNDS: dict[str, tuple[float, bool]] = {
     "slot_ms": (0, False),
     "dis_timeout_ms": (0, False),
     "traffic_window_slots": (1, True),
-    "quiescence_slots": (1, True),
+    "quiescence_slots": (2, True),  # the gateway's first DIO is at slot >= 1
     "fset_size": (1, True),
     "max_retx": (0, True),
     "relay_retx": (0, True),
@@ -86,7 +85,22 @@ FIELD_BOUNDS: dict[str, tuple[float, bool]] = {
     "trickle_doublings": (0, True),
     "hysteresis": (0, True),
     "etx_max": (1, True),
+    "trickle_redundancy_k": (1, True),
+    "tx_power_w": (0, False),
+    "noise_floor_w": (0, False),
+    "tx_range_m": (0, False),
+    "reference_distance": (0, False),
+    "path_loss_exponent": (2, True),
 }
+
+
+class FieldConflict(ValueError):
+    """Fields that pass their own bounds but together keep every meter from
+    joining; ``fields`` names each field the broken rule reads."""
+
+    def __init__(self, message: str, fields: tuple[str, ...]):
+        super().__init__(message)
+        self.fields = fields
 
 
 def bound_violation(name: str, value) -> str | None:
@@ -127,7 +141,7 @@ class ScenarioConfig:
     sinr_threshold_db: float = 40.0
     lsr_value: float | None = None
     lsr_mapping: str = "reference"  # "reference" (calibrated) or "uniform"
-    reference_distance: float | None = 41.5  # desk-scale calibration anchor
+    reference_distance: float = 41.5  # desk-scale calibration anchor
     # protocol
     protocol: Protocol = Protocol.RPL
     routing_class: RoutingClass = RoutingClass.BEST_EFFORT
@@ -169,6 +183,24 @@ class ScenarioConfig:
             raise ValueError("lsr_mapping must be 'reference' or 'uniform'")
         if self.sweep_axis is not None and not self.sweep_values:
             raise ValueError("sweep values must be nonempty")
+        imin = self.ms_to_slots(self.trickle_imin_ms)
+        if self.ms_to_slots(self.dis_timeout_ms) < imin:
+            # each DIS resets its neighbors' trickle timers, so the
+            # gateway's first DIO keeps moving out and nothing joins
+            raise FieldConflict(
+                "dis_timeout_ms must not round to fewer slots than trickle_imin_ms",
+                ("dis_timeout_ms", "trickle_imin_ms", "slot_ms"),
+            )
+        if imin >= self.quiescence_slots:
+            # quiescence counts from slot 0, so formation would end before
+            # the gateway's first DIO
+            raise FieldConflict(
+                "trickle_imin_ms must round to fewer slots than quiescence_slots",
+                ("trickle_imin_ms", "quiescence_slots", "slot_ms"),
+            )
+
+    def ms_to_slots(self, ms: float) -> int:
+        return max(1, round(ms / self.slot_ms))
 
     @property
     def effective_intensity(self) -> float:
@@ -285,9 +317,9 @@ def generate_traffic(
 class Simulation:
     """Mutable state of one scenario run.
 
-    form_network() builds one of these through the formation phase; the
-    traffic phase is protocol-specific, so sweeps deep-copy a formed network
-    per protocol variant instead of re-forming it.
+    form_network() builds one of these through the formation phase, which
+    never reads the protocol; run_traffic() then plays the config's protocol
+    on it. Every run, sweep variants included, forms its own network.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -328,9 +360,6 @@ class Simulation:
 
     # --- plumbing ---
 
-    def ms_to_slots(self, ms: float) -> int:
-        return max(1, round(ms / self.config.slot_ms))
-
     def push(self, slot: int, kind: EventKind, payload=None) -> None:
         self.event_id += 1
         heapq.heappush(self.queue, (slot, kind.value, self.event_id, kind, payload))
@@ -362,7 +391,9 @@ class Simulation:
     def _trickle_restart(self, node: int, slot: int) -> None:
         process_dis(self.states[node])  # interval back to minimum
         self.trickle_seq[node] += 1
-        fire_at = slot + self.ms_to_slots(self.states[node].trickle.interval_min_ms)
+        fire_at = slot + self.config.ms_to_slots(
+            self.states[node].trickle.interval_min_ms
+        )
         self.push(fire_at, EventKind.TRICKLE_FIRE, (node, self.trickle_seq[node]))
 
     def _handle_trickle_fire(self, slot: int, payload) -> None:
@@ -373,7 +404,7 @@ class Simulation:
         emit, next_ms = trickle_fire(state.trickle, consistent=True)
         self.trickle_seq[node] += 1
         self.push(
-            slot + self.ms_to_slots(next_ms),
+            slot + self.config.ms_to_slots(next_ms),
             EventKind.TRICKLE_FIRE,
             (node, self.trickle_seq[node]),
         )
@@ -385,7 +416,6 @@ class Simulation:
         if not state.joined or state.default_parent is None:
             self.relay_for[node] = None
             self.relay_rates[node] = {}
-            state.selected_relay = None
             return
         self._ensure_counts()
         interferers = frozenset(self.registry.get(slot, ()))
@@ -402,7 +432,6 @@ class Simulation:
         )
         self.relay_for[node] = selected
         self.relay_rates[node] = rates
-        state.selected_relay = selected
 
     def _refresh_fset(self, node: int) -> None:
         self.fsets[node] = build_forwarding_set(
@@ -448,7 +477,7 @@ class Simulation:
     def _handle_dis_tx(self, slot: int, payload) -> None:
         node = payload
         state = self.states[node]
-        timeout = self.ms_to_slots(self.config.dis_timeout_ms)
+        timeout = self.config.ms_to_slots(self.config.dis_timeout_ms)
         if state.joined:
             return
         heard_recently = (
@@ -467,19 +496,11 @@ class Simulation:
         state = self.states[node]
         if state.default_parent is None:
             return
-        dao = DaoMessage(sender=node, target=node, via_parent=state.default_parent)
+        # traffic is upward only, so nothing keeps the downward routes a DAO
+        # would install; the advertisement is traced and goes no further
         if self.trace_sink is not None:
+            dao = DaoMessage(sender=node, target=node, via_parent=state.default_parent)
             self.trace_sink.append(trace_record(dao, slot))
-        # walk the advertisement up the default path, recording at each hop
-        sender, hop = node, state.default_parent
-        seen = {node}
-        while hop is not None and hop not in seen:
-            process_dao(
-                self.states[hop].route_table,
-                DaoMessage(sender=sender, target=node, via_parent=hop),
-            )
-            seen.add(hop)
-            sender, hop = hop, self.states[hop].default_parent
 
     # --- phases ---
 
@@ -488,11 +509,11 @@ class Simulation:
         quiescence window (or the warmup budget runs out)."""
         cfg = self.config
         self.push(
-            self.ms_to_slots(cfg.trickle_imin_ms),
+            cfg.ms_to_slots(cfg.trickle_imin_ms),
             EventKind.TRICKLE_FIRE,
             (GATEWAY_ID, self.trickle_seq[GATEWAY_ID]),
         )
-        dis_at = self.ms_to_slots(cfg.dis_timeout_ms)
+        dis_at = cfg.ms_to_slots(cfg.dis_timeout_ms)
         for node in sorted(self.states):
             if node != GATEWAY_ID:
                 self.push(dis_at, EventKind.DIS_TX, node)
@@ -659,15 +680,6 @@ def form_network(
     sim.trace_sink = trace_sink
     sim.run_formation()
     return sim
-
-
-def with_protocol(
-    sim: Simulation, config: ScenarioConfig
-) -> Simulation:
-    """Clone a formed network for a protocol variant of the same scenario."""
-    clone = copy.deepcopy(sim)
-    clone.config = config
-    return clone
 
 
 def run_scenario(

@@ -145,9 +145,7 @@ def fading_gain(src: int, dst: int, slot: int, seed: int) -> float:
     return -math.log(1.0 - u)
 
 
-def link_success_probability(
-    link: LinkModel, params: ChannelParams, slot: int = 0
-) -> float:
+def link_success_probability(link: LinkModel, params: ChannelParams) -> float:
     """Per-transmission delivery probability for a link.
 
     Swept-LSR mode returns the swept value identically for every link.
@@ -163,27 +161,23 @@ def link_success_probability(
     return math.exp(-threshold / mean_snr)
 
 
-REFERENCE_DISTANCE_FACTOR = 0.6  # of tx_range; a typical default-parent hop
-
-
 def calibrate_params_for_lsr(
-    params: ChannelParams, lsr: float, reference_distance: float | None = None
+    params: ChannelParams, lsr: float, reference_distance: float
 ) -> ChannelParams:
     """Physical-mode params whose reference link has success probability lsr.
 
-    Sets the detection threshold so a link at reference_distance (default
-    0.6x tx_range) succeeds with probability lsr; closer links do better,
-    longer ones worse, per the outage form. This keeps the swept quality
-    axis while preserving per-link heterogeneity.
+    Sets the detection threshold so a link at reference_distance succeeds
+    with probability lsr; closer links do better, longer ones worse, per the
+    outage form. This keeps the swept quality axis while preserving per-link
+    heterogeneity.
     """
     if not 0.0 < lsr <= 1.0:
         raise ValueError("lsr must be in (0, 1]")
-    d_ref = (
-        reference_distance
-        if reference_distance is not None
-        else REFERENCE_DISTANCE_FACTOR * params.tx_range_m
+    snr_ref = (
+        params.tx_power_w
+        * path_loss_linear(reference_distance, params)
+        / params.noise_floor_w
     )
-    snr_ref = params.tx_power_w * path_loss_linear(d_ref, params) / params.noise_floor_w
     gamma_lin = -math.log(lsr) * snr_ref
     threshold_db = -300.0 if gamma_lin <= 0 else 10.0 * math.log10(gamma_lin)
     return replace(
@@ -249,9 +243,6 @@ class Channel:
     def fading_gain(self, src: int, dst: int, slot: int) -> float:
         return fading_gain(src, dst, slot, self.seed)
 
-    def mean_snr_linear(self, src: int, dst: int) -> float:
-        return self.link(src, dst).mean_rx_power_w / self.params.noise_floor_w
-
     def compute_sinr(
         self,
         rx: int,
@@ -277,9 +268,6 @@ class Channel:
             g = self.fading_gain(other, rx, slot) if with_fading else 1.0
             interference += self.link(other, rx).mean_rx_power_w * g
         return 10.0 * math.log10(signal / (self.params.noise_floor_w + interference))
-
-    def link_success_probability(self, link: LinkModel, slot: int = 0) -> float:
-        return link_success_probability(link, self.params, slot)
 
     def success_probability(self, src: int, dst: int) -> float:
         """Cached per-pair success probability (slot-invariant in both modes)."""

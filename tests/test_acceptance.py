@@ -27,7 +27,7 @@ from coopmesh.coop_relay import (
 )
 from coopmesh.forwarding import Protocol, forward_hop_coop, forward_hop_rpl
 from coopmesh.rpl_core import compute_etx
-from coopmesh.sim_engine import ScenarioConfig, form_network, with_protocol
+from coopmesh.sim_engine import ScenarioConfig, form_network
 from coopmesh.topology import GATEWAY_ID, path_loss_linear
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -199,7 +199,7 @@ def test_criterion_6b_eligibility_recheck_on_topologies(formed_topologies):
                 **{**config.__dict__, "protocol": Protocol.COOP_RPL,
                    "routing_class": routing_class}
             )
-            clone = with_protocol(sim, variant)
+            clone = form_network(variant)
             for node in sorted(clone.joined_meters()):
                 clone._refresh_relay(node, 0)
                 relay = clone.relay_for.get(node)

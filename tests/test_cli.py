@@ -1,7 +1,10 @@
 import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coopmesh import sim_engine
 from coopmesh.cli import (
     ConfigError,
     SweepSpec,
@@ -15,7 +18,7 @@ from coopmesh.cli import (
     render_scenario,
     run_sweep,
 )
-from coopmesh.coop_relay import RoutingClass
+from coopmesh.coop_relay import RateWeights, RoutingClass
 from coopmesh.forwarding import Protocol
 from coopmesh.sim_engine import ScenarioConfig
 
@@ -95,7 +98,7 @@ def test_lsr_out_of_range_diagnostic():
         ("scenario", "warmup_slots", -1, 0),
         ("scenario", "slot_ms", 0.0, 1e-9),
         ("scenario", "traffic_window_slots", 0, 1),
-        ("scenario", "quiescence_slots", 0, 1),
+        ("scenario", "quiescence_slots", 1, 2),
         ("scenario", "fset_size", 0, 1),
         ("scenario", "max_retx", -1, 0),
         ("scenario", "relay_retx", -1, 0),
@@ -104,6 +107,13 @@ def test_lsr_out_of_range_diagnostic():
         ("rpl", "trickle_doublings", -1, 0),
         ("rpl", "hysteresis", -0.5, 0.0),
         ("rpl", "etx_max", 0.5, 1.0),
+        ("rpl", "trickle_redundancy_k", 0, 1),
+        ("scenario", "region_side", 0.0, 1e-9),
+        ("channel", "tx_power_w", -1.0, 1e-9),
+        ("channel", "noise_floor_w", 0.0, 1e-9),
+        ("channel", "tx_range_m", 0.0, 1e-9),
+        ("channel", "reference_distance", -5.0, 1e-9),
+        ("channel", "path_loss_exponent", 1.9, 2.0),
     ],
 )
 def test_field_bounds_enforced_by_config_and_parser(section, key, bad, lowest_ok):
@@ -111,9 +121,62 @@ def test_field_bounds_enforced_by_config_and_parser(section, key, bad, lowest_ok
         ScenarioConfig(**{key: bad})
     with pytest.raises(ConfigError, match=f"line 3: {key} must be"):
         parse_scenario_text(f"[{section}]\n# lowest bound\n{key} = {bad}\n")
-    assert getattr(ScenarioConfig(**{key: lowest_ok}), key) == lowest_ok
-    parsed = parse_scenario_text(f"[{section}]\n{key} = {lowest_ok}\n")
+    # at the default trickle_imin_ms these bounds would break a cross-field rule
+    imin = SHORT_TRICKLE_IMIN.get(key)
+    extra = {} if imin is None else {"trickle_imin_ms": imin}
+    extra_text = "" if imin is None else f"[rpl]\ntrickle_imin_ms = {imin}\n"
+    assert getattr(ScenarioConfig(**{key: lowest_ok}, **extra), key) == lowest_ok
+    parsed = parse_scenario_text(f"[{section}]\n{key} = {lowest_ok}\n{extra_text}")
     assert getattr(parsed, key) == lowest_ok
+
+
+SHORT_TRICKLE_IMIN = {"slot_ms": 1e-9, "dis_timeout_ms": 10.0, "quiescence_slots": 10.0}
+
+
+# (fields that break a formation rule, the nearest fields that pass it); at
+# 10 ms slots the default trickle_imin_ms is 10 slots, quiescence 20 slots
+FORMATION_RULE_CASES = [
+    ({"dis_timeout_ms": 90.0}, {"dis_timeout_ms": 95.0}),
+    ({"trickle_imin_ms": 200.0}, {"trickle_imin_ms": 190.0}),
+    ({"quiescence_slots": 10}, {"quiescence_slots": 11}),
+    ({"slot_ms": 5.0}, {"slot_ms": 5.5}),
+]
+
+
+def _config_text(values: dict) -> str:
+    sections = {"scenario": [], "rpl": []}
+    for key, value in values.items():
+        section = "scenario" if key in ("quiescence_slots", "slot_ms") else "rpl"
+        sections[section].append(f"{key} = {value}")
+    return "".join(
+        f"[{name}]\n" + "".join(line + "\n" for line in lines)
+        for name, lines in sections.items() if lines
+    )
+
+
+@pytest.mark.parametrize("broken, working", FORMATION_RULE_CASES)
+def test_formation_killing_combinations_rejected(broken, working):
+    with pytest.raises(ValueError, match="must not round|must round"):
+        ScenarioConfig(**broken)
+    with pytest.raises(ConfigError, match="line 2: .*must (not )?round"):
+        parse_scenario_text(_config_text(broken))
+    for key, value in working.items():
+        assert getattr(ScenarioConfig(**working), key) == value
+        assert getattr(parse_scenario_text(_config_text(working)), key) == value
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("[rpl]\ndis_timeout_ms = 90\ntrickle_imin_ms = 100\n", 3),
+        ("[rpl]\ntrickle_imin_ms = 100\n\ndis_timeout_ms = 90\n", 4),
+        ("[rpl]\ntrickle_imin_ms = 200\n[scenario]\nquiescence_slots = 20\n", 4),
+        ("[scenario]\nquiescence_slots = 20\n[rpl]\n# late\ntrickle_imin_ms = 200\n", 5),
+    ],
+)
+def test_formation_rule_error_names_the_later_key(text, line):
+    with pytest.raises(ConfigError, match=f"line {line}: .*round"):
+        parse_scenario_text(text)
 
 
 def test_help_epilog_quotes_scenario_defaults():
@@ -146,6 +209,65 @@ def test_render_round_trips():
         ),
     ):
         assert parse_scenario_text(render_scenario(cfg)) == cfg
+
+
+@st.composite
+def valid_configs(draw):
+    positive = st.floats(min_value=1e-6, max_value=1e6)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    share = st.floats(min_value=0.0, max_value=1.0)
+    slot_ms = draw(st.floats(min_value=0.1, max_value=100.0))
+    trickle_imin_ms = draw(st.floats(min_value=0.0, max_value=1e4))
+    imin_slots = max(1, round(trickle_imin_ms / slot_ms))
+    weights = None
+    if draw(st.booleans()):
+        parts = [draw(st.floats(min_value=0.0, max_value=1 / 3)) for _ in range(3)]
+        weights = RateWeights(*parts, 1.0 - sum(parts))
+    axis = draw(st.sampled_from([None, "lsr", "density"]))
+    values = st.lists(positive, min_size=1, max_size=4).map(tuple)
+    return ScenarioConfig(
+        region_side=draw(positive),
+        intensity=draw(positive),
+        density_ratio=draw(positive),
+        tx_power_w=draw(positive),
+        path_loss_exponent=draw(st.floats(min_value=2.0, max_value=8.0)),
+        reference_loss_db=draw(finite),
+        noise_floor_w=draw(positive),
+        tx_range_m=draw(positive),
+        sinr_threshold_db=draw(finite),
+        lsr_value=draw(st.none() | st.floats(min_value=0.0, max_value=1.0, exclude_min=True)),
+        lsr_mapping=draw(st.sampled_from(["reference", "uniform"])),
+        reference_distance=draw(positive),
+        protocol=draw(st.sampled_from(Protocol)),
+        routing_class=draw(st.sampled_from(RoutingClass)),
+        weights=weights,
+        p_coop=draw(share),
+        max_retx=draw(st.integers(0, 10)),
+        relay_retx=draw(st.integers(0, 10)),
+        retx_wait_slots=draw(st.integers(0, 10)),
+        fset_size=draw(st.integers(1, 10)),
+        n_packets=draw(st.integers(1, 10**6)),
+        warmup_slots=draw(st.integers(0, 10**6)),
+        traffic_window_slots=draw(st.none() | st.integers(1, 10**6)),
+        quiescence_slots=imin_slots + draw(st.integers(1, 1000)),
+        slot_ms=slot_ms,
+        seed=draw(st.integers(-(2**63), 2**63 - 1)),
+        etx_max=draw(st.floats(min_value=1.0, max_value=1e3)),
+        hysteresis=draw(st.floats(min_value=0.0, max_value=10.0)),
+        trickle_imin_ms=trickle_imin_ms,
+        trickle_doublings=draw(st.integers(0, 16)),
+        trickle_redundancy_k=draw(st.integers(1, 100)),
+        dis_timeout_ms=trickle_imin_ms + draw(st.floats(min_value=slot_ms, max_value=1e4)),
+        sinr_per_slot=draw(st.booleans()),
+        sweep_axis=axis,
+        sweep_values=draw(values if axis else st.just(()) | values),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_configs())
+def test_render_then_parse_is_identity(cfg):
+    assert parse_scenario_text(render_scenario(cfg)) == cfg
 
 
 def test_default_variants_expand_coop_classes():
@@ -224,6 +346,17 @@ def test_run_sweep_marks_failed_points_and_continues(tmp_path):
     assert rows[0]["pdr"] is None
     parsed = read_sweep_csv(tmp_path / "f.csv")
     assert parsed[0]["pdr"] == ""
+
+
+def test_run_sweep_lets_program_errors_escape(tmp_path, monkeypatch):
+    # only a disconnected placement is a failed point; a bug must surface
+    def broken(config, trace_sink=None):
+        raise ZeroDivisionError("simulated bug")
+
+    monkeypatch.setattr(sim_engine, "run_scenario", broken)
+    spec = SweepSpec("lsr", (0.5,), default_variants(["rpl"]), seeds=1)
+    with pytest.raises(ZeroDivisionError, match="simulated bug"):
+        run_sweep(SMALL, spec, tmp_path / "z.csv")
 
 
 def _write_csv(path, rows):

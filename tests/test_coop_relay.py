@@ -18,7 +18,7 @@ from coopmesh.coop_relay import (
     select_relay,
     term_bounds,
 )
-from coopmesh.rng import KeyedStream
+from coopmesh.rng import uniform
 from coopmesh.rpl_core import NodeState
 
 
@@ -228,21 +228,22 @@ def test_filter_requires_joined_sender():
 
 
 def test_decide_use_relay_none_is_never_cooperative():
-    assert decide_use_relay(None, 1.0, KeyedStream(1, 0)) is False
+    assert decide_use_relay(None, 1.0, 0.0) is False
 
 
 def test_decide_use_relay_certain_probability():
-    assert decide_use_relay(3, 1.0, KeyedStream(1, 0)) is True
-    assert decide_use_relay(3, 0.0, KeyedStream(1, 0)) is False
+    for draw in (0.0, 0.5, 0.999999):
+        assert decide_use_relay(3, 1.0, draw) is True
+        assert decide_use_relay(3, 0.0, draw) is False
 
 
 def test_decide_use_relay_frequency_matches_p():
     hits = sum(
-        decide_use_relay(3, 0.5, KeyedStream(77, packet)) for packet in range(10_000)
+        decide_use_relay(3, 0.5, uniform(77, packet)) for packet in range(10_000)
     )
     assert hits / 10_000 == pytest.approx(0.5, abs=0.02)
 
 
 def test_decide_use_relay_rejects_bad_probability():
     with pytest.raises(ValueError):
-        decide_use_relay(3, 1.5, KeyedStream(1, 0))
+        decide_use_relay(3, 1.5, 0.0)

@@ -13,11 +13,9 @@ from coopmesh.forwarding import (
     forward_hop_rpl,
     packet_trace,
     route_to_gateway,
-    transmit,
 )
-from coopmesh.rng import KeyedStream
 from coopmesh.rpl_core import NodeState, ParentEntry
-from coopmesh.topology import Channel, ChannelMode, ChannelParams, LinkModel, NodePlacement
+from coopmesh.topology import Channel, ChannelMode, ChannelParams, NodePlacement
 
 
 def lsr_channel(positions, lsr, seed=5):
@@ -81,18 +79,19 @@ def exact_hop_stats(run, link_p):
 
 
 def test_transmit_certain_and_impossible_links():
-    link = LinkModel(1, 2, 10.0, 1e-9, True)
-    sure = ChannelParams(mode=ChannelMode.SWEPT_LSR, lsr_value=1.0)
-    dead = ChannelParams(mode=ChannelMode.SWEPT_LSR, lsr_value=0.0)
+    sure = lsr_channel([(0.0, 0.0), (10.0, 0.0)], lsr=1.0, seed=3)
+    dead = lsr_channel([(0.0, 0.0), (10.0, 0.0)], lsr=0.0, seed=3)
     for n in range(50):
-        assert transmit(link, sure, 0, KeyedStream(3, n)) is True
-        assert transmit(link, dead, 0, KeyedStream(3, n)) is False
+        assert LinkLayer(sure, seed=3, packet_id=n).transmit(1, 0, slot=0) is True
+        assert LinkLayer(dead, seed=3, packet_id=n).transmit(1, 0, slot=0) is False
 
 
 def test_transmit_empirical_frequency():
-    link = LinkModel(1, 2, 10.0, 1e-9, True)
-    params = ChannelParams(mode=ChannelMode.SWEPT_LSR, lsr_value=0.6)
-    hits = sum(transmit(link, params, 0, KeyedStream(9, n)) for n in range(10_000))
+    ch = lsr_channel([(0.0, 0.0), (10.0, 0.0)], lsr=0.6, seed=9)
+    hits = sum(
+        LinkLayer(ch, seed=9, packet_id=n).transmit(1, 0, slot=0)
+        for n in range(10_000)
+    )
     assert hits / 10_000 == pytest.approx(0.6, abs=0.02)
 
 

@@ -14,7 +14,6 @@ from coopmesh.rpl_core import (
     compute_etx,
     compute_rank,
     emit_dis,
-    process_dao,
     process_dio,
     process_dis,
     select_default_parent,
@@ -175,23 +174,6 @@ def test_dis_emission_and_trickle_reset_on_receipt():
     process_dis(receiver)
     assert receiver.trickle.current_interval_ms == receiver.trickle.interval_min_ms
     assert receiver.trickle.counter == 0
-
-
-def test_process_dao_records_route():
-    routes = process_dao({}, DaoMessage(sender=3, target=7, via_parent=1))
-    assert routes == {7: 3}
-
-
-def test_process_dao_idempotent():
-    dao = DaoMessage(sender=3, target=7, via_parent=1)
-    routes = process_dao({}, dao)
-    assert process_dao(routes, dao) == {7: 3}
-
-
-def test_process_dao_freshest_wins():
-    routes = process_dao({}, DaoMessage(sender=3, target=7, via_parent=1))
-    routes = process_dao(routes, DaoMessage(sender=5, target=7, via_parent=1))
-    assert routes == {7: 5}
 
 
 def _joined(node_id, rank, parent):

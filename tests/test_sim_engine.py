@@ -1,7 +1,9 @@
 import heapq
+from dataclasses import replace
 
 import pytest
 
+from coopmesh.cli import default_variants
 from coopmesh.forwarding import PacketStatus, Protocol
 from coopmesh.sim_engine import (
     EventKind,
@@ -12,7 +14,6 @@ from coopmesh.sim_engine import (
     form_network,
     generate_traffic,
     run_scenario,
-    with_protocol,
 )
 from coopmesh.topology import GATEWAY_ID
 
@@ -123,14 +124,26 @@ def test_events_pop_by_slot_then_kind_then_push_order():
     ]
 
 
-def test_with_protocol_clone_matches_fresh_run():
-    base = tiny_config(lsr_value=0.7)
-    formed = form_network(base)
-    for protocol in (Protocol.COOP_RPL, Protocol.OPP_RPL):
-        variant = ScenarioConfig(**{**base.__dict__, "protocol": protocol})
-        cloned = with_protocol(formed, variant).run_traffic()
-        fresh = run_scenario(variant)
-        assert cloned == fresh
+def test_formation_is_identical_under_every_variant():
+    # a sweep re-forms the network per variant; that is only sound because
+    # formation never reads the protocol or routing class
+    base = ScenarioConfig(seed=3, lsr_value=0.7)
+    formed = []
+    for protocol, routing_class in default_variants():
+        trace: list[dict] = []
+        sim = form_network(
+            replace(base, protocol=protocol, routing_class=routing_class), trace
+        )
+        formed.append((
+            {n: st.default_parent for n, st in sim.states.items()},
+            {n: st.rank for n, st in sim.states.items()},
+            sim.etx_table,
+            sim.formation_slots,
+            trace,
+        ))
+    assert len(formed) == 6
+    assert formed[0][4], "formation must leave a trace"
+    assert all(f == formed[0] for f in formed[1:])
 
 
 def test_formation_builds_acyclic_monotone_dag():
@@ -166,16 +179,18 @@ def test_formation_children_partition_joined_nodes():
 
 
 def test_dao_routes_recorded_along_default_paths():
-    sim = form_network(ScenarioConfig(seed=17, lsr_value=0.9))
-    gateway = sim.states[GATEWAY_ID]
-    for meter in sim.joined_meters():
-        hop = sim.states[meter].default_parent
-        # every intermediate node on the path knows the way back to the meter
-        while hop is not None and hop != GATEWAY_ID:
-            assert meter in sim.states[hop].route_table
-            hop = sim.states[hop].default_parent
-        if sim.states[meter].default_parent == GATEWAY_ID:
-            assert gateway.route_table[meter] == meter
+    trace: list[dict] = []
+    sim = form_network(ScenarioConfig(seed=17, lsr_value=0.9), trace)
+    last_dao = {}
+    for record in trace:
+        if record["type"] == "DAO":
+            assert record["target"] == record["sender"]
+            last_dao[record["sender"]] = record["via_parent"]
+    meters = sim.joined_meters()
+    assert meters
+    # every joined meter advertised, and its last DAO names its final parent
+    for meter in meters:
+        assert last_dao[meter] == sim.states[meter].default_parent
 
 
 def test_generate_traffic_count_and_window():

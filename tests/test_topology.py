@@ -168,19 +168,19 @@ def test_calibrated_lsr_hits_reference_distance():
     for lsr in [0.5, 0.7, 0.9]:
         params = calibrate_params_for_lsr(PARAMS, lsr, reference_distance=35.0)
         ch = make_channel([(0.0, 0.0), (35.0, 0.0)], params=params)
-        p = ch.link_success_probability(ch.link(1, 0))
+        p = ch.success_probability(1, 0)
         assert p == pytest.approx(lsr, abs=1e-9)
         # closer links do better, longer ones worse
         near = make_channel([(0.0, 0.0), (15.0, 0.0)], params=params)
         far = make_channel([(0.0, 0.0), (49.0, 0.0)], params=params)
-        assert near.link_success_probability(near.link(1, 0)) > lsr
-        assert far.link_success_probability(far.link(1, 0)) < lsr
+        assert near.success_probability(1, 0) > lsr
+        assert far.success_probability(1, 0) < lsr
 
 
 def test_calibrated_lsr_one_gives_perfect_links():
-    params = calibrate_params_for_lsr(PARAMS, 1.0)
+    params = calibrate_params_for_lsr(PARAMS, 1.0, reference_distance=35.0)
     ch = make_channel([(0.0, 0.0), (49.0, 0.0)], params=params)
-    assert ch.link_success_probability(ch.link(1, 0)) == pytest.approx(1.0)
+    assert ch.success_probability(1, 0) == pytest.approx(1.0)
 
 
 def test_neighbors_isolated_node_empty():
