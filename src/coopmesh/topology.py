@@ -150,7 +150,7 @@ def link_success_probability(link: LinkModel, params: ChannelParams) -> float:
 
     Swept-LSR mode returns the swept value identically for every link.
     Physical mode uses the Rayleigh outage form
-    P_success = exp(-threshold_linear / mean_snr_linear).
+    P_success = exp(-threshold / mean SNR), both linear.
     """
     if not link.exists:
         return 0.0

@@ -89,6 +89,11 @@ def test_lsr_out_of_range_diagnostic():
         parse_scenario_text("[channel]\nlsr_value = 1.3\n")
 
 
+# trickle_imin_ms short enough that these fields' lowest values pass the
+# cross-field formation rules (the default 100 ms would break them)
+SHORT_TRICKLE_IMIN = {"slot_ms": 1e-9, "dis_timeout_ms": 10.0, "quiescence_slots": 10.0}
+
+
 @pytest.mark.parametrize(
     "section, key, bad, lowest_ok",
     [
@@ -121,7 +126,6 @@ def test_field_bounds_enforced_by_config_and_parser(section, key, bad, lowest_ok
         ScenarioConfig(**{key: bad})
     with pytest.raises(ConfigError, match=f"line 3: {key} must be"):
         parse_scenario_text(f"[{section}]\n# lowest bound\n{key} = {bad}\n")
-    # at the default trickle_imin_ms these bounds would break a cross-field rule
     imin = SHORT_TRICKLE_IMIN.get(key)
     extra = {} if imin is None else {"trickle_imin_ms": imin}
     extra_text = "" if imin is None else f"[rpl]\ntrickle_imin_ms = {imin}\n"
@@ -130,39 +134,26 @@ def test_field_bounds_enforced_by_config_and_parser(section, key, bad, lowest_ok
     assert getattr(parsed, key) == lowest_ok
 
 
-SHORT_TRICKLE_IMIN = {"slot_ms": 1e-9, "dis_timeout_ms": 10.0, "quiescence_slots": 10.0}
-
-
-# (fields that break a formation rule, the nearest fields that pass it); at
-# 10 ms slots the default trickle_imin_ms is 10 slots, quiescence 20 slots
-FORMATION_RULE_CASES = [
-    ({"dis_timeout_ms": 90.0}, {"dis_timeout_ms": 95.0}),
-    ({"trickle_imin_ms": 200.0}, {"trickle_imin_ms": 190.0}),
-    ({"quiescence_slots": 10}, {"quiescence_slots": 11}),
-    ({"slot_ms": 5.0}, {"slot_ms": 5.5}),
-]
-
-
-def _config_text(values: dict) -> str:
-    sections = {"scenario": [], "rpl": []}
-    for key, value in values.items():
-        section = "scenario" if key in ("quiescence_slots", "slot_ms") else "rpl"
-        sections[section].append(f"{key} = {value}")
-    return "".join(
-        f"[{name}]\n" + "".join(line + "\n" for line in lines)
-        for name, lines in sections.items() if lines
-    )
-
-
-@pytest.mark.parametrize("broken, working", FORMATION_RULE_CASES)
-def test_formation_killing_combinations_rejected(broken, working):
-    with pytest.raises(ValueError, match="must not round|must round"):
-        ScenarioConfig(**broken)
-    with pytest.raises(ConfigError, match="line 2: .*must (not )?round"):
-        parse_scenario_text(_config_text(broken))
-    for key, value in working.items():
-        assert getattr(ScenarioConfig(**working), key) == value
-        assert getattr(parse_scenario_text(_config_text(working)), key) == value
+# at 10 ms slots the default trickle_imin_ms is 10 slots, quiescence 20 slots;
+# each case gives the value that breaks a formation rule and the nearest
+# value that passes it
+@pytest.mark.parametrize(
+    "section, key, broken, working",
+    [
+        ("rpl", "dis_timeout_ms", 90.0, 95.0),
+        ("rpl", "trickle_imin_ms", 200.0, 190.0),
+        ("scenario", "quiescence_slots", 10, 11),
+        ("scenario", "slot_ms", 5.0, 5.5),
+    ],
+)
+def test_formation_killing_combinations_rejected(section, key, broken, working):
+    with pytest.raises(ValueError, match="round"):
+        ScenarioConfig(**{key: broken})
+    with pytest.raises(ConfigError, match="line 2: .*round"):
+        parse_scenario_text(f"[{section}]\n{key} = {broken}\n")
+    assert getattr(ScenarioConfig(**{key: working}), key) == working
+    parsed = parse_scenario_text(f"[{section}]\n{key} = {working}\n")
+    assert getattr(parsed, key) == working
 
 
 @pytest.mark.parametrize(
@@ -173,6 +164,7 @@ def test_formation_killing_combinations_rejected(broken, working):
         ("[rpl]\ntrickle_imin_ms = 200\n[scenario]\nquiescence_slots = 20\n", 4),
         ("[scenario]\nquiescence_slots = 20\n[rpl]\n# late\ntrickle_imin_ms = 200\n", 5),
     ],
+    ids=["imin-after-dis", "dis-after-imin", "quiescence-after-imin", "imin-after-quiescence"],
 )
 def test_formation_rule_error_names_the_later_key(text, line):
     with pytest.raises(ConfigError, match=f"line {line}: .*round"):
