@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .rpl_core import NodeState
 
@@ -48,8 +49,7 @@ WEIGHT_PRESETS: dict[RoutingClass, RateWeights] = {
 }
 
 
-@dataclass(frozen=True)
-class CandidateMetrics:
+class CandidateMetrics(NamedTuple):
     relay: int
     sinr_s_r: float  # dB at the relay, sender transmitting
     sinr_r_d: float  # dB at the parent, relay transmitting
@@ -111,19 +111,29 @@ class TermBounds:
     etx: tuple[float, float]
 
 
-def term_bounds(candidates: list[CandidateMetrics]) -> TermBounds:
-    if not candidates:
-        raise ValueError("no candidates")
-    sinr = [min(m.sinr_s_r, m.sinr_r_d) for m in candidates]
-    traffic = [float(m.nac_r) for m in candidates]
-    nch = [float(m.nch_r) for m in candidates]
-    etx = [m.etx_s_r + m.etx_r_d for m in candidates]
+def rate_terms(m: CandidateMetrics) -> tuple[float, float, float, float]:
+    """A candidate's rate terms before normalization: weaker-leg SINR,
+    relay load, relay children, two-leg ETX."""
+    return (
+        min(m.sinr_s_r, m.sinr_r_d), float(m.nac_r), float(m.nch_r),
+        m.etx_s_r + m.etx_r_d,
+    )
+
+
+def _bounds(terms: list[tuple[float, float, float, float]]) -> TermBounds:
+    sinr, traffic, nch, etx = zip(*terms)
     return TermBounds(
         (min(sinr), max(sinr)),
         (min(traffic), max(traffic)),
         (min(nch), max(nch)),
         (min(etx), max(etx)),
     )
+
+
+def term_bounds(candidates: list[CandidateMetrics]) -> TermBounds:
+    if not candidates:
+        raise ValueError("no candidates")
+    return _bounds([rate_terms(m) for m in candidates])
 
 
 def _norm(value: float, bounds: tuple[float, float]) -> float:
@@ -133,16 +143,23 @@ def _norm(value: float, bounds: tuple[float, float]) -> float:
     return (value - lo) / (hi - lo)
 
 
+def _rate(
+    terms: tuple[float, float, float, float], w: RateWeights, bounds: TermBounds
+) -> float:
+    sinr, traffic, nch, etx = terms
+    return (
+        w.w_sinr * _norm(sinr, bounds.sinr)
+        - w.w_traffic * _norm(traffic, bounds.traffic)
+        - w.w_nch * _norm(nch, bounds.nch)
+        - w.w_etx * _norm(etx, bounds.etx)
+    )
+
+
 def compute_rate(m: CandidateMetrics, w: RateWeights, bounds: TermBounds) -> float:
     """Weighted candidate score; every term is normalized into [0, 1] against
     the candidate set's spread before weighting. Load and cost terms enter
     negatively so smaller is better."""
-    return (
-        w.w_sinr * _norm(min(m.sinr_s_r, m.sinr_r_d), bounds.sinr)
-        - w.w_traffic * _norm(float(m.nac_r), bounds.traffic)
-        - w.w_nch * _norm(float(m.nch_r), bounds.nch)
-        - w.w_etx * _norm(m.etx_s_r + m.etx_r_d, bounds.etx)
-    )
+    return _rate(rate_terms(m), w, bounds)
 
 
 def compute_rates(
@@ -150,9 +167,10 @@ def compute_rates(
 ) -> dict[int, float]:
     if not candidates:
         return {}
+    terms = [rate_terms(m) for m in candidates]
     if bounds is None:
-        bounds = term_bounds(candidates)
-    return {m.relay: compute_rate(m, w, bounds) for m in candidates}
+        bounds = _bounds(terms)
+    return {m.relay: _rate(t, w, bounds) for m, t in zip(candidates, terms)}
 
 
 def best_relay(rates: dict[int, float]) -> int | None:
@@ -182,38 +200,6 @@ def decide_use_relay(selected: int | None, p_coop: float, draw: float) -> bool:
     return draw < p_coop
 
 
-def gather_metrics(
-    sender: NodeState,
-    relay_state: NodeState,
-    parent: int,
-    channel,
-    etx_of,
-    interferers: frozenset[int] = frozenset(),
-    slot: int = 0,
-    with_fading: bool = False,
-) -> CandidateMetrics:
-    """Assemble the per-candidate metrics a selection run needs.
-
-    SINRs default to the fading-mean channel so choices stay stable between
-    advertisement rounds; etx_of(a, b) supplies the current link estimate.
-    """
-    s, r = sender.node_id, relay_state.node_id
-    clean = frozenset(t for t in interferers if t not in (s, r))
-    return CandidateMetrics(
-        relay=r,
-        sinr_s_r=channel.compute_sinr(r, s, clean, slot, with_fading),
-        sinr_r_d=channel.compute_sinr(parent, r, clean, slot, with_fading),
-        sinr_s_d=channel.compute_sinr(parent, s, clean, slot, with_fading),
-        nac_r=relay_state.active_connections,
-        nac_s=sender.active_connections,
-        nch_r=len(relay_state.children),
-        nch_s=len(sender.children),
-        etx_s_r=etx_of(s, r),
-        etx_r_d=etx_of(r, parent),
-        etx_s_d=etx_of(s, parent),
-    )
-
-
 def run_selection(
     sender: NodeState,
     states: dict[int, NodeState],
@@ -227,24 +213,56 @@ def run_selection(
 ) -> tuple[int | None, dict[int, float]]:
     """Full pipeline for one sender: rank filter, eligibility, rate argmax.
 
-    Returns (selected relay or None, candidate rates for tracing).
+    One pass over the sender's lower-rank neighbors. SINRs default to the
+    fading-mean channel so choices stay stable between advertisement
+    rounds: with at most one concurrent transmitter besides the sender and
+    the candidate they come from the channel's cached link SNRs, otherwise
+    (or with per-slot fading) from compute_sinr. etx_of(a, b) supplies the
+    current link estimate. Returns (selected relay or None, candidate rates
+    for tracing).
     """
     if sender.default_parent is None:
         return None, {}
-    parent = sender.default_parent
-    neighbor_states = [states[n] for n in channel.neighbors(sender.node_id) if n in states]
+    s, parent = sender.node_id, sender.default_parent
+    neighbor_states = [states[n] for n in channel.neighbors(s) if n in states]
     ranked = filter_candidates_by_rank(sender, neighbor_states)
     # a candidate must actually reach the hop destination for its second
-    # cooperative leg to exist at all
-    reachable = [r for r in sorted(ranked) if channel.link(r, parent).exists]
-    metrics = [
-        gather_metrics(
-            sender, states[r], parent, channel, etx_of,
-            interferers, slot, with_fading,
+    # cooperative leg to exist at all (distance, hence reach, is symmetric)
+    reaches_parent = set(channel.neighbors(parent))
+    link = channel.link
+    nac_s, nch_s = sender.active_connections, len(sender.children)
+    etx_s_d = etx_of(s, parent)
+    snr_s_d = link(s, parent).mean_snr_db
+    others = [t for t in interferers if t != s]
+    candidates = []
+    for r in sorted(ranked):
+        if r not in reaches_parent:
+            continue
+        concurrent = len(others) - (r in others)
+        if with_fading or concurrent >= 2:
+            # compute_sinr sums the interference in this set's order
+            clean = frozenset(t for t in interferers if t not in (s, r))
+            sinr_s_r = channel.compute_sinr(r, s, clean, slot, with_fading)
+            sinr_r_d = channel.compute_sinr(parent, r, clean, slot, with_fading)
+            sinr_s_d = channel.compute_sinr(parent, s, clean, slot, with_fading)
+        elif concurrent == 0:
+            sinr_s_r = link(s, r).mean_snr_db
+            sinr_r_d = link(r, parent).mean_snr_db
+            sinr_s_d = snr_s_d
+        else:
+            other = others[0] if others[0] != r else others[1]
+            sinr_s_r = channel.mean_sinr_db(r, s, other)
+            sinr_r_d = channel.mean_sinr_db(parent, r, other)
+            sinr_s_d = channel.mean_sinr_db(parent, s, other)
+        relay_state = states[r]
+        m = CandidateMetrics(
+            r, sinr_s_r, sinr_r_d, sinr_s_d,
+            relay_state.active_connections, nac_s,
+            len(relay_state.children), nch_s,
+            etx_of(s, r), etx_of(r, parent), etx_s_d,
         )
-        for r in reachable
-    ]
-    candidates = [m for m in metrics if eligible(m, routing_class)]
+        if eligible(m, routing_class):
+            candidates.append(m)
     w = weights if weights is not None else WEIGHT_PRESETS[routing_class]
     rates = compute_rates(candidates, w)
     return best_relay(rates), rates

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .coop_relay import decide_use_relay
 from .rng import derive_seed, uniform
@@ -56,8 +57,7 @@ class Packet:
         return self.delivered_slot - self.created_slot
 
 
-@dataclass(frozen=True)
-class HopOutcome:
+class HopOutcome(NamedTuple):
     attempts: int
     relay_used: bool
     relay_attempts: int

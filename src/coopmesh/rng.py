@@ -19,10 +19,16 @@ def derive_seed(seed: int, *key: object) -> int:
     return int.from_bytes(hashlib.blake2b(material, digest_size=8).digest(), "little")
 
 
+# packers of (seed, *key) by key length; the simulator's draws use 1 to 5
+_PACKERS = tuple(struct.Struct(f"<q{n}q") for n in range(8))
+
+
 def _draw_u64(seed: int, key: tuple) -> int:
     # hot path: integer-only keys pack fast; anything else goes through repr
+    n = len(key)
+    packer = _PACKERS[n] if n < len(_PACKERS) else struct.Struct(f"<q{n}q")
     try:
-        material = struct.pack(f"<q{len(key)}q", seed, *key)
+        material = packer.pack(seed, *key)
     except struct.error:
         material = repr((seed,) + key).encode()
     return int.from_bytes(hashlib.blake2b(material, digest_size=8).digest(), "little")

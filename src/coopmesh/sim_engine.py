@@ -73,7 +73,7 @@ FIELD_BOUNDS: dict[str, tuple[float, bool]] = {
     "intensity": (0, False),
     "density_ratio": (0, False),
     "n_packets": (1, True),
-    "warmup_slots": (0, True),
+    "warmup_slots": (1, True),  # the gateway's first DIO is at slot >= 1
     "slot_ms": (0, False),
     "dis_timeout_ms": (0, False),
     "traffic_window_slots": (1, True),
@@ -91,7 +91,10 @@ FIELD_BOUNDS: dict[str, tuple[float, bool]] = {
     "tx_range_m": (0, False),
     "reference_distance": (0, False),
     "path_loss_exponent": (2, True),
+    "trickle_imin_ms": (0, False),
 }
+# the one bounded field that may also be None, meaning unset
+OPTIONAL_FIELDS = frozenset({"traffic_window_slots"})
 
 
 class FieldConflict(ValueError):
@@ -107,10 +110,10 @@ def bound_violation(name: str, value) -> str | None:
     """Why value is out of FIELD_BOUNDS for field name, or None when it is
     allowed (fields without a bound and unset optional fields always are)."""
     bound = FIELD_BOUNDS.get(name)
-    if bound is None or value is None:
+    if bound is None or (value is None and name in OPTIONAL_FIELDS):
         return None
     lowest, inclusive = bound
-    if value > lowest or (inclusive and value == lowest):
+    if value is not None and (value > lowest or (inclusive and value == lowest)):
         return None
     return f"{name} must be {'>=' if inclusive else '>'} {lowest}"
 
@@ -197,6 +200,12 @@ class ScenarioConfig:
             raise FieldConflict(
                 "trickle_imin_ms must round to fewer slots than quiescence_slots",
                 ("trickle_imin_ms", "quiescence_slots", "slot_ms"),
+            )
+        if self.warmup_slots < imin:
+            # formation stops after warmup_slots, before the gateway's first DIO
+            raise FieldConflict(
+                "warmup_slots must not be fewer than the slots trickle_imin_ms rounds to",
+                ("warmup_slots", "trickle_imin_ms", "slot_ms"),
             )
 
     def ms_to_slots(self, ms: float) -> int:
@@ -351,7 +360,11 @@ class Simulation:
         self.last_change_slot = 0
         self.now = 0
         self.formation_slots = 0
-        self.registry: dict[int, set[int]] = {}
+        # slot -> nodes transmitting in it; only the SINR terms of coop_rpl
+        # relay selection read it, and only at the current slot
+        self.registry: dict[int, set[int]] | None = (
+            {} if config.protocol is Protocol.COOP_RPL else None
+        )
         self.trace_sink: list[dict] | None = None
         self.relay_for: dict[int, int | None] = {}
         self.relay_rates: dict[int, dict[int, float]] = {}
@@ -608,8 +621,14 @@ class Simulation:
         net = self.network_view()
         unresolved = cfg.n_packets
         hop_attempt = EventKind.HOP_ATTEMPT
+        registry = self.registry
         while self.queue and unresolved > 0:
             slot, _, _, kind, payload = heapq.heappop(self.queue)
+            if registry is not None and slot > self.now:
+                # transmissions register at their own slot or later, and the
+                # registry is read at the current slot only
+                for past in range(self.now, slot):
+                    registry.pop(past, None)
             self.now = slot
             # hop attempts are most of the traffic phase's events: test them first
             if kind is hop_attempt:

@@ -92,6 +92,8 @@ class LinkModel:
     distance: float
     mean_rx_power_w: float
     exists: bool  # within tx_range
+    # fading-mean SNR in dB; Channel.link fills it in from the noise floor
+    mean_snr_db: float = math.nan
 
 
 def place_nodes(
@@ -223,7 +225,10 @@ class Channel:
         if d <= 0:
             raise ValueError("degenerate-link")
         mean_rx = self.params.tx_power_w * path_loss_linear(d, self.params)
-        link = LinkModel(src, dst, d, mean_rx, d <= self.params.tx_range_m)
+        link = LinkModel(
+            src, dst, d, mean_rx, d <= self.params.tx_range_m,
+            10.0 * math.log10(mean_rx / self.params.noise_floor_w),
+        )
         self._links[key] = link
         return link
 
@@ -268,6 +273,20 @@ class Channel:
             g = self.fading_gain(other, rx, slot) if with_fading else 1.0
             interference += self.link(other, rx).mean_rx_power_w * g
         return 10.0 * math.log10(signal / (self.params.noise_floor_w + interference))
+
+    def mean_sinr_db(self, rx: int, tx: int, other: int) -> float:
+        """Fading-mean SINR in dB at rx for a transmission from tx while
+        other transmits too; bit for bit compute_sinr(rx, tx, {other}), since
+        a gain of 1.0 and a sum starting at 0.0 change no operand."""
+        if other == tx:
+            raise ValueError("transmitter cannot interfere with itself")
+        link = self.link(tx, rx)
+        if other == rx:
+            return link.mean_snr_db
+        interference = self.link(other, rx).mean_rx_power_w
+        return 10.0 * math.log10(
+            link.mean_rx_power_w / (self.params.noise_floor_w + interference)
+        )
 
     def success_probability(self, src: int, dst: int) -> float:
         """Cached per-pair success probability (slot-invariant in both modes)."""

@@ -91,7 +91,9 @@ def test_lsr_out_of_range_diagnostic():
 
 # trickle_imin_ms short enough that these fields' lowest values pass the
 # cross-field formation rules (the default 100 ms would break them)
-SHORT_TRICKLE_IMIN = {"slot_ms": 1e-9, "dis_timeout_ms": 10.0, "quiescence_slots": 10.0}
+SHORT_TRICKLE_IMIN = {
+    "slot_ms": 1e-9, "dis_timeout_ms": 10.0, "quiescence_slots": 10.0, "warmup_slots": 10.0,
+}
 
 
 @pytest.mark.parametrize(
@@ -100,7 +102,7 @@ SHORT_TRICKLE_IMIN = {"slot_ms": 1e-9, "dis_timeout_ms": 10.0, "quiescence_slots
         ("scenario", "intensity", 0.0, 1e-9),
         ("scenario", "density_ratio", -1.0, 1e-9),
         ("scenario", "n_packets", 0, 1),
-        ("scenario", "warmup_slots", -1, 0),
+        ("scenario", "warmup_slots", 0, 1),
         ("scenario", "slot_ms", 0.0, 1e-9),
         ("scenario", "traffic_window_slots", 0, 1),
         ("scenario", "quiescence_slots", 1, 2),
@@ -119,6 +121,7 @@ SHORT_TRICKLE_IMIN = {"slot_ms": 1e-9, "dis_timeout_ms": 10.0, "quiescence_slots
         ("channel", "tx_range_m", 0.0, 1e-9),
         ("channel", "reference_distance", -5.0, 1e-9),
         ("channel", "path_loss_exponent", 1.9, 2.0),
+        ("rpl", "trickle_imin_ms", 0.0, 1e-9),
     ],
 )
 def test_field_bounds_enforced_by_config_and_parser(section, key, bad, lowest_ok):
@@ -144,6 +147,7 @@ def test_field_bounds_enforced_by_config_and_parser(section, key, bad, lowest_ok
         ("rpl", "trickle_imin_ms", 200.0, 190.0),
         ("scenario", "quiescence_slots", 10, 11),
         ("scenario", "slot_ms", 5.0, 5.5),
+        ("scenario", "warmup_slots", 9, 10),
     ],
 )
 def test_formation_killing_combinations_rejected(section, key, broken, working):
@@ -163,8 +167,13 @@ def test_formation_killing_combinations_rejected(section, key, broken, working):
         ("[rpl]\ntrickle_imin_ms = 100\n\ndis_timeout_ms = 90\n", 4),
         ("[rpl]\ntrickle_imin_ms = 200\n[scenario]\nquiescence_slots = 20\n", 4),
         ("[scenario]\nquiescence_slots = 20\n[rpl]\n# late\ntrickle_imin_ms = 200\n", 5),
+        ("[rpl]\ntrickle_imin_ms = 100\n[scenario]\nwarmup_slots = 9\n", 4),
+        ("[scenario]\nwarmup_slots = 9\n\n[rpl]\ntrickle_imin_ms = 100\n", 5),
     ],
-    ids=["imin-after-dis", "dis-after-imin", "quiescence-after-imin", "imin-after-quiescence"],
+    ids=[
+        "imin-after-dis", "dis-after-imin", "quiescence-after-imin", "imin-after-quiescence",
+        "warmup-after-imin", "imin-after-warmup",
+    ],
 )
 def test_formation_rule_error_names_the_later_key(text, line):
     with pytest.raises(ConfigError, match=f"line {line}: .*round"):
@@ -209,7 +218,7 @@ def valid_configs(draw):
     finite = st.floats(allow_nan=False, allow_infinity=False)
     share = st.floats(min_value=0.0, max_value=1.0)
     slot_ms = draw(st.floats(min_value=0.1, max_value=100.0))
-    trickle_imin_ms = draw(st.floats(min_value=0.0, max_value=1e4))
+    trickle_imin_ms = draw(st.floats(min_value=0.0, max_value=1e4, exclude_min=True))
     imin_slots = max(1, round(trickle_imin_ms / slot_ms))
     weights = None
     if draw(st.booleans()):
@@ -239,7 +248,7 @@ def valid_configs(draw):
         retx_wait_slots=draw(st.integers(0, 10)),
         fset_size=draw(st.integers(1, 10)),
         n_packets=draw(st.integers(1, 10**6)),
-        warmup_slots=draw(st.integers(0, 10**6)),
+        warmup_slots=imin_slots + draw(st.integers(0, 10**6)),
         traffic_window_slots=draw(st.none() | st.integers(1, 10**6)),
         quiescence_slots=imin_slots + draw(st.integers(1, 1000)),
         slot_ms=slot_ms,

@@ -1,11 +1,16 @@
+import hashlib
 import heapq
+import json
 from dataclasses import replace
 
 import pytest
 
+from coopmesh import sim_engine
 from coopmesh.cli import default_variants
+from coopmesh.coop_relay import RoutingClass
 from coopmesh.forwarding import PacketStatus, Protocol
 from coopmesh.sim_engine import (
+    FIELD_BOUNDS,
     EventKind,
     MetricsReport,
     ScenarioConfig,
@@ -41,6 +46,16 @@ def test_config_validation():
         ScenarioConfig(lsr_mapping="nope")
     with pytest.raises(ValueError):
         ScenarioConfig(sweep_axis="lsr", sweep_values=())
+
+
+def test_none_accepted_only_where_a_field_is_optional():
+    assert ScenarioConfig(traffic_window_slots=None).window_slots == 2000
+    for name in FIELD_BOUNDS:
+        if name == "traffic_window_slots":
+            continue
+        # rejected at construction, not by a TypeError in the middle of a run
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            ScenarioConfig(**{name: None}, lsr_value=0.9)
 
 
 def test_two_node_network_perfect_links():
@@ -83,6 +98,39 @@ def test_trace_replay_is_identical():
     assert sum(1 for r in sink_a if "packet_id" in r) == cfg.n_packets
     assert sink_a == sink_b
     assert report_a == report_b
+
+
+# SHA-256 of the five traces of test_relay_scoring_trace_is_pinned; relay
+# selection must reproduce every choice and every rate bit for bit
+RELAY_TRACE_DIGEST = "fb70feed9213998a08ed2f7733bfac96a6c901b9802b01927408819068f64d46"
+
+
+def test_relay_scoring_trace_is_pinned(monkeypatch):
+    # a busy 20-node field: selections run with 0, 1 and 2+ transmitters
+    # registered in their slot, so every SINR case of the scorer is scored
+    seen_sizes = set()
+    select = sim_engine.run_selection
+
+    def recording(*args, **kwargs):
+        seen_sizes.add(min(len(kwargs["interferers"]), 2))
+        return select(*args, **kwargs)
+
+    monkeypatch.setattr(sim_engine, "run_selection", recording)
+    digest = hashlib.sha256()
+    runs = [(c, False) for c in RoutingClass] + [(RoutingClass.BEST_EFFORT, True)]
+    for routing_class, per_slot in runs:
+        cfg = tiny_config(
+            region_side=100.0, intensity=20.0 / 100.0**2, tx_range_m=40.0,
+            lsr_value=0.5, n_packets=400, traffic_window_slots=80, seed=1,
+            protocol=Protocol.COOP_RPL, routing_class=routing_class,
+            sinr_per_slot=per_slot,
+        )
+        sink = []
+        run_scenario(cfg, trace_sink=sink)
+        assert any(r.get("type") == "relay" and r["candidates"] for r in sink)
+        digest.update(json.dumps(sink, sort_keys=True).encode())
+    assert seen_sizes == {0, 1, 2}
+    assert digest.hexdigest() == RELAY_TRACE_DIGEST
 
 
 def test_events_pop_by_slot_then_kind_then_push_order():

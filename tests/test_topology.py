@@ -140,6 +140,26 @@ def test_compute_sinr_rejects_tx_in_interferer_set():
         ch.compute_sinr(rx=0, tx=1, concurrent_transmitters={1})
 
 
+def test_cached_snr_and_one_interferer_sinr_equal_compute_sinr_exactly():
+    # relay selection reads these in place of compute_sinr: bit-equal, not close
+    params = ChannelParams(path_loss_exponent=3.7, noise_floor_w=3e-13)
+    placements = place_nodes(Region(150.0), 12 / 150.0**2, 4, params)
+    ch = Channel(placements, params, 4)
+    ids = ch.node_ids
+    for tx in ids:
+        for rx in ids:
+            if rx == tx:
+                continue
+            assert ch.link(tx, rx).mean_snr_db == ch.compute_sinr(rx, tx)
+            for other in ids:
+                if other != tx:
+                    assert ch.mean_sinr_db(rx, tx, other) == ch.compute_sinr(
+                        rx, tx, frozenset({other})
+                    )
+    with pytest.raises(ValueError):
+        ch.mean_sinr_db(ids[0], ids[1], ids[1])
+
+
 def test_swept_lsr_uniform_over_links():
     params = ChannelParams(mode=ChannelMode.SWEPT_LSR, lsr_value=0.7)
     for d in [5.0, 20.0, 49.0]:
