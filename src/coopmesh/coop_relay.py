@@ -111,7 +111,7 @@ class TermBounds:
     etx: tuple[float, float]
 
 
-def rate_terms(m: CandidateMetrics) -> tuple[float, float, float, float]:
+def _rate_terms(m: CandidateMetrics) -> tuple[float, float, float, float]:
     """A candidate's rate terms before normalization: weaker-leg SINR,
     relay load, relay children, two-leg ETX."""
     return (
@@ -133,7 +133,7 @@ def _bounds(terms: list[tuple[float, float, float, float]]) -> TermBounds:
 def term_bounds(candidates: list[CandidateMetrics]) -> TermBounds:
     if not candidates:
         raise ValueError("no candidates")
-    return _bounds([rate_terms(m) for m in candidates])
+    return _bounds([_rate_terms(m) for m in candidates])
 
 
 def _norm(value: float, bounds: tuple[float, float]) -> float:
@@ -159,7 +159,7 @@ def compute_rate(m: CandidateMetrics, w: RateWeights, bounds: TermBounds) -> flo
     """Weighted candidate score; every term is normalized into [0, 1] against
     the candidate set's spread before weighting. Load and cost terms enter
     negatively so smaller is better."""
-    return _rate(rate_terms(m), w, bounds)
+    return _rate(_rate_terms(m), w, bounds)
 
 
 def compute_rates(
@@ -167,7 +167,7 @@ def compute_rates(
 ) -> dict[int, float]:
     if not candidates:
         return {}
-    terms = [rate_terms(m) for m in candidates]
+    terms = [_rate_terms(m) for m in candidates]
     if bounds is None:
         bounds = _bounds(terms)
     return {m.relay: _rate(t, w, bounds) for m, t in zip(candidates, terms)}
