@@ -111,29 +111,19 @@ class TermBounds:
     etx: tuple[float, float]
 
 
-def _rate_terms(m: CandidateMetrics) -> tuple[float, float, float, float]:
-    """A candidate's rate terms before normalization: weaker-leg SINR,
-    relay load, relay children, two-leg ETX."""
-    return (
-        min(m.sinr_s_r, m.sinr_r_d), float(m.nac_r), float(m.nch_r),
-        m.etx_s_r + m.etx_r_d,
-    )
-
-
-def _bounds(terms: list[tuple[float, float, float, float]]) -> TermBounds:
-    sinr, traffic, nch, etx = zip(*terms)
+def term_bounds(candidates: list[CandidateMetrics]) -> TermBounds:
+    if not candidates:
+        raise ValueError("no candidates")
+    sinr = [min(m.sinr_s_r, m.sinr_r_d) for m in candidates]
+    traffic = [float(m.nac_r) for m in candidates]
+    nch = [float(m.nch_r) for m in candidates]
+    etx = [m.etx_s_r + m.etx_r_d for m in candidates]
     return TermBounds(
         (min(sinr), max(sinr)),
         (min(traffic), max(traffic)),
         (min(nch), max(nch)),
         (min(etx), max(etx)),
     )
-
-
-def term_bounds(candidates: list[CandidateMetrics]) -> TermBounds:
-    if not candidates:
-        raise ValueError("no candidates")
-    return _bounds([_rate_terms(m) for m in candidates])
 
 
 def _norm(value: float, bounds: tuple[float, float]) -> float:
@@ -143,23 +133,16 @@ def _norm(value: float, bounds: tuple[float, float]) -> float:
     return (value - lo) / (hi - lo)
 
 
-def _rate(
-    terms: tuple[float, float, float, float], w: RateWeights, bounds: TermBounds
-) -> float:
-    sinr, traffic, nch, etx = terms
-    return (
-        w.w_sinr * _norm(sinr, bounds.sinr)
-        - w.w_traffic * _norm(traffic, bounds.traffic)
-        - w.w_nch * _norm(nch, bounds.nch)
-        - w.w_etx * _norm(etx, bounds.etx)
-    )
-
-
 def compute_rate(m: CandidateMetrics, w: RateWeights, bounds: TermBounds) -> float:
     """Weighted candidate score; every term is normalized into [0, 1] against
     the candidate set's spread before weighting. Load and cost terms enter
     negatively so smaller is better."""
-    return _rate(_rate_terms(m), w, bounds)
+    return (
+        w.w_sinr * _norm(min(m.sinr_s_r, m.sinr_r_d), bounds.sinr)
+        - w.w_traffic * _norm(float(m.nac_r), bounds.traffic)
+        - w.w_nch * _norm(float(m.nch_r), bounds.nch)
+        - w.w_etx * _norm(m.etx_s_r + m.etx_r_d, bounds.etx)
+    )
 
 
 def compute_rates(
@@ -167,10 +150,9 @@ def compute_rates(
 ) -> dict[int, float]:
     if not candidates:
         return {}
-    terms = [_rate_terms(m) for m in candidates]
     if bounds is None:
-        bounds = _bounds(terms)
-    return {m.relay: _rate(t, w, bounds) for m, t in zip(candidates, terms)}
+        bounds = term_bounds(candidates)
+    return {m.relay: compute_rate(m, w, bounds) for m in candidates}
 
 
 def best_relay(rates: dict[int, float]) -> int | None:
@@ -213,19 +195,21 @@ def run_selection(
 ) -> tuple[int | None, dict[int, float]]:
     """Full pipeline for one sender: rank filter, eligibility, rate argmax.
 
-    One pass over the sender's lower-rank neighbors. SINRs default to the
-    fading-mean channel so choices stay stable between advertisement
-    rounds: with at most one concurrent transmitter besides the sender and
-    the candidate they come from the channel's cached link SNRs, otherwise
-    (or with per-slot fading) from compute_sinr. etx_of(a, b) supplies the
-    current link estimate. Returns (selected relay or None, candidate rates
-    for tracing).
+    One pass over the sender's neighbors, applying the rules that
+    filter_candidates_by_rank and eligible state (the tests hold this pass
+    to them). SINRs default to the fading-mean channel so choices stay
+    stable between advertisement rounds: with no other node transmitting
+    they are the channel's cached link SNRs, with one a one-term sum, and
+    with more (or with per-slot fading) compute_sinr's. etx_of(a, b)
+    supplies the current link estimate.
+
+    Returns (selected relay or None, candidate rates for tracing).
     """
     if sender.default_parent is None:
         return None, {}
-    s, parent = sender.node_id, sender.default_parent
-    neighbor_states = [states[n] for n in channel.neighbors(s) if n in states]
-    ranked = filter_candidates_by_rank(sender, neighbor_states)
+    if not sender.joined:
+        raise ValueError("sender must be joined")
+    s, parent, rank = sender.node_id, sender.default_parent, sender.rank
     # a candidate must actually reach the hop destination for its second
     # cooperative leg to exist at all (distance, hence reach, is symmetric)
     reaches_parent = set(channel.neighbors(parent))
@@ -234,9 +218,20 @@ def run_selection(
     etx_s_d = etx_of(s, parent)
     snr_s_d = link(s, parent).mean_snr_db
     others = [t for t in interferers if t != s]
+    best_effort = routing_class is RoutingClass.BEST_EFFORT
+    test_a = best_effort or routing_class is RoutingClass.CLASS_A
+    test_b = best_effort or routing_class is RoutingClass.CLASS_B
+    test_c = best_effort or routing_class is RoutingClass.CLASS_C
     candidates = []
-    for r in sorted(ranked):
-        if r not in reaches_parent:
+    for r in channel.neighbors(s):  # ascending ids
+        relay_state = states.get(r)
+        if (
+            relay_state is None
+            or relay_state.rank is None
+            or relay_state.rank >= rank
+            or r == parent
+            or r not in reaches_parent
+        ):
             continue
         concurrent = len(others) - (r in others)
         if with_fading or concurrent >= 2:
@@ -254,15 +249,17 @@ def run_selection(
             sinr_s_r = channel.mean_sinr_db(r, s, other)
             sinr_r_d = channel.mean_sinr_db(parent, r, other)
             sinr_s_d = channel.mean_sinr_db(parent, s, other)
-        relay_state = states[r]
-        m = CandidateMetrics(
-            r, sinr_s_r, sinr_r_d, sinr_s_d,
-            relay_state.active_connections, nac_s,
-            len(relay_state.children), nch_s,
-            etx_of(s, r), etx_of(r, parent), etx_s_d,
-        )
-        if eligible(m, routing_class):
-            candidates.append(m)
+        nac_r, nch_r = relay_state.active_connections, len(relay_state.children)
+        etx_s_r, etx_r_d = etx_of(s, r), etx_of(r, parent)
+        if (
+            (test_a and sinr_s_r > sinr_s_d and sinr_r_d > sinr_s_d)
+            or (test_b and nac_r < nac_s and nch_r < nch_s)
+            or (test_c and etx_s_d > etx_s_r + etx_r_d)
+        ):
+            candidates.append(CandidateMetrics(
+                r, sinr_s_r, sinr_r_d, sinr_s_d, nac_r, nac_s, nch_r, nch_s,
+                etx_s_r, etx_r_d, etx_s_d,
+            ))
     w = weights if weights is not None else WEIGHT_PRESETS[routing_class]
     rates = compute_rates(candidates, w)
     return best_relay(rates), rates

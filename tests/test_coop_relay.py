@@ -7,6 +7,7 @@ from coopmesh.coop_relay import (
     RateWeights,
     RoutingClass,
     WEIGHT_PRESETS,
+    best_relay,
     compute_rate,
     compute_rates,
     decide_use_relay,
@@ -15,11 +16,15 @@ from coopmesh.coop_relay import (
     eligible_class_b,
     eligible_class_c,
     filter_candidates_by_rank,
+    run_selection,
     select_relay,
     term_bounds,
 )
+from coopmesh.forwarding import Protocol
 from coopmesh.rng import uniform
 from coopmesh.rpl_core import NodeState
+from coopmesh.sim_engine import ScenarioConfig, form_network
+from coopmesh.topology import Channel, ChannelParams, NodePlacement
 
 
 def metrics(
@@ -225,6 +230,76 @@ def test_filter_empty_when_everyone_is_above():
 def test_filter_requires_joined_sender():
     with pytest.raises(ValueError):
         filter_candidates_by_rank(NodeState(5), [])
+
+
+def reference_selection(sender, states, channel, etx_of, routing_class, interferers,
+                        slot, with_fading):
+    """The selection stage by stage: rank filter, full compute_sinr metrics
+    for every candidate that reaches the parent, eligibility, rates."""
+    s, parent = sender.node_id, sender.default_parent
+    neighbor_states = [states[n] for n in channel.neighbors(s)]
+    metrics = []
+    for r in sorted(filter_candidates_by_rank(sender, neighbor_states)):
+        if not channel.link(r, parent).exists:
+            continue
+        clean = frozenset(t for t in interferers if t not in (s, r))
+        metrics.append(CandidateMetrics(
+            r,
+            channel.compute_sinr(r, s, clean, slot, with_fading),
+            channel.compute_sinr(parent, r, clean, slot, with_fading),
+            channel.compute_sinr(parent, s, clean, slot, with_fading),
+            states[r].active_connections, sender.active_connections,
+            len(states[r].children), len(sender.children),
+            etx_of(s, r), etx_of(r, parent), etx_of(s, parent),
+        ))
+    rates = compute_rates(
+        [m for m in metrics if eligible(m, routing_class)], WEIGHT_PRESETS[routing_class]
+    )
+    return best_relay(rates), rates
+
+
+def test_run_selection_equals_stage_by_stage_reference():
+    # interferers drawn from the sender, its parent and its neighbors, so
+    # every SINR case meets candidates that are themselves transmitting
+    rng = random.Random(4242)
+    seen_sizes = set()
+    for seed in (1, 2):
+        sim = form_network(ScenarioConfig(
+            protocol=Protocol.COOP_RPL, lsr_value=0.6, density_ratio=1.5, seed=seed,
+        ))
+        senders = [st for st in sim.states.values() if st.default_parent is not None]
+        for sender in senders:
+            pool = [sender.node_id, sender.default_parent] + sim.channel.neighbors(sender.node_id)
+            for routing_class in RoutingClass:
+                for with_fading in (False, True):
+                    size = rng.choice([0, 1, 1, 2, 3, 5])
+                    interferers = frozenset(rng.sample(pool, min(size, len(pool))))
+                    seen_sizes.add(len(interferers))
+                    args = (sender, sim.states, sim.channel, sim.etx_of, routing_class)
+                    got = run_selection(
+                        *args, WEIGHT_PRESETS[routing_class], interferers, 17, with_fading
+                    )
+                    assert got == reference_selection(*args, interferers, 17, with_fading)
+    assert {0, 1, 2, 3, 5} <= seen_sizes
+
+
+def test_run_selection_rank_and_reach_rules():
+    # sender 1 (rank 3, parent 0): 2 sits lower and reaches 0; 3 shares the
+    # sender's rank; 4 has not joined; 5 sits lower but is 110 m from 0
+    positions = {0: (0, 0), 1: (60, 0), 2: (40, 20), 3: (40, -20), 4: (70, 10), 5: (110, 0)}
+    channel = Channel(
+        [NodePlacement(n, x, y) for n, (x, y) in positions.items()],
+        ChannelParams(tx_range_m=70.0), seed=1,
+    )
+    ranks = {0: 0.0, 1: 3.0, 2: 2.0, 3: 3.0, 4: None, 5: 1.5}
+    states = {n: _node(n, rank) for n, rank in ranks.items()}
+    sender = states[1]
+    sender.default_parent = 0
+    sender.active_connections, sender.children = 2, {7, 8}
+    args = (sender, states, channel, lambda a, b: 1.0, RoutingClass.CLASS_B)
+    selected, rates = run_selection(*args)
+    assert (selected, set(rates)) == (2, {2})
+    assert (selected, rates) == reference_selection(*args, frozenset(), 0, False)
 
 
 def test_decide_use_relay_none_is_never_cooperative():
