@@ -107,7 +107,7 @@ RELAY_TRACE_DIGEST = "fb70feed9213998a08ed2f7733bfac96a6c901b9802b01927408819068
 
 def test_relay_scoring_trace_is_pinned(monkeypatch):
     # a busy 20-node field: selections run with 0, 1 and 2+ transmitters
-    # registered in their slot, so every SINR case of the scorer is scored
+    # registered in their slot, so every SINR case of the scorer is exercised
     seen_sizes = set()
     select = sim_engine.run_selection
 
