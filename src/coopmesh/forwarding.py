@@ -14,7 +14,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .coop_relay import decide_use_relay
-from .rng import derive_seed, uniform
+from .rng import derive_seed, prefixed_uniform, uniform
 from .topology import Channel
 
 DOMAIN_TRANSMIT = 0x7B
@@ -82,8 +82,10 @@ class LinkLayer:
 
     Each directed link keeps an attempt counter so the n-th use of a link by
     a packet always sees the same draw, independent of slots or call order
-    elsewhere. Transmissions are optionally registered per slot for
-    interference bookkeeping.
+    elsewhere: ``uniform(seed, DOMAIN_TRANSMIT, packet_id, src, dst, n)``,
+    with the (seed, domain, packet) prefix hashed once per packet.
+    Transmissions are optionally registered per slot for interference
+    bookkeeping.
     """
 
     def __init__(
@@ -94,10 +96,9 @@ class LinkLayer:
         registry: dict[int, set[int]] | None = None,
     ):
         self.channel = channel
-        self.seed = seed
-        self.packet_id = packet_id
         self.registry = registry
         self._counters: dict[tuple[int, int], int] = {}
+        self._draw = prefixed_uniform(seed, DOMAIN_TRANSMIT, packet_id)
 
     def transmit(self, src: int, dst: int, slot: int) -> bool:
         key = (src, dst)
@@ -106,7 +107,7 @@ class LinkLayer:
         if self.registry is not None:
             self.registry.setdefault(slot, set()).add(src)
         p = self.channel.success_probability(src, dst)
-        return uniform(self.seed, DOMAIN_TRANSMIT, self.packet_id, src, dst, idx) < p
+        return self._draw(src, dst, idx) < p
 
 
 def forward_hop_rpl(

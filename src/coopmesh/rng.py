@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from typing import Callable
 
 _U64 = 2**64
 
@@ -19,16 +20,21 @@ def derive_seed(seed: int, *key: object) -> int:
     return int.from_bytes(hashlib.blake2b(material, digest_size=8).digest(), "little")
 
 
-# packers of (seed, *key) by key length; the simulator's draws use 1 to 5
-_PACKERS = tuple(struct.Struct(f"<q{n}q") for n in range(8))
+class _Packers(dict):
+    """n -> struct packing n little-endian int64s, built on first use."""
+
+    def __missing__(self, n: int) -> struct.Struct:
+        packer = self[n] = struct.Struct(f"<{n}q")
+        return packer
+
+
+_PACKERS = _Packers()
 
 
 def _draw_u64(seed: int, key: tuple) -> int:
     # hot path: integer-only keys pack fast; anything else goes through repr
-    n = len(key)
-    packer = _PACKERS[n] if n < len(_PACKERS) else struct.Struct(f"<q{n}q")
     try:
-        material = packer.pack(seed, *key)
+        material = _PACKERS[len(key) + 1].pack(seed, *key)
     except struct.error:
         material = repr((seed,) + key).encode()
     return int.from_bytes(hashlib.blake2b(material, digest_size=8).digest(), "little")
@@ -37,3 +43,34 @@ def _draw_u64(seed: int, key: tuple) -> int:
 def uniform(seed: int, *key: object) -> float:
     """Uniform draw in [0, 1), deterministic in (seed, key)."""
     return _draw_u64(seed, key) / _U64
+
+
+def prefixed_uniform(seed: int, *prefix: object) -> Callable[..., float]:
+    """``draw(*suffix) == uniform(seed, *prefix, *suffix)``, hashing the
+    packed (seed, *prefix) once.
+
+    Packed int64 keys hash their parts back to back, so each draw copies
+    the prefix state and feeds in only the packed suffix. A part that does
+    not pack as int64 sends the draw to ``uniform``, whose repr path then
+    covers the whole key.
+    """
+    try:
+        material = _PACKERS[len(prefix) + 1].pack(seed, *prefix)
+    except struct.error:
+        state = None
+    else:
+        state = hashlib.blake2b(material, digest_size=8)
+
+    def draw(*suffix: object) -> float:
+        if state is not None:
+            try:
+                material = _PACKERS[len(suffix)].pack(*suffix)
+            except struct.error:
+                pass
+            else:
+                hasher = state.copy()
+                hasher.update(material)
+                return int.from_bytes(hasher.digest(), "little") / _U64
+        return uniform(seed, *prefix, *suffix)
+
+    return draw

@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, replace
+import types
+from dataclasses import dataclass, fields, replace
 from enum import Enum
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -93,8 +95,6 @@ FIELD_BOUNDS: dict[str, tuple[float, bool]] = {
     "path_loss_exponent": (2, True),
     "trickle_imin_ms": (0, False),
 }
-# the one bounded field that may also be None, meaning unset
-OPTIONAL_FIELDS = frozenset({"traffic_window_slots"})
 
 
 class FieldConflict(ValueError):
@@ -108,14 +108,30 @@ class FieldConflict(ValueError):
 
 def bound_violation(name: str, value) -> str | None:
     """Why value is out of FIELD_BOUNDS for field name, or None when it is
-    allowed (fields without a bound and unset optional fields always are)."""
+    allowed (fields without a bound always are, and so is None: the type
+    check lets it through only where the annotation is optional)."""
     bound = FIELD_BOUNDS.get(name)
-    if bound is None or (value is None and name in OPTIONAL_FIELDS):
+    if bound is None or value is None:
         return None
     lowest, inclusive = bound
-    if value is not None and (value > lowest or (inclusive and value == lowest)):
+    if value > lowest or (inclusive and value == lowest):
         return None
     return f"{name} must be {'>=' if inclusive else '>'} {lowest}"
+
+
+def _fits(hint, value) -> bool:
+    """Whether value is of annotation hint; a bool counts as no number, an
+    int counts as a float."""
+    if hint is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if isinstance(hint, types.UnionType):
+        return any(_fits(arg, value) for arg in get_args(hint))
+    if get_origin(hint) is tuple:
+        item = get_args(hint)[0]  # tuple[item, ...]
+        return isinstance(value, tuple) and all(_fits(item, v) for v in value)
+    return isinstance(value, hint)
 
 
 class EventKind(Enum):
@@ -174,6 +190,10 @@ class ScenarioConfig:
     sweep_values: tuple[float, ...] = ()
 
     def __post_init__(self):
+        for name, (hint, annotation) in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if not _fits(hint, value):
+                raise ValueError(f"{name} must be {annotation}, got {value!r}")
         for name in FIELD_BOUNDS:
             message = bound_violation(name, getattr(self, name))
             if message is not None:
@@ -242,6 +262,13 @@ class ScenarioConfig:
         if self.weights is not None:
             return self.weights
         return WEIGHT_PRESETS[self.routing_class]
+
+
+# field -> (resolved annotation, its source text for error messages)
+_FIELD_TYPES = {
+    f.name: (get_type_hints(ScenarioConfig)[f.name], f.type)
+    for f in fields(ScenarioConfig)
+}
 
 
 @dataclass(frozen=True)
@@ -377,27 +404,28 @@ class Simulation:
         self.event_id += 1
         heapq.heappush(self.queue, (slot, kind.value, self.event_id, kind, payload))
 
+    def _seed_etx(self, src: int, dst: int) -> EtxEstimate:
+        p = self.channel.success_probability(src, dst)
+        seedv = self.config.etx_max if p <= 0 else min(self.config.etx_max, 1.0 / p)
+        est = self.etx_table[(src, dst)] = EtxEstimate(src, dst, etx=seedv)
+        return est
+
     def etx_of(self, src: int, dst: int) -> float:
         est = self.etx_table.get((src, dst))
         if est is None:
-            p = self.channel.success_probability(src, dst)
-            seedv = self.config.etx_max if p <= 0 else min(self.config.etx_max, 1.0 / p)
-            est = EtxEstimate(src, dst, etx=seedv)
-            self.etx_table[(src, dst)] = est
+            est = self._seed_etx(src, dst)
         return est.etx
 
     def observe_link(self, src: int, dst: int, attempts: int, successes: int) -> None:
-        self.etx_of(src, dst)  # ensure seeded
-        self.etx_table[(src, dst)].observe(attempts, successes, self.config.etx_max)
+        est = self.etx_table.get((src, dst))
+        if est is None:
+            est = self._seed_etx(src, dst)
+        est.observe(attempts, successes, self.config.etx_max)
 
     def _ensure_counts(self) -> None:
         if not self._counts_fresh:
             update_children_and_connections(self.states)
             self._counts_fresh = True
-
-    def _mark_change(self, slot: int) -> None:
-        self.last_change_slot = slot
-        self._counts_fresh = False
 
     # --- control plane handlers ---
 
@@ -462,24 +490,37 @@ class Simulation:
         dio = DioMessage(node, state.rank, relay_suboption=self.relay_for.get(node))
         if self.trace_sink is not None:
             self.trace_sink.append(trace_record(dio, slot))
+        rank = state.rank
         changed: list[int] = []
         for neighbor in self.channel.neighbors(node):
-            other = self.states[neighbor]
             if neighbor == GATEWAY_ID:
+                continue
+            other = self.states[neighbor]
+            other.last_dio_slot = slot
+            if (
+                other.rank is not None
+                and other.rank <= rank
+                and other.default_parent != node
+            ):
+                # process_dio would ignore this DIO and change nothing: the
+                # receiver does not route through the sender, and the sender's
+                # rank plus a link ETX >= 1 cannot beat the receiver's rank
+                trickle_hear_consistent(other.trickle)
                 continue
             was_parent = other.default_parent
             decision = process_dio(
                 other, dio, self.etx_of(neighbor, node), self.config.hysteresis
             )
-            other.last_dio_slot = slot
             if decision is Decision.IGNORE:
                 trickle_hear_consistent(other.trickle)
-            else:
-                changed.append(neighbor)
-                self._mark_change(slot)
-                self._trickle_restart(neighbor, slot)
-                if other.default_parent != was_parent:
-                    self.push(slot, EventKind.DAO_TX, neighbor)
+                continue
+            changed.append(neighbor)
+            self.last_change_slot = slot
+            self._trickle_restart(neighbor, slot)
+            if other.default_parent != was_parent:
+                # children and connection counts read default parents only
+                self._counts_fresh = False
+                self.push(slot, EventKind.DAO_TX, neighbor)
         if changed and data_phase:
             for neighbor in changed:
                 if self.config.protocol is Protocol.COOP_RPL:
@@ -665,6 +706,8 @@ class Simulation:
                         self.trace_sink.append(
                             packet_trace(packet, relay_hops[payload])
                         )
+                    # a resolved packet draws nothing more: free its hasher
+                    del layers[payload], relay_hops[payload]
             elif kind is EventKind.PACKET_GEN:
                 packet_id, source = payload
                 packet = Packet(packet_id, source, slot, source)

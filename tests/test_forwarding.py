@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopmesh.forwarding import (
+    DOMAIN_TRANSMIT,
     ForwardingSet,
     LinkLayer,
     NetworkView,
@@ -14,6 +17,7 @@ from coopmesh.forwarding import (
     packet_trace,
     route_to_gateway,
 )
+from coopmesh.rng import uniform
 from coopmesh.rpl_core import NodeState, ParentEntry
 from coopmesh.topology import Channel, ChannelMode, ChannelParams, NodePlacement
 
@@ -110,6 +114,25 @@ def test_link_layer_draws_are_deterministic_and_attempt_keyed():
     seq_a = [a.transmit(0, 1, slot) for slot in range(20)]
     seq_b = [b.transmit(0, 1, slot + 100) for slot in range(20)]
     assert seq_a == seq_b  # keyed by attempt index, not slot
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(-(2**63), 2**64),
+    packet_id=st.integers(0, 2**64),
+    links=st.lists(st.sampled_from([(0, 1), (1, 0), (1, 2), (2, 0)]), max_size=30),
+)
+def test_transmit_is_the_keyed_draw_per_attempt(seed, packet_id, links):
+    ch = lsr_channel([(0.0, 0.0), (20.0, 0.0), (30.0, 0.0)], lsr=0.5)
+    layer = LinkLayer(ch, seed=seed, packet_id=packet_id)
+    used: dict[tuple[int, int], int] = {}
+    for slot, (src, dst) in enumerate(links):
+        idx = used.get((src, dst), 0)
+        used[(src, dst)] = idx + 1
+        expected = uniform(
+            seed, DOMAIN_TRANSMIT, packet_id, src, dst, idx
+        ) < ch.success_probability(src, dst)
+        assert layer.transmit(src, dst, slot) is expected
 
 
 def test_forward_hop_rpl_perfect_link():

@@ -1,6 +1,9 @@
+import copy
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from coopmesh.rpl_core import (
     DaoMessage,
@@ -130,6 +133,40 @@ def test_process_dio_parent_climbing_above_us_forces_reselect():
     assert decision is Decision.UPDATE
     assert state.default_parent == 7
     assert state.rank == pytest.approx(2.4)
+
+
+# (sender, advertised rank, link ETX) of a DIO
+dios = st.tuples(
+    st.integers(0, 6),
+    st.floats(min_value=0.0, max_value=40.0),
+    st.floats(min_value=1.0, max_value=16.0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    history=st.lists(dios, min_size=1, max_size=8),
+    sender=st.integers(0, 6),
+    above=st.floats(min_value=0.0, max_value=20.0),
+    link_etx=st.floats(min_value=1.0, max_value=16.0),
+    hysteresis=st.floats(min_value=0.0, max_value=5.0),
+)
+def test_dio_from_a_non_parent_not_below_us_changes_nothing(
+    history, sender, above, link_etx, hysteresis
+):
+    # the rule the event loop uses to skip process_dio: the receiver is
+    # joined, its rank is <= the advertised rank, and the sender is not its
+    # default parent
+    state = NodeState(9)
+    for s, rank, etx in history:
+        process_dio(state, DioMessage(s, rank), etx, hysteresis)
+    assume(state.joined and sender != state.default_parent)
+    before = copy.deepcopy(state)
+    dio = DioMessage(sender, state.rank + above)
+    assert process_dio(state, dio, link_etx, hysteresis) is Decision.IGNORE
+    assert state.rank == before.rank
+    assert state.default_parent == before.default_parent
+    assert state.parent_set == before.parent_set
 
 
 def test_trickle_consistent_doubles_interval():

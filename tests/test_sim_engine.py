@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import heapq
 import json
@@ -20,6 +21,7 @@ from coopmesh.sim_engine import (
     generate_traffic,
     run_scenario,
 )
+from coopmesh.rpl_core import update_children_and_connections
 from coopmesh.topology import GATEWAY_ID
 
 
@@ -56,6 +58,41 @@ def test_none_accepted_only_where_a_field_is_optional():
         # rejected at construction, not by a TypeError in the middle of a run
         with pytest.raises(ValueError, match=f"{name} must be"):
             ScenarioConfig(**{name: None}, lsr_value=0.9)
+
+
+@pytest.mark.parametrize(
+    "name, bad",
+    [
+        ("p_coop", None),
+        ("reference_loss_db", None),
+        ("sinr_threshold_db", None),
+        ("protocol", None),
+        ("protocol", "rpl"),
+        ("routing_class", "a"),
+        ("seed", None),
+        ("seed", 1.0),
+        ("seed", True),
+        ("n_packets", 100.0),
+        ("max_retx", False),
+        ("tx_power_w", True),
+        ("sinr_per_slot", 1),
+        ("lsr_mapping", None),
+        ("weights", (0.25, 0.25, 0.25, 0.25)),
+        ("sweep_values", [0.5]),
+        ("sweep_values", (0.5, None)),
+    ],
+)
+def test_wrong_types_rejected_at_construction(name, bad):
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        ScenarioConfig(**{name: bad}, lsr_value=0.9)
+
+
+def test_optional_fields_take_none_and_float_fields_take_ints():
+    cfg = ScenarioConfig(
+        region_side=300, lsr_value=None, weights=None, traffic_window_slots=None,
+        sweep_axis=None, sweep_values=(1, 2.5),
+    )
+    assert cfg.region_side == 300
 
 
 def test_two_node_network_perfect_links():
@@ -131,6 +168,68 @@ def test_relay_scoring_trace_is_pinned(monkeypatch):
         digest.update(json.dumps(sink, sort_keys=True).encode())
     assert seen_sizes == {0, 1, 2}
     assert digest.hexdigest() == RELAY_TRACE_DIGEST
+
+
+# SHA-256 of the whole trace of test_packet_trace_is_pinned per protocol.
+# Each packet record carries its transmissions and delay, so a changed link
+# draw shows here before it reaches the aggregated golden CSV.
+PACKET_TRACE_DIGESTS = {
+    Protocol.RPL: "ba4aee76d64a9723b23d6f1ec4be8a6030de62c84b0a6fff79ee1d71e99994f5",
+    Protocol.OPP_RPL: "98f102ff8bbe3605ab70bbe935af213065708c2d9263f6c4e297f41657e18b70",
+}
+
+
+@pytest.mark.parametrize("protocol", list(PACKET_TRACE_DIGESTS))
+def test_packet_trace_is_pinned(protocol):
+    cfg = tiny_config(
+        region_side=100.0, intensity=20.0 / 100.0**2, tx_range_m=40.0,
+        lsr_value=0.5, lsr_mapping="uniform", n_packets=400,
+        traffic_window_slots=80, seed=1, protocol=protocol,
+    )
+    sink = []
+    run_scenario(cfg, trace_sink=sink)
+    packets = [r for r in sink if "packet_id" in r]
+    assert len(packets) == cfg.n_packets
+    # lossy enough that retries and drops are part of what is pinned
+    assert any(r["status"] == "dropped" for r in packets)
+    assert any(r["transmissions"] > r["hops"] for r in packets)
+    digest = hashlib.sha256(json.dumps(sink, sort_keys=True).encode())
+    assert digest.hexdigest() == PACKET_TRACE_DIGESTS[protocol]
+
+
+def test_counts_are_fresh_at_every_relay_selection(monkeypatch):
+    # counts are rebuilt only after a default parent moves; at each
+    # selection they must match a rebuild from scratch
+    checked = []
+    select = sim_engine.run_selection
+
+    def checking(sender, states, *args, **kwargs):
+        fresh = copy.deepcopy(states)
+        update_children_and_connections(fresh)
+        for node, st in states.items():
+            assert st.children == fresh[node].children
+            assert st.active_connections == fresh[node].active_connections
+        checked.append(sender.node_id)
+        return select(sender, states, *args, **kwargs)
+
+    rebuilds = []
+    rebuild = sim_engine.update_children_and_connections
+
+    def counting(states):
+        rebuilds.append(len(checked))
+        rebuild(states)
+
+    monkeypatch.setattr(sim_engine, "run_selection", checking)
+    monkeypatch.setattr(sim_engine, "update_children_and_connections", counting)
+    cfg = tiny_config(
+        region_side=100.0, intensity=20.0 / 100.0**2, tx_range_m=40.0,
+        lsr_value=0.5, lsr_mapping="uniform", n_packets=200,
+        traffic_window_slots=400, seed=3, protocol=Protocol.COOP_RPL,
+    )
+    run_scenario(cfg)
+    assert len(checked) > 50
+    # some parent moved during traffic, so the counts had to be rebuilt
+    assert any(0 < at < len(checked) for at in rebuilds)
 
 
 def test_events_pop_by_slot_then_kind_then_push_order():
