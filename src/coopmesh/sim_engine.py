@@ -17,7 +17,7 @@ from __future__ import annotations
 import heapq
 import math
 import types
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import get_args, get_origin, get_type_hints
 
@@ -266,8 +266,8 @@ class ScenarioConfig:
 
 # field -> (resolved annotation, its source text for error messages)
 _FIELD_TYPES = {
-    f.name: (get_type_hints(ScenarioConfig)[f.name], f.type)
-    for f in fields(ScenarioConfig)
+    name: (hint, ScenarioConfig.__dataclass_fields__[name].type)
+    for name, hint in get_type_hints(ScenarioConfig).items()
 }
 
 

@@ -10,6 +10,7 @@ from coopmesh import sim_engine
 from coopmesh.cli import default_variants
 from coopmesh.coop_relay import RoutingClass
 from coopmesh.forwarding import PacketStatus, Protocol
+from coopmesh.rpl_core import update_children_and_connections
 from coopmesh.sim_engine import (
     FIELD_BOUNDS,
     EventKind,
@@ -21,7 +22,6 @@ from coopmesh.sim_engine import (
     generate_traffic,
     run_scenario,
 )
-from coopmesh.rpl_core import update_children_and_connections
 from coopmesh.topology import GATEWAY_ID
 
 
