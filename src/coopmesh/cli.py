@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -62,9 +63,12 @@ def _to_int(raw, line):
 
 def _to_float(raw, line):
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"expected number, got {raw!r}", line)
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {raw!r}", line)
+    return value
 
 
 def _to_probability(raw, line):
@@ -113,6 +117,8 @@ def _to_values(raw, line):
         values = tuple(float(v) for v in raw.split(",") if v.strip())
     except ValueError:
         raise ConfigError(f"expected comma-separated numbers, got {raw!r}", line)
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"expected finite numbers, got {raw!r}", line)
     if not values:
         raise ConfigError("sweep values must be nonempty", line)
     return values

@@ -11,6 +11,7 @@ weighs all four terms equally.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -33,10 +34,13 @@ class RateWeights:
     w_etx: float
 
     def __post_init__(self):
-        total = self.w_sinr + self.w_traffic + self.w_nch + self.w_etx
+        weights = (self.w_sinr, self.w_traffic, self.w_nch, self.w_etx)
+        if not all(math.isfinite(w) for w in weights):
+            raise ValueError("weights must be finite")
+        total = sum(weights)
         if abs(total - 1.0) > 1e-9:
             raise ValueError("weights must sum to 1")
-        if min(self.w_sinr, self.w_traffic, self.w_nch, self.w_etx) < 0:
+        if min(weights) < 0:
             raise ValueError("weights must be nonnegative")
 
 

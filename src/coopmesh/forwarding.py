@@ -278,14 +278,20 @@ def advance_one_hop(
         )
     elif protocol is Protocol.COOP_RPL:
         relay = net.relay_for.get(holder)
-        # without a relay there is nothing to decide, and no draw to spend
-        cooperate = relay is not None and decide_use_relay(
-            relay,
-            net.p_coop,
-            uniform(
-                derive_seed(net.seed, DOMAIN_COOP_DECISION, packet.packet_id, holder),
-                0,
-            ),
+        # without a relay there is nothing to decide, and no draw to spend;
+        # at p_coop = 1 every draw in [0, 1) cooperates, so none is spent
+        cooperate = relay is not None and (
+            net.p_coop == 1.0
+            or decide_use_relay(
+                relay,
+                net.p_coop,
+                uniform(
+                    derive_seed(
+                        net.seed, DOMAIN_COOP_DECISION, packet.packet_id, holder
+                    ),
+                    0,
+                ),
+            )
         )
         outcome = forward_hop_coop(
             link_layer, holder, parent, relay, slot,
@@ -313,26 +319,6 @@ def advance_one_hop(
     else:
         packet.visited.add(outcome.receiver)
     return outcome
-
-
-def route_to_gateway(
-    packet: Packet, protocol: Protocol, net: NetworkView
-) -> list[HopOutcome]:
-    """Drive a packet hop by hop until the gateway or a drop.
-
-    Synchronous driver over advance_one_hop on a static network snapshot;
-    the event loop interleaves the same hops with control traffic instead.
-    """
-    outcomes: list[HopOutcome] = []
-    cursor = packet.created_slot
-    link_layer = LinkLayer(net.channel, net.seed, packet.packet_id, net.registry)
-    while packet.status is PacketStatus.IN_FLIGHT:
-        outcome = advance_one_hop(packet, protocol, net, link_layer, cursor)
-        if outcome is None:
-            break
-        outcomes.append(outcome)
-        cursor += outcome.slots_consumed
-    return outcomes
 
 
 def packet_trace(packet: Packet, relay_hops: int) -> dict:

@@ -12,6 +12,10 @@ import struct
 from typing import Callable
 
 _U64 = 2**64
+# u64 / 2**64 rounds to 1.0 from here up; those values map to the largest
+# double below 1 instead, so every draw lies in [0, 1)
+_TOP = 2**64 - 2**10
+_BELOW_ONE = 1.0 - 2.0**-53
 
 
 def derive_seed(seed: int, *key: object) -> int:
@@ -40,9 +44,14 @@ def _draw_u64(seed: int, key: tuple) -> int:
     return int.from_bytes(hashlib.blake2b(material, digest_size=8).digest(), "little")
 
 
+def _unit(u64: int) -> float:
+    """u64 / 2**64, except that the top 2**10 values give 1 - 2**-53."""
+    return u64 / _U64 if u64 < _TOP else _BELOW_ONE
+
+
 def uniform(seed: int, *key: object) -> float:
     """Uniform draw in [0, 1), deterministic in (seed, key)."""
-    return _draw_u64(seed, key) / _U64
+    return _unit(_draw_u64(seed, key))
 
 
 def prefixed_uniform(seed: int, *prefix: object) -> Callable[..., float]:
@@ -70,7 +79,7 @@ def prefixed_uniform(seed: int, *prefix: object) -> Callable[..., float]:
             else:
                 hasher = state.copy()
                 hasher.update(material)
-                return int.from_bytes(hasher.digest(), "little") / _U64
+                return _unit(int.from_bytes(hasher.digest(), "little"))
         return uniform(seed, *prefix, *suffix)
 
     return draw

@@ -121,9 +121,13 @@ def bound_violation(name: str, value) -> str | None:
 
 def _fits(hint, value) -> bool:
     """Whether value is of annotation hint; a bool counts as no number, an
-    int counts as a float."""
+    int counts as a float, and a float must be finite."""
     if hint is float:
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
+        return (
+            isinstance(value, (int, float))
+            and not isinstance(value, bool)
+            and math.isfinite(value)
+        )
     if hint is int:
         return isinstance(value, int) and not isinstance(value, bool)
     if isinstance(hint, types.UnionType):

@@ -297,8 +297,3 @@ class Channel:
             self._success[key] = cached
         return cached
 
-
-def placements_to_csv(placements: list[NodePlacement]) -> str:
-    lines = ["node_id,x,y"]
-    lines += [f"{p.node_id},{p.x:.6f},{p.y:.6f}" for p in placements]
-    return "\n".join(lines) + "\n"

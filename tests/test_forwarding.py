@@ -5,17 +5,18 @@ from hypothesis import strategies as st
 from coopmesh.forwarding import (
     DOMAIN_TRANSMIT,
     ForwardingSet,
+    HopOutcome,
     LinkLayer,
     NetworkView,
     Packet,
     PacketStatus,
     Protocol,
+    advance_one_hop,
     build_forwarding_set,
     forward_hop_coop,
     forward_hop_opportunistic,
     forward_hop_rpl,
     packet_trace,
-    route_to_gateway,
 )
 from coopmesh.rng import uniform
 from coopmesh.rpl_core import NodeState, ParentEntry
@@ -306,6 +307,26 @@ def test_build_forwarding_set_orders_by_cost_and_shrinks():
     assert capped.members == (0, 2)
     small = build_forwarding_set(states[3], states, ch, _etx_one, size=3)
     assert small.members == (0, 2)  # set shrinks to the available count
+
+
+def route_to_gateway(
+    packet: Packet, protocol: Protocol, net: NetworkView
+) -> list[HopOutcome]:
+    """Drive a packet hop by hop until the gateway or a drop.
+
+    Synchronous driver over advance_one_hop on a static network snapshot;
+    the event loop interleaves the same hops with control traffic instead.
+    """
+    outcomes: list[HopOutcome] = []
+    cursor = packet.created_slot
+    link_layer = LinkLayer(net.channel, net.seed, packet.packet_id, net.registry)
+    while packet.status is PacketStatus.IN_FLIGHT:
+        outcome = advance_one_hop(packet, protocol, net, link_layer, cursor)
+        if outcome is None:
+            break
+        outcomes.append(outcome)
+        cursor += outcome.slots_consumed
+    return outcomes
 
 
 def _two_hop_net(lsr, seed=13):

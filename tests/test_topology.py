@@ -16,7 +16,6 @@ from coopmesh.topology import (
     link_success_probability,
     path_loss_linear,
     place_nodes,
-    placements_to_csv,
 )
 
 PARAMS = ChannelParams()
@@ -224,11 +223,3 @@ def test_neighbor_relation_symmetric_and_loop_free():
         for other in ch.neighbors(node):
             assert node in ch.neighbors(other)
 
-
-def test_placements_export_csv():
-    placements = [NodePlacement(0, 150.0, 150.0), NodePlacement(3, 1.25, 299.0)]
-    text = placements_to_csv(placements)
-    lines = text.strip().splitlines()
-    assert lines[0] == "node_id,x,y"
-    assert lines[1] == "0,150.000000,150.000000"
-    assert lines[2] == "3,1.250000,299.000000"
