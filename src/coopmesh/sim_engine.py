@@ -123,11 +123,9 @@ def _fits(hint, value) -> bool:
     """Whether value is of annotation hint; a bool counts as no number, an
     int counts as a float, and a float must be finite."""
     if hint is float:
-        return (
-            isinstance(value, (int, float))
-            and not isinstance(value, bool)
-            and math.isfinite(value)
-        )
+        if isinstance(value, float):
+            return math.isfinite(value)
+        return isinstance(value, int) and not isinstance(value, bool)
     if hint is int:
         return isinstance(value, int) and not isinstance(value, bool)
     if isinstance(hint, types.UnionType):

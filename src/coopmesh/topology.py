@@ -296,4 +296,3 @@ class Channel:
             cached = link_success_probability(self.link(src, dst), self.params)
             self._success[key] = cached
         return cached
-

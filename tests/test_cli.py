@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopmesh import sim_engine
+from coopmesh import cli, sim_engine
 from coopmesh.cli import (
     ConfigError,
     SweepSpec,
@@ -135,6 +135,34 @@ def test_field_bounds_enforced_by_config_and_parser(section, key, bad, lowest_ok
     assert getattr(ScenarioConfig(**{key: lowest_ok}, **extra), key) == lowest_ok
     parsed = parse_scenario_text(f"[{section}]\n{key} = {lowest_ok}\n{extra_text}")
     assert getattr(parsed, key) == lowest_ok
+
+
+FLOAT_FIELDS = [
+    name for name, (_, annotation) in sim_engine._FIELD_TYPES.items()
+    if "float" in annotation
+]
+CONFIG_KEYS = {attr: (section, key) for (section, key), (attr, _) in cli._SCHEMA.items()}
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_non_finite_floats_rejected_by_config_and_parser(name, bad):
+    value = float(bad)
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        ScenarioConfig(**{name: (0.5, value) if name == "sweep_values" else value})
+    section, key = CONFIG_KEYS[name]
+    raw = f"0.5, {bad}" if name == "sweep_values" else bad
+    with pytest.raises(ConfigError, match="line 2: expected .*finite"):
+        parse_scenario_text(f"[{section}]\n{key} = {raw}\n")
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_weights_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        RateWeights(float(bad), 0.5, 0.25, 0.25)
+    text = f"[weights]\nw_traffic = 0.5\nw_sinr = {bad}\nw_nch = 0.25\nw_etx = 0.25\n"
+    with pytest.raises(ConfigError, match="line 3: expected a finite number"):
+        parse_scenario_text(text)
 
 
 # at 10 ms slots the default trickle_imin_ms is 10 slots, quiescence 20 slots;

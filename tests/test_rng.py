@@ -1,7 +1,11 @@
+import math
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coopmesh import rng
 from coopmesh.rng import prefixed_uniform, uniform
+from coopmesh.topology import fading_gain
 
 # int64 values, plus ints on both sides of the int64 range (those take the
 # repr path) and a few non-ints (likewise)
@@ -36,3 +40,26 @@ def test_prefixed_draw_reuses_its_prefix(seed, packet):
     assert [draw(*link) for link in links] == [
         uniform(seed, 0x7B, packet, *link) for link in links
     ]
+
+
+def test_top_u64_values_map_below_one():
+    # u64 / 2**64 rounds to 1.0 for the top 2**10 values
+    assert (2**64 - 2**10) / 2**64 == 1.0
+    for top in (2**64 - 1, 2**64 - 2**10):
+        assert rng._unit(top) == math.nextafter(1.0, 0.0)
+    below = 2**64 - 2**10 - 1
+    assert rng._unit(below) == below / 2**64 < 1.0
+    assert rng._unit(0) == 0.0
+
+
+def test_both_draws_go_through_the_conversion(monkeypatch):
+    monkeypatch.setattr(rng, "_unit", lambda u64: -1.0)
+    assert uniform(3, 4, 5) == -1.0
+    assert prefixed_uniform(3, 4)(5) == -1.0
+    assert prefixed_uniform(3, "a")(5) == -1.0
+
+
+def test_fading_gain_is_finite_at_the_top_draw(monkeypatch):
+    monkeypatch.setattr(rng, "_draw_u64", lambda seed, key: 2**64 - 1)
+    gain = fading_gain(1, 2, 3, seed=4)
+    assert math.isfinite(gain) and gain > 0

@@ -2,11 +2,12 @@ import copy
 import hashlib
 import heapq
 import json
+import math
 from dataclasses import replace
 
 import pytest
 
-from coopmesh import sim_engine
+from coopmesh import forwarding, sim_engine
 from coopmesh.cli import default_variants
 from coopmesh.coop_relay import RoutingClass
 from coopmesh.forwarding import PacketStatus, Protocol
@@ -172,20 +173,27 @@ def test_relay_scoring_trace_is_pinned(monkeypatch):
 
 # SHA-256 of the whole trace of test_packet_trace_is_pinned per protocol.
 # Each packet record carries its transmissions and delay, so a changed link
-# draw shows here before it reaches the aggregated golden CSV.
+# draw shows here before it reaches the aggregated golden CSV. The runs use
+# p_coop = 0.5, which only coop_rpl reads: each of its hops with a relay
+# spends a keyed cooperation-decision draw.
 PACKET_TRACE_DIGESTS = {
     Protocol.RPL: "ba4aee76d64a9723b23d6f1ec4be8a6030de62c84b0a6fff79ee1d71e99994f5",
     Protocol.OPP_RPL: "98f102ff8bbe3605ab70bbe935af213065708c2d9263f6c4e297f41657e18b70",
+    Protocol.COOP_RPL: "ff5e6f89528ab45668a9ec44878f9ab491a64e9c0c8365abc55fc0cc3f19e75a",
 }
+
+
+def packet_trace_config(protocol, p_coop=0.5):
+    return tiny_config(
+        region_side=100.0, intensity=20.0 / 100.0**2, tx_range_m=40.0,
+        lsr_value=0.5, lsr_mapping="uniform", n_packets=400,
+        traffic_window_slots=80, seed=1, protocol=protocol, p_coop=p_coop,
+    )
 
 
 @pytest.mark.parametrize("protocol", list(PACKET_TRACE_DIGESTS))
 def test_packet_trace_is_pinned(protocol):
-    cfg = tiny_config(
-        region_side=100.0, intensity=20.0 / 100.0**2, tx_range_m=40.0,
-        lsr_value=0.5, lsr_mapping="uniform", n_packets=400,
-        traffic_window_slots=80, seed=1, protocol=protocol,
-    )
+    cfg = packet_trace_config(protocol)
     sink = []
     run_scenario(cfg, trace_sink=sink)
     packets = [r for r in sink if "packet_id" in r]
@@ -195,6 +203,38 @@ def test_packet_trace_is_pinned(protocol):
     assert any(r["transmissions"] > r["hops"] for r in packets)
     digest = hashlib.sha256(json.dumps(sink, sort_keys=True).encode())
     assert digest.hexdigest() == PACKET_TRACE_DIGESTS[protocol]
+
+
+def test_full_cooperation_spends_no_decision_draw(monkeypatch):
+    # every draw lies in [0, 1), so at p_coop = 1 the decision is settled
+    # without one; just below 1 the draw is spent and decides the same
+    draws = []
+    relay_hops = []
+    uniform = forwarding.uniform
+    hop_coop = forwarding.forward_hop_coop
+
+    def counting_uniform(*args):
+        draws.append(args)
+        return uniform(*args)
+
+    def counting_hop(link_layer, holder, parent, relay, *args):
+        relay_hops.append(relay is not None)
+        return hop_coop(link_layer, holder, parent, relay, *args)
+
+    monkeypatch.setattr(forwarding, "uniform", counting_uniform)
+    monkeypatch.setattr(forwarding, "forward_hop_coop", counting_hop)
+    traces = []
+    for p_coop in (1.0, math.nextafter(1.0, 0.0)):
+        draws.clear()
+        relay_hops.clear()
+        sink = []
+        run_scenario(packet_trace_config(Protocol.COOP_RPL, p_coop), trace_sink=sink)
+        traces.append(sink)
+        if p_coop == 1.0:
+            assert draws == []
+        else:
+            assert len(draws) == sum(relay_hops) > 0
+    assert traces[0] == traces[1]
 
 
 def test_counts_are_fresh_at_every_relay_selection(monkeypatch):
