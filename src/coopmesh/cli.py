@@ -18,14 +18,24 @@ import json
 import math
 import statistics
 import sys
+import types
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields as dataclass_fields, replace
+from enum import Enum
+from functools import partial
 from pathlib import Path
+from typing import Literal, Union, get_args, get_origin
 
 from . import sim_engine
 from .coop_relay import RateWeights, RoutingClass
 from .forwarding import Protocol
-from .sim_engine import FieldConflict, MetricsReport, ScenarioConfig, bound_violation
+from .sim_engine import (
+    _FIELD_TYPES,
+    FieldConflict,
+    MetricsReport,
+    ScenarioConfig,
+    bound_violation,
+)
 from .topology import DisconnectedRootError
 
 CSV_COLUMNS = [
@@ -33,19 +43,6 @@ CSV_COLUMNS = [
     "pdr", "mean_retx", "mean_delay_slots", "mean_delay_ms",
     "sent", "delivered", "dropped",
 ]
-
-PROTOCOL_TOKENS = {
-    "rpl": Protocol.RPL,
-    "opp_rpl": Protocol.OPP_RPL,
-    "coop_rpl": Protocol.COOP_RPL,
-}
-CLASS_TOKENS = {
-    "a": RoutingClass.CLASS_A,
-    "b": RoutingClass.CLASS_B,
-    "c": RoutingClass.CLASS_C,
-    "best_effort": RoutingClass.BEST_EFFORT,
-}
-
 
 class ConfigError(Exception):
     def __init__(self, message: str, line: int | None = None):
@@ -71,13 +68,6 @@ def _to_float(raw, line):
     return value
 
 
-def _to_probability(raw, line):
-    value = _to_float(raw, line)
-    if not 0.0 <= value <= 1.0:
-        raise ConfigError("probability out of range", line)
-    return value
-
-
 def _to_bool(raw, line):
     if raw.lower() in ("true", "yes", "1"):
         return True
@@ -86,29 +76,21 @@ def _to_bool(raw, line):
     raise ConfigError(f"expected true/false, got {raw!r}", line)
 
 
-def _to_protocol(raw, line):
-    token = raw.lower()
-    if token not in PROTOCOL_TOKENS:
-        raise ConfigError(f"unknown protocol {raw!r}", line)
-    return PROTOCOL_TOKENS[token]
+# the noun an unknown token of each enum is reported with
+_ENUM_NOUNS = {Protocol: "protocol", RoutingClass: "routing class"}
 
 
-def _to_class(raw, line):
-    token = raw.lower()
-    if token not in CLASS_TOKENS:
-        raise ConfigError(f"unknown routing class {raw!r}", line)
-    return CLASS_TOKENS[token]
+def _to_enum(enum, raw, line=None):
+    """The member whose value is raw, case-insensitive."""
+    try:
+        return enum(raw.lower())
+    except ValueError:
+        raise ConfigError(f"unknown {_ENUM_NOUNS[enum]} {raw!r}", line)
 
 
-def _to_mapping(raw, line):
-    if raw not in ("reference", "uniform"):
-        raise ConfigError("lsr_mapping must be 'reference' or 'uniform'", line)
-    return raw
-
-
-def _to_axis(raw, line):
-    if raw not in ("lsr", "density"):
-        raise ConfigError("sweep axis must be 'lsr' or 'density'", line)
+def _to_choice(choices, raw, line):
+    if raw not in choices:
+        raise ConfigError(f"expected one of {', '.join(choices)}, got {raw!r}", line)
     return raw
 
 
@@ -124,45 +106,46 @@ def _to_values(raw, line):
     return values
 
 
-# (section, key) -> (ScenarioConfig field, converter)
+def _converter(hint):
+    """The converter for a ScenarioConfig field of annotation hint; an
+    optional field converts like its non-None part."""
+    if isinstance(hint, types.UnionType) or get_origin(hint) is Union:
+        (hint,) = [arg for arg in get_args(hint) if arg is not type(None)]
+    if get_origin(hint) is Literal:
+        return partial(_to_choice, get_args(hint))
+    if get_origin(hint) is tuple:  # tuple[float, ...]
+        return _to_values
+    if issubclass(hint, Enum):
+        return partial(_to_enum, hint)
+    return {int: _to_int, float: _to_float, bool: _to_bool}[hint]
+
+
+# section -> its keys, in file order. A key names the ScenarioConfig field it
+# sets, except that [sweep] keys drop the field's "sweep_" prefix and the
+# [weights] keys together set one RateWeights.
 _SCHEMA = {
-    ("scenario", "seed"): ("seed", _to_int),
-    ("scenario", "region_side"): ("region_side", _to_float),
-    ("scenario", "intensity"): ("intensity", _to_float),
-    ("scenario", "density_ratio"): ("density_ratio", _to_float),
-    ("scenario", "protocol"): ("protocol", _to_protocol),
-    ("scenario", "routing_class"): ("routing_class", _to_class),
-    ("scenario", "p_coop"): ("p_coop", _to_probability),
-    ("scenario", "max_retx"): ("max_retx", _to_int),
-    ("scenario", "relay_retx"): ("relay_retx", _to_int),
-    ("scenario", "retx_wait_slots"): ("retx_wait_slots", _to_int),
-    ("scenario", "fset_size"): ("fset_size", _to_int),
-    ("scenario", "n_packets"): ("n_packets", _to_int),
-    ("scenario", "warmup_slots"): ("warmup_slots", _to_int),
-    ("scenario", "traffic_window_slots"): ("traffic_window_slots", _to_int),
-    ("scenario", "quiescence_slots"): ("quiescence_slots", _to_int),
-    ("scenario", "slot_ms"): ("slot_ms", _to_float),
-    ("channel", "tx_power_w"): ("tx_power_w", _to_float),
-    ("channel", "path_loss_exponent"): ("path_loss_exponent", _to_float),
-    ("channel", "reference_loss_db"): ("reference_loss_db", _to_float),
-    ("channel", "noise_floor_w"): ("noise_floor_w", _to_float),
-    ("channel", "tx_range_m"): ("tx_range_m", _to_float),
-    ("channel", "sinr_threshold_db"): ("sinr_threshold_db", _to_float),
-    ("channel", "lsr_value"): ("lsr_value", _to_probability),
-    ("channel", "lsr_mapping"): ("lsr_mapping", _to_mapping),
-    ("channel", "reference_distance"): ("reference_distance", _to_float),
-    ("channel", "sinr_per_slot"): ("sinr_per_slot", _to_bool),
-    ("rpl", "etx_max"): ("etx_max", _to_float),
-    ("rpl", "hysteresis"): ("hysteresis", _to_float),
-    ("rpl", "trickle_imin_ms"): ("trickle_imin_ms", _to_float),
-    ("rpl", "trickle_doublings"): ("trickle_doublings", _to_int),
-    ("rpl", "trickle_redundancy_k"): ("trickle_redundancy_k", _to_int),
-    ("rpl", "dis_timeout_ms"): ("dis_timeout_ms", _to_float),
-    ("sweep", "axis"): ("sweep_axis", _to_axis),
-    ("sweep", "values"): ("sweep_values", _to_values),
+    "scenario": (
+        "seed", "region_side", "intensity", "density_ratio", "protocol",
+        "routing_class", "p_coop", "max_retx", "relay_retx", "retx_wait_slots",
+        "fset_size", "n_packets", "warmup_slots", "traffic_window_slots",
+        "quiescence_slots", "slot_ms",
+    ),
+    "channel": (
+        "tx_power_w", "path_loss_exponent", "reference_loss_db", "noise_floor_w",
+        "tx_range_m", "sinr_threshold_db", "lsr_value", "lsr_mapping",
+        "reference_distance", "sinr_per_slot",
+    ),
+    "rpl": (
+        "etx_max", "hysteresis", "trickle_imin_ms", "trickle_doublings",
+        "trickle_redundancy_k", "dis_timeout_ms",
+    ),
+    "weights": tuple(f.name for f in dataclass_fields(RateWeights)),
+    "sweep": ("axis", "values"),
 }
 
-_WEIGHT_KEYS = ("w_sinr", "w_traffic", "w_nch", "w_etx")
+
+def _field_name(section: str, key: str) -> str:
+    return f"sweep_{key}" if section == "sweep" else key
 
 
 def parse_scenario_text(text: str) -> ScenarioConfig:
@@ -178,7 +161,7 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip().lower()
-            if section not in ("scenario", "channel", "rpl", "weights", "sweep"):
+            if section not in _SCHEMA:
                 raise ConfigError(f"unknown section [{section}]", lineno)
             continue
         if "=" not in line:
@@ -188,24 +171,21 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
         key, raw_value = (part.strip() for part in line.split("=", 1))
         if not raw_value:
             continue  # blank value keeps the default
+        if key not in _SCHEMA[section]:
+            raise ConfigError(f"unknown key {key!r} in [{section}]", lineno)
         if section == "weights":
-            if key not in _WEIGHT_KEYS:
-                raise ConfigError(f"unknown key {key!r} in [weights]", lineno)
             weights[key] = _to_float(raw_value, lineno)
             weights_line = weights_line or lineno
             continue
-        schema = _SCHEMA.get((section, key))
-        if schema is None:
-            raise ConfigError(f"unknown key {key!r} in [{section}]", lineno)
-        attr, converter = schema
-        value = converter(raw_value, lineno)
+        attr = _field_name(section, key)
+        value = _converter(_FIELD_TYPES[attr][0])(raw_value, lineno)
         message = bound_violation(attr, value)
         if message is not None:
             raise ConfigError(message, lineno)
         fields[attr] = value
         field_lines[attr] = lineno
     if weights:
-        missing = [k for k in _WEIGHT_KEYS if k not in weights]
+        missing = [k for k in _SCHEMA["weights"] if k not in weights]
         if missing:
             raise ConfigError(f"[weights] missing {', '.join(missing)}", weights_line)
         try:
@@ -230,67 +210,34 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
     return parse_scenario_text(path.read_text(encoding="utf-8"))
 
 
+def _render_value(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, str):
+        return value
+    if isinstance(value, tuple):
+        return ", ".join(repr(v) for v in value)
+    return repr(value)
+
+
 def render_scenario(config: ScenarioConfig) -> str:
-    """Resolved config in the file format; re-parsing it round-trips."""
-    protocol_token = config.protocol.value
-    class_token = config.routing_class.value
-    lines = [
-        "[scenario]",
-        f"seed = {config.seed}",
-        f"region_side = {config.region_side!r}",
-        f"intensity = {config.intensity!r}",
-        f"density_ratio = {config.density_ratio!r}",
-        f"protocol = {protocol_token}",
-        f"routing_class = {class_token}",
-        f"p_coop = {config.p_coop!r}",
-        f"max_retx = {config.max_retx}",
-        f"relay_retx = {config.relay_retx}",
-        f"retx_wait_slots = {config.retx_wait_slots}",
-        f"fset_size = {config.fset_size}",
-        f"n_packets = {config.n_packets}",
-        f"warmup_slots = {config.warmup_slots}",
-        f"traffic_window_slots = {'' if config.traffic_window_slots is None else config.traffic_window_slots}",
-        f"quiescence_slots = {config.quiescence_slots}",
-        f"slot_ms = {config.slot_ms!r}",
-        "",
-        "[channel]",
-        f"tx_power_w = {config.tx_power_w!r}",
-        f"path_loss_exponent = {config.path_loss_exponent!r}",
-        f"reference_loss_db = {config.reference_loss_db!r}",
-        f"noise_floor_w = {config.noise_floor_w!r}",
-        f"tx_range_m = {config.tx_range_m!r}",
-        f"sinr_threshold_db = {config.sinr_threshold_db!r}",
-        f"lsr_value = {'' if config.lsr_value is None else repr(config.lsr_value)}",
-        f"lsr_mapping = {config.lsr_mapping}",
-        f"reference_distance = {config.reference_distance!r}",
-        f"sinr_per_slot = {'true' if config.sinr_per_slot else 'false'}",
-        "",
-        "[rpl]",
-        f"etx_max = {config.etx_max!r}",
-        f"hysteresis = {config.hysteresis!r}",
-        f"trickle_imin_ms = {config.trickle_imin_ms!r}",
-        f"trickle_doublings = {config.trickle_doublings}",
-        f"trickle_redundancy_k = {config.trickle_redundancy_k}",
-        f"dis_timeout_ms = {config.dis_timeout_ms!r}",
-    ]
-    if config.weights is not None:
-        w = config.weights
-        lines += [
-            "",
-            "[weights]",
-            f"w_sinr = {w.w_sinr!r}",
-            f"w_traffic = {w.w_traffic!r}",
-            f"w_nch = {w.w_nch!r}",
-            f"w_etx = {w.w_etx!r}",
-        ]
-    if config.sweep_axis is not None or config.sweep_values:
-        lines += [
-            "",
-            "[sweep]",
-            f"axis = {config.sweep_axis or ''}",
-            f"values = {', '.join(repr(v) for v in config.sweep_values)}",
-        ]
-    return "\n".join(lines) + "\n"
+    """Resolved config in the file format; re-parsing it round-trips.
+    [weights] and [sweep] appear only when set."""
+    blocks = []
+    for section, keys in _SCHEMA.items():
+        owner = config.weights if section == "weights" else config
+        if owner is None:
+            continue
+        values = [getattr(owner, _field_name(section, key)) for key in keys]
+        if section == "sweep" and not any(values):
+            continue
+        lines = [f"{key} = {_render_value(v)}" for key, v in zip(keys, values)]
+        blocks.append("\n".join([f"[{section}]", *lines]))
+    return "\n\n".join(blocks) + "\n"
 
 
 @dataclass(frozen=True)
@@ -323,14 +270,10 @@ def default_variants(
     class_list = classes or ["a", "b", "c", "best_effort"]
     variants = []
     for token in protocol_list:
-        if token not in PROTOCOL_TOKENS:
-            raise ConfigError(f"unknown protocol {token!r}")
-        protocol = PROTOCOL_TOKENS[token]
+        protocol = _to_enum(Protocol, token)
         if protocol is Protocol.COOP_RPL:
             for cls_token in class_list:
-                if cls_token not in CLASS_TOKENS:
-                    raise ConfigError(f"unknown routing class {cls_token!r}")
-                variants.append((protocol, CLASS_TOKENS[cls_token]))
+                variants.append((protocol, _to_enum(RoutingClass, cls_token)))
         else:
             variants.append((protocol, RoutingClass.BEST_EFFORT))
     return tuple(variants)
@@ -596,15 +539,16 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.write(render_scenario(config))
             sys.stdout.write("\n")
         if axis is None:
-            # single run
-            trace_sink = [] if args.trace else None
-            report = sim_engine.run_scenario(config, trace_sink)
-            for line in _report_lines(report):
-                print(line)
+            # single run; a trace streams to disk record by record
             if args.trace:
                 with args.trace.open("w", encoding="utf-8") as handle:
-                    for record in trace_sink:
-                        handle.write(json.dumps(record) + "\n")
+                    report = sim_engine.run_scenario(
+                        config, lambda record: handle.write(json.dumps(record) + "\n")
+                    )
+            else:
+                report = sim_engine.run_scenario(config)
+            for line in _report_lines(report):
+                print(line)
             return 0
         values = (
             _to_values(args.values, None) if args.values else tuple(config.sweep_values)

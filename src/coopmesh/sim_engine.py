@@ -17,9 +17,10 @@ from __future__ import annotations
 import heapq
 import math
 import types
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import get_args, get_origin, get_type_hints
+from typing import Literal, NamedTuple, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -68,32 +69,40 @@ DEFAULT_NODE_COUNT = 80.0
 DEFAULT_INTENSITY = DEFAULT_NODE_COUNT / (DEFAULT_REGION_SIDE * DEFAULT_REGION_SIDE)
 
 
-# field -> (lowest allowed value, whether that value itself is allowed);
-# ScenarioConfig and the config-file parser both check against this table
-FIELD_BOUNDS: dict[str, tuple[float, bool]] = {
-    "region_side": (0, False),
-    "intensity": (0, False),
-    "density_ratio": (0, False),
-    "n_packets": (1, True),
-    "warmup_slots": (1, True),  # the gateway's first DIO is at slot >= 1
-    "slot_ms": (0, False),
-    "dis_timeout_ms": (0, False),
-    "traffic_window_slots": (1, True),
-    "quiescence_slots": (2, True),  # the gateway's first DIO is at slot >= 1
-    "fset_size": (1, True),
-    "max_retx": (0, True),
-    "relay_retx": (0, True),
-    "retx_wait_slots": (0, True),
-    "trickle_doublings": (0, True),
-    "hysteresis": (0, True),
-    "etx_max": (1, True),
-    "trickle_redundancy_k": (1, True),
-    "tx_power_w": (0, False),
-    "noise_floor_w": (0, False),
-    "tx_range_m": (0, False),
-    "reference_distance": (0, False),
-    "path_loss_exponent": (2, True),
-    "trickle_imin_ms": (0, False),
+class Bound(NamedTuple):
+    lowest: float
+    inclusive: bool  # whether lowest itself is allowed
+    highest: float | None = None  # allowed itself; only probabilities have one
+
+
+# field -> its allowed range; ScenarioConfig and the config-file parser both
+# check against this table
+FIELD_BOUNDS: dict[str, Bound] = {
+    "region_side": Bound(0, False),
+    "intensity": Bound(0, False),
+    "density_ratio": Bound(0, False),
+    "p_coop": Bound(0, True, 1),
+    "n_packets": Bound(1, True),
+    "warmup_slots": Bound(1, True),  # the gateway's first DIO is at slot >= 1
+    "slot_ms": Bound(0, False),
+    "dis_timeout_ms": Bound(0, False),
+    "traffic_window_slots": Bound(1, True),
+    "quiescence_slots": Bound(2, True),  # the gateway's first DIO is at slot >= 1
+    "fset_size": Bound(1, True),
+    "max_retx": Bound(0, True),
+    "relay_retx": Bound(0, True),
+    "retx_wait_slots": Bound(0, True),
+    "trickle_doublings": Bound(0, True),
+    "hysteresis": Bound(0, True),
+    "etx_max": Bound(1, True),
+    "trickle_redundancy_k": Bound(1, True),
+    "tx_power_w": Bound(0, False),
+    "noise_floor_w": Bound(0, False),
+    "tx_range_m": Bound(0, False),
+    "lsr_value": Bound(0, False, 1),
+    "reference_distance": Bound(0, False),
+    "path_loss_exponent": Bound(2, True),
+    "trickle_imin_ms": Bound(0, False),
 }
 
 
@@ -113,23 +122,31 @@ def bound_violation(name: str, value) -> str | None:
     bound = FIELD_BOUNDS.get(name)
     if bound is None or value is None:
         return None
-    lowest, inclusive = bound
-    if value > lowest or (inclusive and value == lowest):
+    lowest, inclusive, highest = bound
+    if (value > lowest or (inclusive and value == lowest)) and (
+        highest is None or value <= highest
+    ):
         return None
-    return f"{name} must be {'>=' if inclusive else '>'} {lowest}"
+    if highest is None:
+        return f"{name} must be {'>=' if inclusive else '>'} {lowest}"
+    interval = f"{'[' if inclusive else '('}{lowest}, {highest}]"
+    return f"{name} must be in {interval}: probability out of range"
 
 
 def _fits(hint, value) -> bool:
     """Whether value is of annotation hint; a bool counts as no number, an
-    int counts as a float, and a float must be finite."""
+    int counts as a float, a float must be finite, and a Literal takes
+    only its listed choices."""
     if hint is float:
         if isinstance(value, float):
             return math.isfinite(value)
         return isinstance(value, int) and not isinstance(value, bool)
     if hint is int:
         return isinstance(value, int) and not isinstance(value, bool)
-    if isinstance(hint, types.UnionType):
+    if isinstance(hint, types.UnionType) or get_origin(hint) is Union:
         return any(_fits(arg, value) for arg in get_args(hint))
+    if get_origin(hint) is Literal:
+        return value in get_args(hint)
     if get_origin(hint) is tuple:
         item = get_args(hint)[0]  # tuple[item, ...]
         return isinstance(value, tuple) and all(_fits(item, v) for v in value)
@@ -161,7 +178,7 @@ class ScenarioConfig:
     tx_range_m: float = 70.0
     sinr_threshold_db: float = 40.0
     lsr_value: float | None = None
-    lsr_mapping: str = "reference"  # "reference" (calibrated) or "uniform"
+    lsr_mapping: Literal["reference", "uniform"] = "reference"  # calibrated or not
     reference_distance: float = 41.5  # desk-scale calibration anchor
     # protocol
     protocol: Protocol = Protocol.RPL
@@ -188,7 +205,7 @@ class ScenarioConfig:
     dis_timeout_ms: float = 500.0
     sinr_per_slot: bool = False
     # sweep description (consumed by the CLI)
-    sweep_axis: str | None = None
+    sweep_axis: Literal["lsr", "density"] | None = None
     sweep_values: tuple[float, ...] = ()
 
     def __post_init__(self):
@@ -200,14 +217,10 @@ class ScenarioConfig:
             message = bound_violation(name, getattr(self, name))
             if message is not None:
                 raise ValueError(message)
-        if not 0.0 <= self.p_coop <= 1.0:
-            raise ValueError("p_coop must be in [0, 1]")
-        if self.lsr_value is not None and not 0.0 < self.lsr_value <= 1.0:
-            raise ValueError("lsr_value must be in (0, 1]")
-        if self.lsr_mapping not in ("reference", "uniform"):
-            raise ValueError("lsr_mapping must be 'reference' or 'uniform'")
         if self.sweep_axis is not None and not self.sweep_values:
-            raise ValueError("sweep values must be nonempty")
+            raise FieldConflict(
+                "sweep_axis needs nonempty sweep_values", ("sweep_axis", "sweep_values")
+            )
         imin = self.ms_to_slots(self.trickle_imin_ms)
         if self.ms_to_slots(self.dis_timeout_ms) < imin:
             # each DIS resets its neighbors' trickle timers, so the
@@ -394,7 +407,7 @@ class Simulation:
         self.registry: dict[int, set[int]] | None = (
             {} if config.protocol is Protocol.COOP_RPL else None
         )
-        self.trace_sink: list[dict] | None = None
+        self.emit: Callable[[dict], None] | None = None
         self.relay_for: dict[int, int | None] = {}
         self.relay_rates: dict[int, dict[int, float]] = {}
         self.fsets: dict[int, ForwardingSet] = {}
@@ -490,8 +503,8 @@ class Simulation:
         if data_phase and self.config.protocol is Protocol.COOP_RPL:
             self._refresh_relay(node, slot)
         dio = DioMessage(node, state.rank, relay_suboption=self.relay_for.get(node))
-        if self.trace_sink is not None:
-            self.trace_sink.append(trace_record(dio, slot))
+        if self.emit is not None:
+            self.emit(trace_record(dio, slot))
         rank = state.rank
         changed: list[int] = []
         for neighbor in self.channel.neighbors(node):
@@ -541,8 +554,8 @@ class Simulation:
         )
         if not heard_recently:
             msg = emit_dis(state)
-            if self.trace_sink is not None:
-                self.trace_sink.append(trace_record(msg, slot))
+            if self.emit is not None:
+                self.emit(trace_record(msg, slot))
             for neighbor in self.channel.neighbors(node):
                 self._trickle_restart(neighbor, slot)
         self.push(slot + timeout, EventKind.DIS_TX, node)
@@ -554,9 +567,9 @@ class Simulation:
             return
         # traffic is upward only, so nothing keeps the downward routes a DAO
         # would install; the advertisement is traced and goes no further
-        if self.trace_sink is not None:
+        if self.emit is not None:
             dao = DaoMessage(sender=node, target=node, via_parent=state.default_parent)
-            self.trace_sink.append(trace_record(dao, slot))
+            self.emit(trace_record(dao, slot))
 
     # --- phases ---
 
@@ -685,10 +698,10 @@ class Simulation:
                 self._record_hop_observations(outcome, holder, parent, relay)
                 if outcome is not None and outcome.relay_used:
                     relay_hops[payload] += 1
-                if self.trace_sink is not None and outcome is not None and (
+                if self.emit is not None and outcome is not None and (
                     cfg.protocol is Protocol.COOP_RPL
                 ):
-                    self.trace_sink.append({
+                    self.emit({
                         "type": "relay",
                         "slot": slot,
                         "sender": holder,
@@ -704,8 +717,8 @@ class Simulation:
                     self.push(slot + outcome.slots_consumed, hop_attempt, payload)
                 else:
                     unresolved -= 1
-                    if self.trace_sink is not None:
-                        self.trace_sink.append(
+                    if self.emit is not None:
+                        self.emit(
                             packet_trace(packet, relay_hops[payload])
                         )
                     # a resolved packet draws nothing more: free its hasher
@@ -738,15 +751,16 @@ class Simulation:
 
 
 def form_network(
-    config: ScenarioConfig, trace_sink: list[dict] | None = None
+    config: ScenarioConfig, emit: Callable[[dict], None] | None = None
 ) -> Simulation:
+    """Form the network; emit, when given, receives every trace record."""
     sim = Simulation(config)
-    sim.trace_sink = trace_sink
+    sim.emit = emit
     sim.run_formation()
     return sim
 
 
 def run_scenario(
-    config: ScenarioConfig, trace_sink: list[dict] | None = None
+    config: ScenarioConfig, emit: Callable[[dict], None] | None = None
 ) -> MetricsReport:
-    return form_network(config, trace_sink).run_traffic()
+    return form_network(config, emit).run_traffic()

@@ -55,21 +55,21 @@ GATEWAY_ID = 0
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Physical-layer constants.
+    """Physical-layer constants; ScenarioConfig.channel_params() supplies
+    the values a run uses.
 
     sinr_threshold_db is the detection threshold of the Rayleigh outage
-    form; the default puts mid-range links (~0.7x tx_range) around 0.93
-    success for the default power budget.
+    form.
     """
 
-    tx_power_w: float = 2.0
-    path_loss_exponent: float = 3.0
-    reference_loss_db: float = 40.0
-    noise_floor_w: float = 1e-13  # -100 dBm
-    tx_range_m: float = 50.0
+    tx_power_w: float
+    path_loss_exponent: float
+    reference_loss_db: float
+    noise_floor_w: float
+    tx_range_m: float
+    sinr_threshold_db: float
     mode: ChannelMode = ChannelMode.PHYSICAL
     lsr_value: float | None = None
-    sinr_threshold_db: float = 35.0
 
     def __post_init__(self):
         if self.tx_power_w <= 0:

@@ -122,6 +122,8 @@ SHORT_TRICKLE_IMIN = {
         ("channel", "reference_distance", -5.0, 1e-9),
         ("channel", "path_loss_exponent", 1.9, 2.0),
         ("rpl", "trickle_imin_ms", 0.0, 1e-9),
+        ("channel", "lsr_value", 0.0, 1e-9),
+        ("scenario", "p_coop", -0.1, 0.0),
     ],
 )
 def test_field_bounds_enforced_by_config_and_parser(section, key, bad, lowest_ok):
@@ -141,7 +143,22 @@ FLOAT_FIELDS = [
     name for name, (_, annotation) in sim_engine._FIELD_TYPES.items()
     if "float" in annotation
 ]
-CONFIG_KEYS = {attr: (section, key) for (section, key), (attr, _) in cli._SCHEMA.items()}
+CONFIG_KEYS = {
+    cli._field_name(section, key): (section, key)
+    for section, keys in cli._SCHEMA.items()
+    for key in keys
+}
+
+
+def test_every_config_field_is_set_by_exactly_one_key():
+    # a field added to ScenarioConfig without a config key fails here
+    set_by_keys = sorted(
+        cli._field_name(section, key)
+        for section, keys in cli._SCHEMA.items()
+        if section != "weights"
+        for key in keys
+    )
+    assert set_by_keys == sorted(set(sim_engine._FIELD_TYPES) - {"weights"})
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -189,22 +206,23 @@ def test_formation_killing_combinations_rejected(section, key, broken, working):
 
 
 @pytest.mark.parametrize(
-    "text, line",
+    "text, line, rule",
     [
-        ("[rpl]\ndis_timeout_ms = 90\ntrickle_imin_ms = 100\n", 3),
-        ("[rpl]\ntrickle_imin_ms = 100\n\ndis_timeout_ms = 90\n", 4),
-        ("[rpl]\ntrickle_imin_ms = 200\n[scenario]\nquiescence_slots = 20\n", 4),
-        ("[scenario]\nquiescence_slots = 20\n[rpl]\n# late\ntrickle_imin_ms = 200\n", 5),
-        ("[rpl]\ntrickle_imin_ms = 100\n[scenario]\nwarmup_slots = 9\n", 4),
-        ("[scenario]\nwarmup_slots = 9\n\n[rpl]\ntrickle_imin_ms = 100\n", 5),
+        ("[rpl]\ndis_timeout_ms = 90\ntrickle_imin_ms = 100\n", 3, "round"),
+        ("[rpl]\ntrickle_imin_ms = 100\n\ndis_timeout_ms = 90\n", 4, "round"),
+        ("[rpl]\ntrickle_imin_ms = 200\n[scenario]\nquiescence_slots = 20\n", 4, "round"),
+        ("[scenario]\nquiescence_slots = 20\n[rpl]\n# late\ntrickle_imin_ms = 200\n", 5, "round"),
+        ("[rpl]\ntrickle_imin_ms = 100\n[scenario]\nwarmup_slots = 9\n", 4, "round"),
+        ("[scenario]\nwarmup_slots = 9\n\n[rpl]\ntrickle_imin_ms = 100\n", 5, "round"),
+        ("[scenario]\nseed = 2\n[sweep]\naxis = lsr\nvalues =\n", 4, "sweep_values"),
     ],
     ids=[
         "imin-after-dis", "dis-after-imin", "quiescence-after-imin", "imin-after-quiescence",
-        "warmup-after-imin", "imin-after-warmup",
+        "warmup-after-imin", "imin-after-warmup", "sweep-axis-without-values",
     ],
 )
-def test_formation_rule_error_names_the_later_key(text, line):
-    with pytest.raises(ConfigError, match=f"line {line}: .*round"):
+def test_formation_rule_error_names_the_later_key(text, line, rule):
+    with pytest.raises(ConfigError, match=f"line {line}: .*{rule}"):
         parse_scenario_text(text)
 
 
@@ -221,6 +239,44 @@ def test_comments_and_blank_values_are_ignored():
     )
     assert cfg.seed == 9
     assert cfg.n_packets == ScenarioConfig().n_packets
+
+
+RENDERED_DEFAULTS = (
+    "[scenario]\nseed = 1\nregion_side = 300.0\nintensity = 0.0008888888888888889\n"
+    "density_ratio = 1.0\nprotocol = rpl\nrouting_class = best_effort\np_coop = 1.0\n"
+    "max_retx = 3\nrelay_retx = 1\nretx_wait_slots = 1\nfset_size = 3\nn_packets = 1000\n"
+    "warmup_slots = 3000\ntraffic_window_slots = \nquiescence_slots = 20\nslot_ms = 10.0\n"
+    "\n[channel]\ntx_power_w = 2.0\npath_loss_exponent = 3.0\nreference_loss_db = 40.0\n"
+    "noise_floor_w = 1e-13\ntx_range_m = 70.0\nsinr_threshold_db = 40.0\nlsr_value = \n"
+    "lsr_mapping = reference\nreference_distance = 41.5\nsinr_per_slot = false\n"
+    "\n[rpl]\netx_max = 16.0\nhysteresis = 0.5\ntrickle_imin_ms = 100.0\n"
+    "trickle_doublings = 8\ntrickle_redundancy_k = 10\ndis_timeout_ms = 500.0\n"
+)
+
+
+def test_render_text_is_pinned():
+    assert render_scenario(ScenarioConfig()) == RENDERED_DEFAULTS
+    cfg = ScenarioConfig(
+        seed=42,
+        protocol=Protocol.COOP_RPL,
+        routing_class=RoutingClass.CLASS_C,
+        weights=RateWeights(0.4, 0.3, 0.2, 0.1),
+        lsr_value=0.65,
+        sweep_axis="lsr",
+        sweep_values=(0.5, 0.7),
+        traffic_window_slots=512,
+    )
+    expected = (
+        RENDERED_DEFAULTS
+        .replace("seed = 1\n", "seed = 42\n")
+        .replace("protocol = rpl\n", "protocol = coop_rpl\n")
+        .replace("routing_class = best_effort\n", "routing_class = c\n")
+        .replace("traffic_window_slots = \n", "traffic_window_slots = 512\n")
+        .replace("lsr_value = \n", "lsr_value = 0.65\n")
+        + "\n[weights]\nw_sinr = 0.4\nw_traffic = 0.3\nw_nch = 0.2\nw_etx = 0.1\n"
+        + "\n[sweep]\naxis = lsr\nvalues = 0.5, 0.7\n"
+    )
+    assert render_scenario(cfg) == expected
 
 
 def test_render_round_trips():
@@ -379,7 +435,7 @@ def test_run_sweep_marks_failed_points_and_continues(tmp_path):
 
 def test_run_sweep_lets_program_errors_escape(tmp_path, monkeypatch):
     # only a disconnected placement is a failed point; a bug must surface
-    def broken(config, trace_sink=None):
+    def broken(config, emit=None):
         raise ZeroDivisionError("simulated bug")
 
     monkeypatch.setattr(sim_engine, "run_scenario", broken)

@@ -289,7 +289,11 @@ def test_run_selection_rank_and_reach_rules():
     positions = {0: (0, 0), 1: (60, 0), 2: (40, 20), 3: (40, -20), 4: (70, 10), 5: (110, 0)}
     channel = Channel(
         [NodePlacement(n, x, y) for n, (x, y) in positions.items()],
-        ChannelParams(tx_range_m=70.0), seed=1,
+        ChannelParams(
+            tx_power_w=2.0, path_loss_exponent=3.0, reference_loss_db=40.0,
+            noise_floor_w=1e-13, tx_range_m=70.0, sinr_threshold_db=35.0,
+        ),
+        seed=1,
     )
     ranks = {0: 0.0, 1: 3.0, 2: 2.0, 3: 3.0, 4: None, 5: 1.5}
     states = {n: _node(n, rank) for n, rank in ranks.items()}

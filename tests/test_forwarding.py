@@ -24,7 +24,11 @@ from coopmesh.topology import Channel, ChannelMode, ChannelParams, NodePlacement
 
 
 def lsr_channel(positions, lsr, seed=5):
-    params = ChannelParams(mode=ChannelMode.SWEPT_LSR, lsr_value=lsr)
+    params = ChannelParams(
+        tx_power_w=2.0, path_loss_exponent=3.0, reference_loss_db=40.0,
+        noise_floor_w=1e-13, tx_range_m=50.0, sinr_threshold_db=35.0,
+        mode=ChannelMode.SWEPT_LSR, lsr_value=lsr,
+    )
     placements = [NodePlacement(i, x, y) for i, (x, y) in enumerate(positions)]
     return Channel(placements, params, seed)
 

@@ -53,8 +53,9 @@ def test_config_validation():
 
 def test_none_accepted_only_where_a_field_is_optional():
     assert ScenarioConfig(traffic_window_slots=None).window_slots == 2000
+    assert ScenarioConfig(lsr_value=None).lsr_value is None
     for name in FIELD_BOUNDS:
-        if name == "traffic_window_slots":
+        if name in ("traffic_window_slots", "lsr_value"):
             continue
         # rejected at construction, not by a TypeError in the middle of a run
         with pytest.raises(ValueError, match=f"{name} must be"):
@@ -81,6 +82,7 @@ def test_none_accepted_only_where_a_field_is_optional():
         ("weights", (0.25, 0.25, 0.25, 0.25)),
         ("sweep_values", [0.5]),
         ("sweep_values", (0.5, None)),
+        ("sweep_axis", "foo"),
     ],
 )
 def test_wrong_types_rejected_at_construction(name, bad):
@@ -130,8 +132,8 @@ def test_trace_replay_is_identical():
         protocol=Protocol.COOP_RPL, seed=2,
     )
     sink_a, sink_b = [], []
-    report_a = run_scenario(cfg, trace_sink=sink_a)
-    report_b = run_scenario(cfg, trace_sink=sink_b)
+    report_a = run_scenario(cfg, emit=sink_a.append)
+    report_b = run_scenario(cfg, emit=sink_b.append)
     assert {"DIO", "DIS", "DAO", "relay"} <= {r.get("type") for r in sink_a}
     assert sum(1 for r in sink_a if "packet_id" in r) == cfg.n_packets
     assert sink_a == sink_b
@@ -164,7 +166,7 @@ def test_relay_scoring_trace_is_pinned(monkeypatch):
             sinr_per_slot=per_slot,
         )
         sink = []
-        run_scenario(cfg, trace_sink=sink)
+        run_scenario(cfg, emit=sink.append)
         assert any(r.get("type") == "relay" and r["candidates"] for r in sink)
         digest.update(json.dumps(sink, sort_keys=True).encode())
     assert seen_sizes == {0, 1, 2}
@@ -195,7 +197,7 @@ def packet_trace_config(protocol, p_coop=0.5):
 def test_packet_trace_is_pinned(protocol):
     cfg = packet_trace_config(protocol)
     sink = []
-    run_scenario(cfg, trace_sink=sink)
+    run_scenario(cfg, emit=sink.append)
     packets = [r for r in sink if "packet_id" in r]
     assert len(packets) == cfg.n_packets
     # lossy enough that retries and drops are part of what is pinned
@@ -228,7 +230,7 @@ def test_full_cooperation_spends_no_decision_draw(monkeypatch):
         draws.clear()
         relay_hops.clear()
         sink = []
-        run_scenario(packet_trace_config(Protocol.COOP_RPL, p_coop), trace_sink=sink)
+        run_scenario(packet_trace_config(Protocol.COOP_RPL, p_coop), emit=sink.append)
         traces.append(sink)
         if p_coop == 1.0:
             assert draws == []
@@ -319,7 +321,7 @@ def test_formation_is_identical_under_every_variant():
     for protocol, routing_class in default_variants():
         trace: list[dict] = []
         sim = form_network(
-            replace(base, protocol=protocol, routing_class=routing_class), trace
+            replace(base, protocol=protocol, routing_class=routing_class), trace.append
         )
         formed.append((
             {n: st.default_parent for n, st in sim.states.items()},
@@ -367,7 +369,7 @@ def test_formation_children_partition_joined_nodes():
 
 def test_dao_routes_recorded_along_default_paths():
     trace: list[dict] = []
-    sim = form_network(ScenarioConfig(seed=17, lsr_value=0.9), trace)
+    sim = form_network(ScenarioConfig(seed=17, lsr_value=0.9), trace.append)
     last_dao = {}
     for record in trace:
         if record["type"] == "DAO":
@@ -469,7 +471,7 @@ def test_metrics_report_conservation_enforced():
 def test_trace_sink_collects_all_record_kinds():
     cfg = tiny_config(lsr_value=0.6, protocol=Protocol.COOP_RPL, n_packets=30)
     sink = []
-    run_scenario(cfg, trace_sink=sink)
+    run_scenario(cfg, emit=sink.append)
     types = {record.get("type") for record in sink}
     assert "DIO" in types
     assert "relay" in types

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -18,7 +19,12 @@ from coopmesh.topology import (
     place_nodes,
 )
 
-PARAMS = ChannelParams()
+# the shorter-range channel these tests were written against (50 m, 35 dB);
+# a run's own constants come from ScenarioConfig
+PARAMS = ChannelParams(
+    tx_power_w=2.0, path_loss_exponent=3.0, reference_loss_db=40.0, noise_floor_w=1e-13,
+    tx_range_m=50.0, sinr_threshold_db=35.0,
+)
 
 
 def make_channel(positions, params=PARAMS, seed=1):
@@ -65,17 +71,17 @@ def test_place_nodes_count_scales_with_intensity():
 
 
 def test_path_loss_reference_distance_identity():
-    p = ChannelParams(reference_loss_db=40.0)
+    p = replace(PARAMS, reference_loss_db=40.0)
     assert path_loss_linear(1.0, p) == pytest.approx(10 ** (-4.0))
 
 
 def test_path_loss_analytic_point():
-    p = ChannelParams(path_loss_exponent=2.0, reference_loss_db=0.0)
+    p = replace(PARAMS, path_loss_exponent=2.0, reference_loss_db=0.0)
     assert path_loss_linear(10.0, p) == pytest.approx(0.01)
 
 
 def test_path_loss_doubling_ratio():
-    p = ChannelParams(path_loss_exponent=3.0)
+    p = replace(PARAMS, path_loss_exponent=3.0)
     assert path_loss_linear(20.0, p) / path_loss_linear(10.0, p) == pytest.approx(0.125)
 
 
@@ -141,7 +147,7 @@ def test_compute_sinr_rejects_tx_in_interferer_set():
 
 def test_cached_snr_and_one_interferer_sinr_equal_compute_sinr_exactly():
     # relay selection reads these in place of compute_sinr: bit-equal, not close
-    params = ChannelParams(path_loss_exponent=3.7, noise_floor_w=3e-13)
+    params = replace(PARAMS, path_loss_exponent=3.7, noise_floor_w=3e-13)
     placements = place_nodes(Region(150.0), 12 / 150.0**2, 4, params)
     ch = Channel(placements, params, 4)
     ids = ch.node_ids
@@ -160,7 +166,7 @@ def test_cached_snr_and_one_interferer_sinr_equal_compute_sinr_exactly():
 
 
 def test_swept_lsr_uniform_over_links():
-    params = ChannelParams(mode=ChannelMode.SWEPT_LSR, lsr_value=0.7)
+    params = replace(PARAMS, mode=ChannelMode.SWEPT_LSR, lsr_value=0.7)
     for d in [5.0, 20.0, 49.0]:
         link = LinkModel(1, 2, d, 1e-9, True)
         assert link_success_probability(link, params) == 0.7
@@ -173,7 +179,7 @@ def test_physical_success_approaches_one_at_high_snr():
 
 def test_physical_success_at_threshold_equals_inverse_e():
     # mean SNR equal to the detection threshold
-    params = ChannelParams(sinr_threshold_db=20.0)
+    params = replace(PARAMS, sinr_threshold_db=20.0)
     link = LinkModel(1, 2, 2.0, params.noise_floor_w * 100.0, True)
     assert link_success_probability(link, params) == pytest.approx(math.exp(-1.0))
 
