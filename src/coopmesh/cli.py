@@ -535,6 +535,8 @@ def main(argv: list[str] | None = None) -> int:
         axis = args.sweep or config.sweep_axis
         if args.values and not axis:
             raise ConfigError("--values needs --sweep (or a [sweep] section)")
+        if config.sweep_values and not axis:
+            raise ConfigError("[sweep] values need an axis (in the file or --sweep)")
         if not args.quiet:
             sys.stdout.write(render_scenario(config))
             sys.stdout.write("\n")

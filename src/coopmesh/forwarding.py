@@ -1,14 +1,17 @@
-"""Data-plane hop engines.
+"""Data-plane hop engine.
 
-Three per-hop disciplines over the same slotted link abstraction: plain
-retransmission to the default parent, cooperative overhear-and-relay where a
-selected lower-rank neighbor forwards copies the parent missed, and anycast
-over a priority-ordered forwarding set. Every transmission is one slot and
-one deterministic Bernoulli draw keyed by (packet, link, attempt, seed).
+One per-hop engine over a slotted link abstraction: the sender broadcasts
+to a priority-ordered set of receivers, and an optional relay that
+overhears a missed copy forwards it to the first receiver. Plain RPL is one
+receiver (the default parent) and no relay; Coop-RPL adds the selected
+relay; opportunistic RPL is the forwarding set as receivers. Every
+transmission is one slot and one deterministic Bernoulli draw keyed by
+(packet, link, attempt, seed).
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -110,107 +113,58 @@ class LinkLayer:
         return self._draw(src, dst, idx) < p
 
 
-def forward_hop_rpl(
-    link_layer, holder: int, parent: int, slot: int, max_retx: int,
-    retx_wait: int = 1,
-) -> HopOutcome:
-    """Unicast to the default parent with up to max_retx retries.
-
-    Each retry follows an ACK-timeout gap of retx_wait slots; the gap only
-    shows up in slots_consumed, never in the attempt count.
-    """
-    attempts = 0
-    cursor = 0
-    for _ in range(1 + max_retx):
-        attempts += 1
-        ok = link_layer.transmit(holder, parent, slot + cursor)
-        cursor += 1
-        if ok:
-            return HopOutcome(attempts, False, 0, True, cursor, parent)
-        if attempts <= max_retx:
-            cursor += retx_wait
-    return HopOutcome(attempts, False, 0, False, cursor, None)
-
-
-def forward_hop_coop(
+def forward_hop(
     link_layer,
     holder: int,
-    parent: int,
+    receivers: tuple[int, ...],
     relay: int | None,
     slot: int,
     max_retx: int,
     relay_retx: int,
-    cooperate: bool = True,
-    retx_wait: int = 1,
+    retx_wait: int,
 ) -> HopOutcome:
-    """Broadcast toward the parent with the relay listening in.
+    """Broadcast to priority-ordered receivers, a relay optionally listening.
 
-    Each sender broadcast is judged against the parent link and, when it
-    misses, against the sender-relay link; an overheard copy gets forwarded
-    by the relay (its own slot and retransmission count) before the sender
-    resumes retrying. The relay transmits inside the sender's ACK-timeout
-    gap, so its forwards displace wait slots rather than adding to them. The
-    hop fails only once sender and relay budgets are both spent.
+    Each sender attempt is one slot judged against every receiver's link;
+    the first receiver that got the packet takes over, so simultaneous
+    receptions never duplicate it. When none did, the sender-relay link is
+    judged too, and an overheard copy is forwarded by the relay to the first
+    receiver for up to relay_retx tries before the sender resumes retrying.
+    Each retry follows an ACK-timeout gap of retx_wait slots; relay forwards
+    displace wait slots rather than adding to them. The hop fails only once
+    sender and relay budgets are both spent.
     """
-    use_relay = cooperate and relay is not None
-    attempts = 0
+    if not receivers:
+        raise ValueError("empty forwarding set")
     relay_attempts = 0
     relay_used = False
     cursor = 0
-    for _ in range(1 + max_retx):
-        attempts += 1
-        parent_got = link_layer.transmit(holder, parent, slot + cursor)
-        relay_got = False
-        if not parent_got and use_relay:
-            relay_got = link_layer.transmit(holder, relay, slot + cursor)
+    transmit = link_layer.transmit
+    for attempts in range(1, max_retx + 2):
+        now = slot + cursor
         cursor += 1
-        if parent_got:
-            return HopOutcome(attempts, relay_used, relay_attempts, True, cursor, parent)
-        relay_slots = 0
-        if relay_got:
+        receiver = None
+        for member in receivers:
+            if transmit(holder, member, now) and receiver is None:
+                receiver = member
+        if receiver is not None:
+            return HopOutcome(attempts, relay_used, relay_attempts, True, cursor, receiver)
+        wait = retx_wait
+        if relay is not None and transmit(holder, relay, now):
             relay_used = True
             for _ in range(relay_retx):
                 relay_attempts += 1
-                relay_slots += 1
-                forwarded = link_layer.transmit(relay, parent, slot + cursor)
+                wait -= 1  # the forward takes a slot of the sender's gap
+                forwarded = transmit(relay, receivers[0], slot + cursor)
                 cursor += 1
                 if forwarded:
                     return HopOutcome(
-                        attempts, True, relay_attempts, True, cursor, parent,
+                        attempts, True, relay_attempts, True, cursor, receivers[0],
                         delivered_by_relay=True,
                     )
-        if attempts <= max_retx:
-            cursor += max(0, retx_wait - relay_slots)
+        if attempts <= max_retx and wait > 0:
+            cursor += wait
     return HopOutcome(attempts, relay_used, relay_attempts, False, cursor, None)
-
-
-def forward_hop_opportunistic(
-    link_layer, holder: int, fset: ForwardingSet, slot: int, max_retx: int,
-    retx_wait: int = 1,
-) -> HopOutcome:
-    """Anycast to the forwarding set; the best receiving member takes over.
-
-    Every member's link is evaluated independently per attempt and the
-    highest-priority receiver becomes the next holder, so simultaneous
-    receptions never duplicate the packet.
-    """
-    if not fset.members:
-        raise ValueError("empty forwarding set")
-    attempts = 0
-    cursor = 0
-    for _ in range(1 + max_retx):
-        attempts += 1
-        receiver = None
-        for member in fset.members:
-            got = link_layer.transmit(holder, member, slot + cursor)
-            if got and receiver is None:
-                receiver = member
-        cursor += 1
-        if receiver is not None:
-            return HopOutcome(attempts, False, 0, True, cursor, receiver)
-        if attempts <= max_retx:
-            cursor += retx_wait
-    return HopOutcome(attempts, False, 0, False, cursor, None)
 
 
 def build_forwarding_set(
@@ -239,10 +193,9 @@ def build_forwarding_set(
 class NetworkView:
     """Everything the data plane needs from a formed scenario."""
 
-    channel: Channel
     states: dict
-    etx_of: object  # callable (src, dst) -> float
     gateway: int
+    observe_link: Callable[[int, int, int, int], None]  # (src, dst, attempts, successes)
     max_retx: int = 3
     relay_retx: int = 1
     retx_wait: int = 1
@@ -250,7 +203,6 @@ class NetworkView:
     relay_for: dict[int, int | None] = field(default_factory=dict)
     fsets: dict[int, ForwardingSet] = field(default_factory=dict)
     seed: int = 0
-    registry: dict[int, set[int]] | None = None
 
 
 def advance_one_hop(
@@ -262,21 +214,19 @@ def advance_one_hop(
 ) -> HopOutcome | None:
     """Run one hop of the packet's journey at the given slot.
 
-    Mutates the packet (status, holder, tallies, delivery slot). Returns the
-    hop outcome, or None when the holder has no route.
+    Mutates the packet (status, holder, tallies, delivery slot) and reports
+    every link the hop used to net.observe_link. Returns the hop outcome,
+    or None when the holder has no route.
     """
     holder = packet.current_holder
-    state = net.states[holder]
-    parent = state.default_parent
+    parent = net.states[holder].default_parent
     if parent is None:
         packet.status = PacketStatus.DROPPED
         packet.drop_reason = "no-route"
         return None
-    if protocol is Protocol.RPL:
-        outcome = forward_hop_rpl(
-            link_layer, holder, parent, slot, net.max_retx, net.retx_wait
-        )
-    elif protocol is Protocol.COOP_RPL:
+    receivers = (parent,)
+    relay = None
+    if protocol is Protocol.COOP_RPL:
         relay = net.relay_for.get(holder)
         # without a relay there is nothing to decide, and no draw to spend;
         # at p_coop = 1 every draw in [0, 1) cooperates, so none is spent
@@ -293,14 +243,26 @@ def advance_one_hop(
                 ),
             )
         )
-        outcome = forward_hop_coop(
-            link_layer, holder, parent, relay, slot,
-            net.max_retx, net.relay_retx, cooperate, net.retx_wait,
-        )
+        if not cooperate:
+            relay = None
+    elif protocol is Protocol.OPP_RPL:
+        fset = net.fsets.get(holder)
+        if fset is not None:
+            receivers = fset.members
+    outcome = forward_hop(
+        link_layer, holder, receivers, relay, slot,
+        net.max_retx, net.relay_retx, net.retx_wait,
+    )
+    observe = net.observe_link
+    if outcome.delivered and not outcome.delivered_by_relay:
+        observe(holder, outcome.receiver, outcome.attempts, 1)
     else:
-        fset = net.fsets.get(holder) or ForwardingSet(holder, (parent,))
-        outcome = forward_hop_opportunistic(
-            link_layer, holder, fset, slot, net.max_retx, net.retx_wait
+        for member in receivers:
+            observe(holder, member, outcome.attempts, 0)
+    if outcome.relay_attempts:
+        observe(
+            relay, receivers[0], outcome.relay_attempts,
+            1 if outcome.delivered_by_relay else 0,
         )
     packet.total_transmissions += outcome.attempts + outcome.relay_attempts
     packet.retransmissions += outcome.retransmissions

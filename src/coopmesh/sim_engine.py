@@ -618,10 +618,9 @@ class Simulation:
     def network_view(self) -> NetworkView:
         cfg = self.config
         return NetworkView(
-            channel=self.channel,
             states=self.states,
-            etx_of=self.etx_of,
             gateway=GATEWAY_ID,
+            observe_link=self.observe_link,
             max_retx=cfg.max_retx,
             relay_retx=cfg.relay_retx,
             retx_wait=cfg.retx_wait_slots,
@@ -629,27 +628,7 @@ class Simulation:
             relay_for=self.relay_for,
             fsets=self.fsets,
             seed=cfg.seed,
-            registry=self.registry,
         )
-
-    def _record_hop_observations(self, outcome, holder, parent, relay) -> None:
-        if outcome is None:
-            return
-        if self.config.protocol is Protocol.OPP_RPL:
-            if outcome.delivered:
-                self.observe_link(holder, outcome.receiver, outcome.attempts, 1)
-            else:
-                members = self.fsets.get(holder)
-                for m in members.members if members else ():
-                    self.observe_link(holder, m, outcome.attempts, 0)
-            return
-        direct = 1 if outcome.delivered and not outcome.delivered_by_relay else 0
-        self.observe_link(holder, parent, outcome.attempts, direct)
-        if outcome.relay_attempts and relay is not None:
-            self.observe_link(
-                relay, parent, outcome.relay_attempts,
-                1 if outcome.delivered_by_relay else 0,
-            )
 
     def run_traffic(self) -> MetricsReport:
         """Generate the packet load and drive every packet to resolution."""
@@ -678,6 +657,7 @@ class Simulation:
         unresolved = cfg.n_packets
         hop_attempt = EventKind.HOP_ATTEMPT
         registry = self.registry
+        trace_relays = self.emit is not None and cfg.protocol is Protocol.COOP_RPL
         while self.queue and unresolved > 0:
             slot, _, _, kind, payload = heapq.heappop(self.queue)
             if registry is not None and slot > self.now:
@@ -690,17 +670,12 @@ class Simulation:
             if kind is hop_attempt:
                 packet = packets[payload]
                 holder = packet.current_holder
-                parent = self.states[holder].default_parent
-                relay = self.relay_for.get(holder)
                 outcome = advance_one_hop(
                     packet, cfg.protocol, net, layers[payload], slot
                 )
-                self._record_hop_observations(outcome, holder, parent, relay)
                 if outcome is not None and outcome.relay_used:
                     relay_hops[payload] += 1
-                if self.emit is not None and outcome is not None and (
-                    cfg.protocol is Protocol.COOP_RPL
-                ):
+                if trace_relays and outcome is not None:
                     self.emit({
                         "type": "relay",
                         "slot": slot,
@@ -710,7 +685,7 @@ class Simulation:
                             {"id": r, "rate": rate}
                             for r, rate in sorted(self.relay_rates.get(holder, {}).items())
                         ],
-                        "selected": relay,
+                        "selected": self.relay_for.get(holder),
                         "used": outcome.relay_used,
                     })
                 if packet.status is PacketStatus.IN_FLIGHT:

@@ -25,7 +25,7 @@ from coopmesh.coop_relay import (
     select_relay,
     term_bounds,
 )
-from coopmesh.forwarding import Protocol, forward_hop_coop, forward_hop_rpl
+from coopmesh.forwarding import Protocol, forward_hop
 from coopmesh.rpl_core import compute_etx
 from coopmesh.sim_engine import ScenarioConfig, form_network
 from coopmesh.topology import GATEWAY_ID, path_loss_linear
@@ -331,10 +331,10 @@ def test_criterion_6e_cooperative_dominance_enumeration():
     for tenths in range(1, 10):
         p = tenths / 10.0
         coop = delivery_probability(
-            lambda layer: forward_hop_coop(layer, 1, 0, 2, 0, 3, 1), p
+            lambda layer: forward_hop(layer, 1, (0,), 2, 0, 3, 1, 1), p
         )
         direct = delivery_probability(
-            lambda layer: forward_hop_rpl(layer, 1, 0, 0, 3), p
+            lambda layer: forward_hop(layer, 1, (0,), None, 0, 3, 1, 1), p
         )
         ok = ok and coop >= direct
         ok = ok and abs(direct - (1.0 - (1.0 - p) ** 4)) < 1e-12

@@ -526,6 +526,18 @@ def test_main_config_error_exit_code(tmp_path, capsys):
     assert "probability out of range" in capsys.readouterr().err
 
 
+def test_main_rejects_sweep_values_without_axis(tmp_path, capsys):
+    cfg_path = tmp_path / "values.cfg"
+    cfg_path.write_text(
+        "[scenario]\nregion_side = 80\nintensity = 0.0015625\nn_packets = 10\n"
+        "[sweep]\nvalues = 0.5, 0.9\n"
+    )
+    assert main(["--config", str(cfg_path), "--quiet"]) == 1
+    captured = capsys.readouterr()
+    assert "[sweep] values need an axis" in captured.err
+    assert "pdr = " not in captured.out  # no single run in their place
+
+
 def test_main_sweep_writes_csv_and_comparison(tmp_path, capsys):
     cfg_path = tmp_path / "s.cfg"
     cfg_path.write_text(

@@ -13,9 +13,7 @@ from coopmesh.forwarding import (
     Protocol,
     advance_one_hop,
     build_forwarding_set,
-    forward_hop_coop,
-    forward_hop_opportunistic,
-    forward_hop_rpl,
+    forward_hop,
     packet_trace,
 )
 from coopmesh.rng import uniform
@@ -142,7 +140,10 @@ def test_transmit_is_the_keyed_draw_per_attempt(seed, packet_id, links):
 
 def test_forward_hop_rpl_perfect_link():
     ch = lsr_channel([(0.0, 0.0), (20.0, 0.0)], lsr=1.0)
-    outcome = forward_hop_rpl(LinkLayer(ch, 1, 0), holder=1, parent=0, slot=0, max_retx=3)
+    outcome = forward_hop(
+        LinkLayer(ch, 1, 0), holder=1, receivers=(0,), relay=None, slot=0,
+        max_retx=3, relay_retx=1, retx_wait=1,
+    )
     assert outcome.attempts == 1
     assert outcome.delivered is True
     assert outcome.slots_consumed == 1
@@ -151,22 +152,28 @@ def test_forward_hop_rpl_perfect_link():
 
 def test_forward_hop_rpl_dead_link_exhausts_budget():
     ch = lsr_channel([(0.0, 0.0), (20.0, 0.0)], lsr=0.0)
-    outcome = forward_hop_rpl(LinkLayer(ch, 1, 0), holder=1, parent=0, slot=0, max_retx=3)
+    outcome = forward_hop(
+        LinkLayer(ch, 1, 0), holder=1, receivers=(0,), relay=None, slot=0,
+        max_retx=3, relay_retx=1, retx_wait=1,
+    )
     assert outcome.attempts == 4
     assert outcome.delivered is False
 
 
 def test_forward_hop_rpl_delivery_probability_exact():
     # analytic Bernoulli oracle: 1 - 0.5^4 = 0.9375
-    run = lambda layer: forward_hop_rpl(layer, 1, 0, 0, max_retx=3)
+    run = lambda layer: forward_hop(layer, 1, (0,), None, 0, 3, 1, 1)
     delivered, _ = exact_hop_stats(run, lambda s, d: 0.5)
     assert delivered == pytest.approx(1.0 - 0.5**4)
 
 
 def test_forward_hop_coop_unused_on_first_try_success():
     ch = lsr_channel([(0.0, 0.0), (20.0, 0.0), (10.0, 5.0)], lsr=1.0)
-    rpl = forward_hop_rpl(LinkLayer(ch, 1, 7), 1, 0, 0, max_retx=3)
-    coop = forward_hop_coop(LinkLayer(ch, 1, 7), 1, 0, relay=2, slot=0, max_retx=3, relay_retx=1)
+    rpl = forward_hop(LinkLayer(ch, 1, 7), 1, (0,), None, 0, 3, 1, 1)
+    coop = forward_hop(
+        LinkLayer(ch, 1, 7), 1, (0,), relay=2, slot=0, max_retx=3, relay_retx=1,
+        retx_wait=1,
+    )
     assert coop == rpl
     assert coop.relay_used is False
     assert coop.relay_attempts == 0
@@ -176,7 +183,7 @@ def test_forward_hop_coop_unused_on_first_try_success():
 def test_forward_hop_coop_pure_relay_path():
     # parent link dead, both cooperative legs perfect
     probs = {(1, 0): 0.0, (1, 2): 1.0, (2, 0): 1.0}
-    run = lambda layer: forward_hop_coop(layer, 1, 0, 2, 0, max_retx=3, relay_retx=1)
+    run = lambda layer: forward_hop(layer, 1, (0,), 2, 0, max_retx=3, relay_retx=1, retx_wait=1)
     layer = ScriptedLinkLayer([False, True, True])
     outcome = run(layer)
     assert outcome.delivered is True
@@ -188,24 +195,48 @@ def test_forward_hop_coop_pure_relay_path():
     assert delivered == pytest.approx(1.0)
 
 
-def test_forward_hop_coop_without_cooperation_matches_rpl():
-    run_coop = lambda layer: forward_hop_coop(
-        layer, 1, 0, relay=2, slot=0, max_retx=3, relay_retx=1, cooperate=False
+def _observing_view(**view):
+    """A one-hop network, 1 -> 0 (gateway), and the list of link
+    observations the hop reports."""
+    observed = []
+    states = {0: NodeState(0, rank=0.0), 1: _joined(1, 1.0, 0)}
+    net = NetworkView(
+        states=states, gateway=0,
+        observe_link=lambda *observation: observed.append(observation), **view,
     )
-    run_rpl = lambda layer: forward_hop_rpl(layer, 1, 0, 0, max_retx=3)
-    for p in [0.2, 0.5, 0.8]:
-        d_coop, r_coop = exact_hop_stats(run_coop, lambda s, d: p)
-        d_rpl, r_rpl = exact_hop_stats(run_rpl, lambda s, d: p)
-        assert d_coop == pytest.approx(d_rpl)
-        assert r_coop == pytest.approx(r_rpl)
+    return net, observed
+
+
+def _single_hop(ch, protocol, packet_id, **view):
+    net, observed = _observing_view(seed=3, **view)
+    packet = Packet(packet_id, source=1, created_slot=0, current_holder=1)
+    outcome = advance_one_hop(packet, protocol, net, LinkLayer(ch, 3, packet_id), 0)
+    return outcome, packet, observed
+
+
+def test_forward_hop_coop_without_cooperation_matches_rpl():
+    # same keyed draws: a coop_rpl hop without a relay, or with one it never
+    # cooperates with, is an rpl hop in outcome, packet state and observations
+    ch = lsr_channel([(0.0, 0.0), (20.0, 0.0), (10.0, 5.0)], lsr=0.5)
+    rpl_outcomes = []
+    for packet_id in range(200):
+        rpl = _single_hop(ch, Protocol.RPL, packet_id)
+        rpl_outcomes.append(rpl[0])
+        assert _single_hop(ch, Protocol.COOP_RPL, packet_id) == rpl
+        never = _single_hop(
+            ch, Protocol.COOP_RPL, packet_id, relay_for={1: 2}, p_coop=0.0
+        )
+        assert never == rpl
+    assert any(not o.delivered for o in rpl_outcomes)
+    assert any(o.delivered and o.attempts > 1 for o in rpl_outcomes)
 
 
 def test_cooperative_dominance_exhaustive_over_p_grid():
     # per-hop delivery of coop >= direct-only at every p, all links equal
     for tenths in range(1, 10):
         p = tenths / 10.0
-        run_coop = lambda layer: forward_hop_coop(layer, 1, 0, 2, 0, 3, 1)
-        run_rpl = lambda layer: forward_hop_rpl(layer, 1, 0, 0, 3)
+        run_coop = lambda layer: forward_hop(layer, 1, (0,), 2, 0, 3, 1, 1)
+        run_rpl = lambda layer: forward_hop(layer, 1, (0,), None, 0, 3, 1, 1)
         d_coop, _ = exact_hop_stats(run_coop, lambda s, d: p)
         d_rpl, _ = exact_hop_stats(run_rpl, lambda s, d: p)
         assert d_coop >= d_rpl
@@ -216,7 +247,7 @@ def test_cooperative_dominance_exhaustive_over_p_grid():
 
 
 def test_coop_slots_cover_sender_and_relay_attempts():
-    run = lambda layer: forward_hop_coop(layer, 1, 0, 2, 0, 3, 2)
+    run = lambda layer: forward_hop(layer, 1, (0,), 2, 0, 3, 2, 1)
     stack = [()]
     seen = 0
     while stack and seen < 2000:
@@ -239,15 +270,15 @@ def test_coop_slots_cover_sender_and_relay_attempts():
 
 def test_retry_wait_slots_pad_failed_hops():
     ch = lsr_channel([(0.0, 0.0), (20.0, 0.0)], lsr=0.0)
-    dead = forward_hop_rpl(LinkLayer(ch, 1, 0), 1, 0, 0, max_retx=3, retx_wait=1)
+    dead = forward_hop(LinkLayer(ch, 1, 0), 1, (0,), None, 0, max_retx=3, relay_retx=1, retx_wait=1)
     assert dead.attempts == 4
     assert dead.slots_consumed == 4 + 3  # three timeout gaps
-    no_wait = forward_hop_rpl(LinkLayer(ch, 1, 0), 1, 0, 0, max_retx=3, retx_wait=0)
+    no_wait = forward_hop(LinkLayer(ch, 1, 0), 1, (0,), None, 0, max_retx=3, relay_retx=1, retx_wait=0)
     assert no_wait.slots_consumed == 4
     # a relay forward rides inside the sender's timeout gap
-    relay_fills_gap = forward_hop_coop(
+    relay_fills_gap = forward_hop(
         ScriptedLinkLayer([False, True, False, False, False]),
-        1, 0, 2, 0, max_retx=1, relay_retx=1, retx_wait=1,
+        1, (0,), 2, 0, max_retx=1, relay_retx=1, retx_wait=1,
     )
     assert relay_fills_gap.attempts == 2
     assert relay_fills_gap.relay_attempts == 1
@@ -255,37 +286,78 @@ def test_retry_wait_slots_pad_failed_hops():
 
 
 def test_opportunistic_single_member_reduces_to_rpl():
+    # same keyed draws: an opp_rpl hop over the set (parent,) is an rpl hop
+    # in outcome, packet state and observations
     ch = lsr_channel([(0.0, 0.0), (20.0, 0.0)], lsr=0.5)
-    fset = ForwardingSet(owner=1, members=(0,))
+    fsets = {1: ForwardingSet(owner=1, members=(0,))}
     for packet_id in range(200):
-        rpl = forward_hop_rpl(LinkLayer(ch, 3, packet_id), 1, 0, 0, 3)
-        opp = forward_hop_opportunistic(LinkLayer(ch, 3, packet_id), 1, fset, 0, 3)
-        assert opp == rpl
+        rpl = _single_hop(ch, Protocol.RPL, packet_id)
+        assert _single_hop(ch, Protocol.OPP_RPL, packet_id, fsets=fsets) == rpl
 
 
 def test_opportunistic_union_success_probability():
-    fset = ForwardingSet(owner=1, members=(2, 3, 4))
+    members = (2, 3, 4)
     for p in [0.3, 0.5, 0.7]:
-        run = lambda layer: forward_hop_opportunistic(layer, 1, fset, 0, max_retx=0)
+        run = lambda layer: forward_hop(layer, 1, members, None, 0, max_retx=0, relay_retx=1, retx_wait=1)
         delivered, _ = exact_hop_stats(run, lambda s, d: p)
         assert delivered == pytest.approx(1.0 - (1.0 - p) ** 3)
 
 
 def test_opportunistic_dedup_prefers_priority_order():
-    fset = ForwardingSet(owner=1, members=(5, 7))
-    both = forward_hop_opportunistic(ScriptedLinkLayer([True, True]), 1, fset, 0, 0)
+    members = (5, 7)
+    both = forward_hop(ScriptedLinkLayer([True, True]), 1, members, None, 0, 0, 1, 1)
     assert both.receiver == 5  # higher priority wins, no duplicate
-    second_only = forward_hop_opportunistic(ScriptedLinkLayer([False, True]), 1, fset, 0, 0)
+    second_only = forward_hop(ScriptedLinkLayer([False, True]), 1, members, None, 0, 0, 1, 1)
     assert second_only.receiver == 7
 
 
 def test_opportunistic_rejects_empty_set():
     with pytest.raises(ValueError):
-        forward_hop_opportunistic(ScriptedLinkLayer([]), 1, ForwardingSet(1, ()), 0, 3)
+        forward_hop(ScriptedLinkLayer([]), 1, (), None, 0, 3, 1, 1)
+
+
+F, T = False, True
+
+
+@pytest.mark.parametrize(
+    "protocol, view, script, expected",
+    [
+        (Protocol.RPL, {}, [F, T], [(1, 0, 2, 1)]),
+        (Protocol.RPL, {}, [F] * 4, [(1, 0, 4, 0)]),
+        # parent missed, relay overheard and forwarded
+        (Protocol.COOP_RPL, {"relay_for": {1: 2}}, [F, T, T], [(1, 0, 1, 0), (2, 0, 1, 1)]),
+        # relay forward failed, sender's retry got through
+        (Protocol.COOP_RPL, {"relay_for": {1: 2}}, [F, T, F, T], [(1, 0, 2, 1), (2, 0, 1, 0)]),
+        (Protocol.COOP_RPL, {"relay_for": {1: 2}}, [F, T, F] * 4, [(1, 0, 4, 0), (2, 0, 4, 0)]),
+        (Protocol.OPP_RPL, {"fsets": {1: ForwardingSet(1, (0, 2))}}, [F, T], [(1, 2, 1, 1)]),
+        (
+            Protocol.OPP_RPL, {"fsets": {1: ForwardingSet(1, (0, 2))}}, [F, F] * 4,
+            [(1, 0, 4, 0), (1, 2, 4, 0)],
+        ),
+    ],
+    ids=[
+        "rpl-delivered", "rpl-failed", "coop-by-relay", "coop-direct-after-relay",
+        "coop-failed", "opp-second-member", "opp-failed",
+    ],
+)
+def test_hop_observations_follow_one_rule(protocol, view, script, expected):
+    # (src, dst, attempts, successes): a direct delivery credits the link
+    # that carried it; otherwise every receiver's link is charged; relay
+    # forwards are credited or charged on the relay-to-parent link
+    net, observed = _observing_view(**view)
+    packet = Packet(1, source=1, created_slot=0, current_holder=1)
+    layer = ScriptedLinkLayer(script)
+    advance_one_hop(packet, protocol, net, layer, slot=0)
+    assert layer.i == len(script)
+    assert observed == expected
 
 
 def _etx_one(src, dst):
     return 1.0
+
+
+def _ignore(src, dst, attempts, successes):
+    pass
 
 
 def _joined(node_id, rank, parent):
@@ -314,7 +386,7 @@ def test_build_forwarding_set_orders_by_cost_and_shrinks():
 
 
 def route_to_gateway(
-    packet: Packet, protocol: Protocol, net: NetworkView
+    packet: Packet, protocol: Protocol, net: NetworkView, channel: Channel
 ) -> list[HopOutcome]:
     """Drive a packet hop by hop until the gateway or a drop.
 
@@ -323,7 +395,7 @@ def route_to_gateway(
     """
     outcomes: list[HopOutcome] = []
     cursor = packet.created_slot
-    link_layer = LinkLayer(net.channel, net.seed, packet.packet_id, net.registry)
+    link_layer = LinkLayer(channel, net.seed, packet.packet_id)
     while packet.status is PacketStatus.IN_FLIGHT:
         outcome = advance_one_hop(packet, protocol, net, link_layer, cursor)
         if outcome is None:
@@ -343,19 +415,18 @@ def _two_hop_net(lsr, seed=13):
         3: _joined(3, 1.5, 1),
     }
     net = NetworkView(
-        channel=ch, states=states, etx_of=_etx_one, gateway=0,
-        relay_for={2: 3}, seed=seed,
+        states=states, gateway=0, observe_link=_ignore, relay_for={2: 3}, seed=seed,
     )
     net.fsets = {
         n: build_forwarding_set(states[n], states, ch, _etx_one, 3) for n in states
     }
-    return net
+    return net, ch
 
 
 def test_route_adjacent_source_perfect_link():
-    net = _two_hop_net(lsr=1.0)
+    net, ch = _two_hop_net(lsr=1.0)
     packet = Packet(packet_id=1, source=1, created_slot=0, current_holder=1)
-    outcomes = route_to_gateway(packet, Protocol.RPL, net)
+    outcomes = route_to_gateway(packet, Protocol.RPL, net, ch)
     assert packet.status is PacketStatus.DELIVERED
     assert packet.hop_count == 1
     assert packet.delay_slots == 1
@@ -363,9 +434,9 @@ def test_route_adjacent_source_perfect_link():
 
 
 def test_route_chain_delay_is_additive():
-    net = _two_hop_net(lsr=1.0)
+    net, ch = _two_hop_net(lsr=1.0)
     packet = Packet(packet_id=2, source=2, created_slot=10, current_holder=2)
-    outcomes = route_to_gateway(packet, Protocol.RPL, net)
+    outcomes = route_to_gateway(packet, Protocol.RPL, net, ch)
     assert packet.status is PacketStatus.DELIVERED
     assert packet.hop_count == 2
     assert packet.delay_slots == 2
@@ -375,10 +446,10 @@ def test_route_chain_delay_is_additive():
 
 
 def test_route_no_parent_drops_with_reason():
-    net = _two_hop_net(lsr=1.0)
+    net, ch = _two_hop_net(lsr=1.0)
     net.states[4] = NodeState(4)  # unjoined
     packet = Packet(packet_id=3, source=4, created_slot=0, current_holder=4)
-    route_to_gateway(packet, Protocol.RPL, net)
+    route_to_gateway(packet, Protocol.RPL, net, ch)
     assert packet.status is PacketStatus.DROPPED
     assert packet.drop_reason == "no-route"
 
@@ -390,9 +461,9 @@ def test_route_loop_trap():
         1: _joined(1, 1.0, 2),  # deliberately corrupt: 1 and 2 point at each other
         2: _joined(2, 2.0, 1),
     }
-    net = NetworkView(channel=ch, states=states, etx_of=_etx_one, gateway=0, seed=1)
+    net = NetworkView(states=states, gateway=0, observe_link=_ignore, seed=1)
     packet = Packet(packet_id=4, source=1, created_slot=0, current_holder=1)
-    route_to_gateway(packet, Protocol.RPL, net)
+    route_to_gateway(packet, Protocol.RPL, net, ch)
     assert packet.status is PacketStatus.DROPPED
     assert packet.drop_reason == "loop"
 
@@ -405,21 +476,21 @@ def test_route_outcomes_deterministic_across_replays():
 
 
 def _run_replay(protocol):
-    net = _two_hop_net(lsr=0.6, seed=77)
+    net, ch = _two_hop_net(lsr=0.6, seed=77)
     results = []
     for packet_id in range(300):
         packet = Packet(packet_id=packet_id, source=2, created_slot=0, current_holder=2)
-        outcomes = route_to_gateway(packet, protocol, net)
+        outcomes = route_to_gateway(packet, protocol, net, ch)
         results.append((packet.status, packet.total_transmissions, tuple(outcomes)))
     return results
 
 
 def test_route_retransmission_accounting_identity():
-    net = _two_hop_net(lsr=0.5, seed=31)
+    net, ch = _two_hop_net(lsr=0.5, seed=31)
     for packet_id in range(500):
         for protocol in Protocol:
             packet = Packet(packet_id=packet_id, source=2, created_slot=0, current_holder=2)
-            outcomes = route_to_gateway(packet, protocol, net)
+            outcomes = route_to_gateway(packet, protocol, net, ch)
             assert packet.total_transmissions == sum(
                 o.attempts + o.relay_attempts for o in outcomes
             )
@@ -430,20 +501,20 @@ def test_route_retransmission_accounting_identity():
 
 def test_coop_route_beats_rpl_packetwise_with_shared_draws():
     # same keyed draws: every packet RPL delivers, cooperative routing delivers too
-    net = _two_hop_net(lsr=0.4, seed=91)
+    net, ch = _two_hop_net(lsr=0.4, seed=91)
     for packet_id in range(400):
         rpl_packet = Packet(packet_id=packet_id, source=2, created_slot=0, current_holder=2)
-        route_to_gateway(rpl_packet, Protocol.RPL, net)
+        route_to_gateway(rpl_packet, Protocol.RPL, net, ch)
         coop_packet = Packet(packet_id=packet_id, source=2, created_slot=0, current_holder=2)
-        route_to_gateway(coop_packet, Protocol.COOP_RPL, net)
+        route_to_gateway(coop_packet, Protocol.COOP_RPL, net, ch)
         if rpl_packet.status is PacketStatus.DELIVERED:
             assert coop_packet.status is PacketStatus.DELIVERED
 
 
 def test_packet_trace_shape():
-    net = _two_hop_net(lsr=1.0)
+    net, ch = _two_hop_net(lsr=1.0)
     packet = Packet(packet_id=9, source=2, created_slot=0, current_holder=2)
-    outcomes = route_to_gateway(packet, Protocol.COOP_RPL, net)
+    outcomes = route_to_gateway(packet, Protocol.COOP_RPL, net, ch)
     record = packet_trace(packet, sum(1 for o in outcomes if o.relay_used))
     assert record == {
         "packet_id": 9,

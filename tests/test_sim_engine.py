@@ -213,18 +213,18 @@ def test_full_cooperation_spends_no_decision_draw(monkeypatch):
     draws = []
     relay_hops = []
     uniform = forwarding.uniform
-    hop_coop = forwarding.forward_hop_coop
+    hop = forwarding.forward_hop
 
     def counting_uniform(*args):
         draws.append(args)
         return uniform(*args)
 
-    def counting_hop(link_layer, holder, parent, relay, *args):
+    def counting_hop(link_layer, holder, receivers, relay, *args):
         relay_hops.append(relay is not None)
-        return hop_coop(link_layer, holder, parent, relay, *args)
+        return hop(link_layer, holder, receivers, relay, *args)
 
     monkeypatch.setattr(forwarding, "uniform", counting_uniform)
-    monkeypatch.setattr(forwarding, "forward_hop_coop", counting_hop)
+    monkeypatch.setattr(forwarding, "forward_hop", counting_hop)
     traces = []
     for p_coop in (1.0, math.nextafter(1.0, 0.0)):
         draws.clear()
