@@ -31,10 +31,12 @@ from .coop_relay import RateWeights, RoutingClass
 from .forwarding import Protocol
 from .sim_engine import (
     _FIELD_TYPES,
+    SWEPT_FIELD,
     FieldConflict,
     MetricsReport,
     ScenarioConfig,
     bound_violation,
+    sweep_violation,
 )
 from .topology import DisconnectedRootError
 
@@ -248,16 +250,11 @@ class SweepSpec:
     seeds: int
 
     def __post_init__(self):
-        if self.axis not in ("lsr", "density"):
+        if self.axis not in SWEPT_FIELD:
             raise ConfigError("sweep axis must be 'lsr' or 'density'")
-        if not self.values:
-            raise ConfigError("sweep values must be nonempty")
-        if list(self.values) != sorted(set(self.values)):
-            raise ConfigError("sweep values must be strictly increasing")
-        if self.axis == "lsr" and not all(0.0 < v <= 1.0 for v in self.values):
-            raise ConfigError("probability out of range")
-        if self.axis == "density" and not all(v > 0 for v in self.values):
-            raise ConfigError("density ratios must be positive")
+        message = sweep_violation(self.axis, self.values)
+        if message is not None:
+            raise ConfigError(message)
         if self.seeds < 1:
             raise ConfigError("seeds must be >= 1")
 
@@ -289,11 +286,8 @@ def _variant_config(
         "routing_class": routing_class,
         "sweep_axis": None,
         "sweep_values": (),
+        SWEPT_FIELD[spec_axis]: value,
     }
-    if spec_axis == "lsr":
-        updates["lsr_value"] = value
-    else:
-        updates["density_ratio"] = value
     return replace(base, **updates)
 
 
@@ -364,44 +358,27 @@ def run_sweep(
             results = list(pool.map(_sweep_point, tasks))
     else:
         results = [_sweep_point(task) for task in tasks]
-    rows = [row for point in results for row in point]
-    variant_order = {
-        (p.value, _class_token(p, c)): i for i, (p, c) in enumerate(spec.variants)
-    }
-    rows.sort(
-        key=lambda r: (
-            spec.values.index(r["axis_value"]),
-            variant_order[(r["protocol"], r["class"])],
-            r["seed"],
-        )
-    )
-    failed = sum(1 for r in rows if r.get("error") is not None)
-
+    # results come value by value, then seed by seed, each point's rows in
+    # variant order: one (value, variant) block takes that row of each seed
+    rows = []
     aggregates = []
-    for value in spec.values:
-        for protocol, routing_class in spec.variants:
-            token = (protocol.value, _class_token(protocol, routing_class))
-            group = [
-                r for r in rows
-                if (r["protocol"], r["class"]) == token
-                and r["axis_value"] == value
-                and r.get("error") is None
-            ]
+    for first in range(0, len(results), spec.seeds):
+        points = results[first:first + spec.seeds]
+        for index in range(len(spec.variants)):
+            block = [point[index] for point in points]
+            rows.extend(block)
+            group = [r for r in block if r.get("error") is None]
             if not group:
                 continue
             for stat_name, fn in (("mean", statistics.fmean), ("stddev", statistics.pstdev)):
-                agg = {
-                    "protocol": token[0],
-                    "class": token[1],
-                    "axis": spec.axis,
-                    "axis_value": value,
-                    "seed": stat_name,
-                }
+                # the group's labels; seed and every metric column are replaced
+                agg = dict(group[0], seed=stat_name)
                 for column in ("pdr", "mean_retx", "mean_delay_slots",
                                "mean_delay_ms", "sent", "delivered", "dropped"):
                     samples = [r[column] for r in group if r[column] is not None]
                     agg[column] = fn(samples) if samples else None
                 aggregates.append(agg)
+    failed = sum(1 for r in rows if r.get("error") is not None)
 
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)

@@ -74,12 +74,6 @@ class HopOutcome(NamedTuple):
         return (self.attempts - 1) + self.relay_attempts
 
 
-@dataclass(frozen=True)
-class ForwardingSet:
-    owner: int
-    members: tuple[int, ...]  # priority order, best next hop first
-
-
 class LinkLayer:
     """Per-packet deterministic link draws.
 
@@ -169,13 +163,14 @@ def forward_hop(
 
 def build_forwarding_set(
     owner_state, states: dict, channel: Channel, etx_of, size: int
-) -> ForwardingSet:
-    """Priority-ordered anycast set: lower-rank neighbors, deepest progress
-    toward the root first, path cost breaking ties. Shrinks when fewer
-    qualify (a lone default parent degenerates to plain unicast)."""
+) -> tuple[int, ...]:
+    """Priority-ordered anycast set, best next hop first: lower-rank
+    neighbors, deepest progress toward the root first, path cost breaking
+    ties. Shrinks when fewer qualify (a lone default parent degenerates to
+    plain unicast)."""
     owner = owner_state.node_id
     if owner_state.rank is None:
-        return ForwardingSet(owner, ())
+        return ()
     ranked = []
     for n in channel.neighbors(owner):
         st = states.get(n)
@@ -186,7 +181,7 @@ def build_forwarding_set(
     members = [n for _, _, n in ranked[:size]]
     if not members and owner_state.default_parent is not None:
         members = [owner_state.default_parent]
-    return ForwardingSet(owner, tuple(members))
+    return tuple(members)
 
 
 @dataclass
@@ -201,7 +196,7 @@ class NetworkView:
     retx_wait: int = 1
     p_coop: float = 1.0
     relay_for: dict[int, int | None] = field(default_factory=dict)
-    fsets: dict[int, ForwardingSet] = field(default_factory=dict)
+    fsets: dict[int, tuple[int, ...]] = field(default_factory=dict)
     seed: int = 0
 
 
@@ -246,9 +241,7 @@ def advance_one_hop(
         if not cooperate:
             relay = None
     elif protocol is Protocol.OPP_RPL:
-        fset = net.fsets.get(holder)
-        if fset is not None:
-            receivers = fset.members
+        receivers = net.fsets.get(holder, receivers)
     outcome = forward_hop(
         link_layer, holder, receivers, relay, slot,
         net.max_retx, net.relay_retx, net.retx_wait,
@@ -282,14 +275,3 @@ def advance_one_hop(
         packet.visited.add(outcome.receiver)
     return outcome
 
-
-def packet_trace(packet: Packet, relay_hops: int) -> dict:
-    return {
-        "packet_id": packet.packet_id,
-        "source": packet.source,
-        "status": packet.status.value,
-        "hops": packet.hop_count,
-        "transmissions": packet.total_transmissions,
-        "relay_hops": relay_hops,
-        "delay_slots": packet.delay_slots,
-    }

@@ -26,49 +26,6 @@ class Decision(Enum):
     IGNORE = "ignore"
 
 
-@dataclass(frozen=True)
-class DioMessage:
-    sender: int
-    rank: float
-    dodag_id: int = 1
-    relay_suboption: int | None = None
-
-
-@dataclass(frozen=True)
-class DisMessage:
-    sender: int
-
-
-@dataclass(frozen=True)
-class DaoMessage:
-    sender: int
-    target: int
-    via_parent: int
-
-
-def trace_record(msg, slot: int) -> dict:
-    """Control message as a JSON-lines trace object."""
-    if isinstance(msg, DioMessage):
-        return {
-            "slot": slot,
-            "type": "DIO",
-            "sender": msg.sender,
-            "rank": msg.rank,
-            "relay_suboption": msg.relay_suboption,
-        }
-    if isinstance(msg, DisMessage):
-        return {"slot": slot, "type": "DIS", "sender": msg.sender}
-    if isinstance(msg, DaoMessage):
-        return {
-            "slot": slot,
-            "type": "DAO",
-            "sender": msg.sender,
-            "target": msg.target,
-            "via_parent": msg.via_parent,
-        }
-    raise TypeError(f"not a control message: {msg!r}")
-
-
 @dataclass
 class TrickleState:
     interval_min_ms: float = TRICKLE_IMIN_MS
@@ -179,7 +136,8 @@ def _adopt_best_parent(state: NodeState) -> None:
 
 def process_dio(
     state: NodeState,
-    dio: DioMessage,
+    sender: int,
+    rank: float,
     link_etx: float,
     hysteresis: float = HYSTERESIS_DEFAULT,
 ) -> Decision:
@@ -193,18 +151,18 @@ def process_dio(
     so cost increases still propagate.
     """
     if not state.joined:
-        state.parent_set[dio.sender] = ParentEntry(dio.rank, link_etx)
+        state.parent_set[sender] = ParentEntry(rank, link_etx)
         _adopt_best_parent(state)
         return Decision.JOIN
 
-    candidate = compute_rank(dio.rank, link_etx)
-    is_parent = dio.sender == state.default_parent
+    candidate = compute_rank(rank, link_etx)
+    is_parent = sender == state.default_parent
 
-    if dio.rank < state.rank:
-        state.parent_set[dio.sender] = ParentEntry(dio.rank, link_etx)
+    if rank < state.rank:
+        state.parent_set[sender] = ParentEntry(rank, link_etx)
     elif is_parent:
         # our default parent climbed to or above our own position: unusable
-        state.parent_set.pop(dio.sender, None)
+        state.parent_set.pop(sender, None)
         state.default_parent = None
         state.parent_set = {
             n: e for n, e in state.parent_set.items() if e.rank < state.rank
@@ -221,7 +179,7 @@ def process_dio(
 
     if is_parent:
         # same position, refreshed cost: rank increases must still propagate
-        state.rank = state.parent_set[dio.sender].cost
+        state.rank = state.parent_set[sender].cost
         keep = state.default_parent
         state.parent_set = {
             n: e
@@ -252,10 +210,6 @@ def trickle_fire(trickle: TrickleState, consistent: bool) -> tuple[bool, float]:
 
 def trickle_hear_consistent(trickle: TrickleState) -> None:
     trickle.counter += 1
-
-
-def emit_dis(state: NodeState) -> DisMessage:
-    return DisMessage(sender=state.node_id)
 
 
 def process_dis(state: NodeState) -> None:

@@ -10,6 +10,10 @@ A heap entry is a plain tuple ``(slot, priority, event_id, kind, payload)``.
 ``event_id`` is unique per run, so tuple comparison is always settled within
 the first three fields and never reaches ``kind`` or ``payload``, which need
 not be orderable at all.
+
+This module alone writes the trace format: each record is a dict literal
+built where it is emitted (DIO, DIS and DAO records by their control
+handlers, relay and packet records by the traffic loop).
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ import numpy as np
 
 from .coop_relay import RateWeights, RoutingClass, WEIGHT_PRESETS, run_selection
 from .forwarding import (
-    ForwardingSet,
     LinkLayer,
     NetworkView,
     Packet,
@@ -34,20 +37,15 @@ from .forwarding import (
     Protocol,
     advance_one_hop,
     build_forwarding_set,
-    packet_trace,
 )
 from .rng import derive_seed
 from .rpl_core import (
-    DaoMessage,
     Decision,
-    DioMessage,
     EtxEstimate,
     NodeState,
     TrickleState,
-    emit_dis,
     process_dio,
     process_dis,
-    trace_record,
     trickle_fire,
     trickle_hear_consistent,
     update_children_and_connections,
@@ -107,8 +105,9 @@ FIELD_BOUNDS: dict[str, Bound] = {
 
 
 class FieldConflict(ValueError):
-    """Fields that pass their own bounds but together keep every meter from
-    joining; ``fields`` names each field the broken rule reads."""
+    """Fields that pass their own bounds but together break a rule: a sweep
+    that is malformed, or settings that keep every meter from joining;
+    ``fields`` names each field the broken rule reads."""
 
     def __init__(self, message: str, fields: tuple[str, ...]):
         super().__init__(message)
@@ -131,6 +130,27 @@ def bound_violation(name: str, value) -> str | None:
         return f"{name} must be {'>=' if inclusive else '>'} {lowest}"
     interval = f"{'[' if inclusive else '('}{lowest}, {highest}]"
     return f"{name} must be in {interval}: probability out of range"
+
+
+# sweep axis -> the ScenarioConfig field each of its values sets
+SWEPT_FIELD = {"lsr": "lsr_value", "density": "density_ratio"}
+
+
+def sweep_violation(axis: str | None, values: tuple[float, ...]) -> str | None:
+    """Why sweeping axis over values is malformed, or None when it is sound.
+    Values must rise strictly; with an axis there must be some, and each
+    must pass the FIELD_BOUNDS entry of the field the axis sets."""
+    if any(a >= b for a, b in zip(values, values[1:])):
+        return "sweep values must be strictly increasing"
+    if axis is None:
+        return None
+    if not values:
+        return "sweep_axis needs nonempty sweep_values"
+    for value in values:
+        message = bound_violation(SWEPT_FIELD[axis], value)
+        if message is not None:
+            return f"sweep value {value!r}: {message}"
+    return None
 
 
 def _fits(hint, value) -> bool:
@@ -217,10 +237,9 @@ class ScenarioConfig:
             message = bound_violation(name, getattr(self, name))
             if message is not None:
                 raise ValueError(message)
-        if self.sweep_axis is not None and not self.sweep_values:
-            raise FieldConflict(
-                "sweep_axis needs nonempty sweep_values", ("sweep_axis", "sweep_values")
-            )
+        message = sweep_violation(self.sweep_axis, self.sweep_values)
+        if message is not None:
+            raise FieldConflict(message, ("sweep_axis", "sweep_values"))
         imin = self.ms_to_slots(self.trickle_imin_ms)
         if self.ms_to_slots(self.dis_timeout_ms) < imin:
             # each DIS resets its neighbors' trickle timers, so the
@@ -410,7 +429,7 @@ class Simulation:
         self.emit: Callable[[dict], None] | None = None
         self.relay_for: dict[int, int | None] = {}
         self.relay_rates: dict[int, dict[int, float]] = {}
-        self.fsets: dict[int, ForwardingSet] = {}
+        self.fsets: dict[int, tuple[int, ...]] = {}
         self._counts_fresh = False
 
     # --- plumbing ---
@@ -502,10 +521,15 @@ class Simulation:
             return
         if data_phase and self.config.protocol is Protocol.COOP_RPL:
             self._refresh_relay(node, slot)
-        dio = DioMessage(node, state.rank, relay_suboption=self.relay_for.get(node))
-        if self.emit is not None:
-            self.emit(trace_record(dio, slot))
         rank = state.rank
+        if self.emit is not None:
+            self.emit({
+                "slot": slot,
+                "type": "DIO",
+                "sender": node,
+                "rank": rank,
+                "relay_suboption": self.relay_for.get(node),
+            })
         changed: list[int] = []
         for neighbor in self.channel.neighbors(node):
             if neighbor == GATEWAY_ID:
@@ -524,7 +548,7 @@ class Simulation:
                 continue
             was_parent = other.default_parent
             decision = process_dio(
-                other, dio, self.etx_of(neighbor, node), self.config.hysteresis
+                other, node, rank, self.etx_of(neighbor, node), self.config.hysteresis
             )
             if decision is Decision.IGNORE:
                 trickle_hear_consistent(other.trickle)
@@ -553,9 +577,8 @@ class Simulation:
             state.last_dio_slot is not None and slot - state.last_dio_slot < timeout
         )
         if not heard_recently:
-            msg = emit_dis(state)
             if self.emit is not None:
-                self.emit(trace_record(msg, slot))
+                self.emit({"slot": slot, "type": "DIS", "sender": node})
             for neighbor in self.channel.neighbors(node):
                 self._trickle_restart(neighbor, slot)
         self.push(slot + timeout, EventKind.DIS_TX, node)
@@ -568,8 +591,13 @@ class Simulation:
         # traffic is upward only, so nothing keeps the downward routes a DAO
         # would install; the advertisement is traced and goes no further
         if self.emit is not None:
-            dao = DaoMessage(sender=node, target=node, via_parent=state.default_parent)
-            self.emit(trace_record(dao, slot))
+            self.emit({
+                "slot": slot,
+                "type": "DAO",
+                "sender": node,
+                "target": node,
+                "via_parent": state.default_parent,
+            })
 
     # --- phases ---
 
@@ -693,9 +721,17 @@ class Simulation:
                 else:
                     unresolved -= 1
                     if self.emit is not None:
-                        self.emit(
-                            packet_trace(packet, relay_hops[payload])
-                        )
+                        # the one kind without a "type"; adding one would
+                        # change every trace file
+                        self.emit({
+                            "packet_id": packet.packet_id,
+                            "source": packet.source,
+                            "status": packet.status.value,
+                            "hops": packet.hop_count,
+                            "transmissions": packet.total_transmissions,
+                            "relay_hops": relay_hops[payload],
+                            "delay_slots": packet.delay_slots,
+                        })
                     # a resolved packet draws nothing more: free its hasher
                     del layers[payload], relay_hops[payload]
             elif kind is EventKind.PACKET_GEN:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import pytest
@@ -215,10 +216,14 @@ def test_formation_killing_combinations_rejected(section, key, broken, working):
         ("[rpl]\ntrickle_imin_ms = 100\n[scenario]\nwarmup_slots = 9\n", 4, "round"),
         ("[scenario]\nwarmup_slots = 9\n\n[rpl]\ntrickle_imin_ms = 100\n", 5, "round"),
         ("[scenario]\nseed = 2\n[sweep]\naxis = lsr\nvalues =\n", 4, "sweep_values"),
+        ("[sweep]\nvalues = 0.9, 0.5\n", 2, "strictly increasing"),
+        ("[sweep]\naxis = lsr\nvalues = 1.5\n", 3, r"lsr_value must be in \(0, 1\]"),
+        ("[sweep]\nvalues = 0\n\naxis = density\n", 4, "density_ratio must be > 0"),
     ],
     ids=[
         "imin-after-dis", "dis-after-imin", "quiescence-after-imin", "imin-after-quiescence",
         "warmup-after-imin", "imin-after-warmup", "sweep-axis-without-values",
+        "sweep-decreasing", "sweep-lsr-above-one", "sweep-density-zero",
     ],
 )
 def test_formation_rule_error_names_the_later_key(text, line, rule):
@@ -309,7 +314,15 @@ def valid_configs(draw):
         parts = [draw(st.floats(min_value=0.0, max_value=1 / 3)) for _ in range(3)]
         weights = RateWeights(*parts, 1.0 - sum(parts))
     axis = draw(st.sampled_from([None, "lsr", "density"]))
-    values = st.lists(positive, min_size=1, max_size=4).map(tuple)
+    # a sweep rises strictly and stays inside the bound of the field its
+    # axis sets (lsr_value in (0, 1], density_ratio > 0)
+    value = (
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+        if axis == "lsr" else positive
+    )
+    values = st.lists(value, min_size=1, max_size=4, unique=True).map(
+        lambda drawn: tuple(sorted(drawn))
+    )
     return ScenarioConfig(
         region_side=draw(positive),
         intensity=draw(positive),
@@ -370,7 +383,7 @@ def test_sweep_spec_validation():
         SweepSpec("lsr", (0.7, 0.5), variants, 1)
     with pytest.raises(ConfigError, match="probability"):
         SweepSpec("lsr", (0.5, 1.2), variants, 1)
-    with pytest.raises(ConfigError, match="positive"):
+    with pytest.raises(ConfigError, match="density_ratio must be > 0"):
         SweepSpec("density", (-1.0,), variants, 1)
     with pytest.raises(ConfigError, match="seeds"):
         SweepSpec("lsr", (0.5,), variants, 0)
@@ -584,3 +597,23 @@ def test_main_trace_written_for_single_run(tmp_path):
     records = [json.loads(line) for line in lines]
     assert any(r.get("type") == "DIO" for r in records)
     assert any("packet_id" in r for r in records)
+
+
+# SHA-256 of the --trace file written for TRACED_CONFIG: 36 DIO, 2 DIS,
+# 12 DAO, 63 relay and 50 packet records. The trace digests in
+# test_sim_engine.py hash sort_keys JSON; this one also pins each record's
+# key order and the JSON text as written
+TRACE_FILE_DIGEST = "c75b2948a952bd7035091353050a88c29996f78927bf23eadcf2eff861bbfd28"
+TRACED_CONFIG = (
+    "[scenario]\nseed = 2\nregion_side = 150\nintensity = 0.00044444444444444447\n"
+    "n_packets = 50\nprotocol = coop_rpl\n[channel]\nlsr_value = 0.6\n"
+)
+
+
+def test_main_trace_file_bytes_are_pinned(tmp_path):
+    cfg_path = tmp_path / "t.cfg"
+    cfg_path.write_text(TRACED_CONFIG)
+    trace_path = tmp_path / "trace.jsonl"
+    code = main(["--config", str(cfg_path), "--trace", str(trace_path), "--quiet"])
+    assert code == 0
+    assert hashlib.sha256(trace_path.read_bytes()).hexdigest() == TRACE_FILE_DIGEST

@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from coopmesh.forwarding import (
     DOMAIN_TRANSMIT,
-    ForwardingSet,
     HopOutcome,
     LinkLayer,
     NetworkView,
@@ -14,7 +13,6 @@ from coopmesh.forwarding import (
     advance_one_hop,
     build_forwarding_set,
     forward_hop,
-    packet_trace,
 )
 from coopmesh.rng import uniform
 from coopmesh.rpl_core import NodeState, ParentEntry
@@ -289,7 +287,7 @@ def test_opportunistic_single_member_reduces_to_rpl():
     # same keyed draws: an opp_rpl hop over the set (parent,) is an rpl hop
     # in outcome, packet state and observations
     ch = lsr_channel([(0.0, 0.0), (20.0, 0.0)], lsr=0.5)
-    fsets = {1: ForwardingSet(owner=1, members=(0,))}
+    fsets = {1: (0,)}
     for packet_id in range(200):
         rpl = _single_hop(ch, Protocol.RPL, packet_id)
         assert _single_hop(ch, Protocol.OPP_RPL, packet_id, fsets=fsets) == rpl
@@ -329,9 +327,9 @@ F, T = False, True
         # relay forward failed, sender's retry got through
         (Protocol.COOP_RPL, {"relay_for": {1: 2}}, [F, T, F, T], [(1, 0, 2, 1), (2, 0, 1, 0)]),
         (Protocol.COOP_RPL, {"relay_for": {1: 2}}, [F, T, F] * 4, [(1, 0, 4, 0), (2, 0, 4, 0)]),
-        (Protocol.OPP_RPL, {"fsets": {1: ForwardingSet(1, (0, 2))}}, [F, T], [(1, 2, 1, 1)]),
+        (Protocol.OPP_RPL, {"fsets": {1: (0, 2)}}, [F, T], [(1, 2, 1, 1)]),
         (
-            Protocol.OPP_RPL, {"fsets": {1: ForwardingSet(1, (0, 2))}}, [F, F] * 4,
+            Protocol.OPP_RPL, {"fsets": {1: (0, 2)}}, [F, F] * 4,
             [(1, 0, 4, 0), (1, 2, 4, 0)],
         ),
     ],
@@ -376,13 +374,12 @@ def test_build_forwarding_set_orders_by_cost_and_shrinks():
         3: _joined(3, 2.0, 0),
     }
     fset = build_forwarding_set(states[1], states, ch, _etx_one, size=3)
-    assert fset.owner == 1
-    assert fset.members == (0, 2, 3)  # ascending rank + link cost
-    assert all(states[m].rank < states[1].rank for m in fset.members)
+    assert fset == (0, 2, 3)  # ascending rank + link cost
+    assert all(states[m].rank < states[1].rank for m in fset)
     capped = build_forwarding_set(states[1], states, ch, _etx_one, size=2)
-    assert capped.members == (0, 2)
+    assert capped == (0, 2)
     small = build_forwarding_set(states[3], states, ch, _etx_one, size=3)
-    assert small.members == (0, 2)  # set shrinks to the available count
+    assert small == (0, 2)  # set shrinks to the available count
 
 
 def route_to_gateway(
@@ -509,19 +506,3 @@ def test_coop_route_beats_rpl_packetwise_with_shared_draws():
         route_to_gateway(coop_packet, Protocol.COOP_RPL, net, ch)
         if rpl_packet.status is PacketStatus.DELIVERED:
             assert coop_packet.status is PacketStatus.DELIVERED
-
-
-def test_packet_trace_shape():
-    net, ch = _two_hop_net(lsr=1.0)
-    packet = Packet(packet_id=9, source=2, created_slot=0, current_holder=2)
-    outcomes = route_to_gateway(packet, Protocol.COOP_RPL, net, ch)
-    record = packet_trace(packet, sum(1 for o in outcomes if o.relay_used))
-    assert record == {
-        "packet_id": 9,
-        "source": 2,
-        "status": "delivered",
-        "hops": 2,
-        "transmissions": 2,
-        "relay_hops": 0,
-        "delay_slots": 2,
-    }

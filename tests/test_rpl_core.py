@@ -6,21 +6,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coopmesh.rpl_core import (
-    DaoMessage,
     Decision,
-    DioMessage,
-    DisMessage,
     EtxEstimate,
     NodeState,
     ParentEntry,
     TrickleState,
     compute_etx,
     compute_rank,
-    emit_dis,
     process_dio,
     process_dis,
     select_default_parent,
-    trace_record,
     trickle_fire,
     trickle_hear_consistent,
     update_children_and_connections,
@@ -88,7 +83,7 @@ def test_select_default_parent_empty_raises():
 
 def test_process_dio_first_join():
     state = NodeState(5)
-    decision = process_dio(state, DioMessage(sender=0, rank=0.0), link_etx=1.2)
+    decision = process_dio(state, 0, 0.0, link_etx=1.2)
     assert decision is Decision.JOIN
     assert state.rank == pytest.approx(1.2)
     assert state.default_parent == 0
@@ -96,8 +91,8 @@ def test_process_dio_first_join():
 
 def test_process_dio_within_hysteresis_ignored():
     state = NodeState(5)
-    process_dio(state, DioMessage(sender=0, rank=0.0), link_etx=3.0)
-    decision = process_dio(state, DioMessage(sender=1, rank=1.0), link_etx=1.7)
+    process_dio(state, 0, 0.0, link_etx=3.0)
+    decision = process_dio(state, 1, 1.0, link_etx=1.7)
     assert decision is Decision.IGNORE
     assert state.default_parent == 0
     # sender had lower rank, so it still lands in the parent set
@@ -106,9 +101,9 @@ def test_process_dio_within_hysteresis_ignored():
 
 def test_process_dio_strict_improvement_updates():
     state = NodeState(5)
-    process_dio(state, DioMessage(sender=3, rank=4.0), link_etx=1.0)
+    process_dio(state, 3, 4.0, link_etx=1.0)
     assert state.rank == pytest.approx(5.0)
-    decision = process_dio(state, DioMessage(sender=1, rank=1.0), link_etx=1.0)
+    decision = process_dio(state, 1, 1.0, link_etx=1.0)
     assert decision is Decision.UPDATE
     assert state.rank == pytest.approx(2.0)
     assert state.default_parent == 1
@@ -118,8 +113,8 @@ def test_process_dio_strict_improvement_updates():
 
 def test_process_dio_parent_cost_increase_propagates():
     state = NodeState(5)
-    process_dio(state, DioMessage(sender=0, rank=0.0), link_etx=1.0)
-    decision = process_dio(state, DioMessage(sender=0, rank=0.0), link_etx=2.5)
+    process_dio(state, 0, 0.0, link_etx=1.0)
+    decision = process_dio(state, 0, 0.0, link_etx=2.5)
     assert decision is Decision.IGNORE
     assert state.rank == pytest.approx(2.5)
     assert state.default_parent == 0
@@ -127,9 +122,9 @@ def test_process_dio_parent_cost_increase_propagates():
 
 def test_process_dio_parent_climbing_above_us_forces_reselect():
     state = NodeState(5)
-    process_dio(state, DioMessage(sender=2, rank=1.0), link_etx=1.0)  # rank 2
-    process_dio(state, DioMessage(sender=7, rank=1.4), link_etx=1.0)  # backup entry
-    decision = process_dio(state, DioMessage(sender=2, rank=9.0), link_etx=1.0)
+    process_dio(state, 2, 1.0, link_etx=1.0)  # rank 2
+    process_dio(state, 7, 1.4, link_etx=1.0)  # backup entry
+    decision = process_dio(state, 2, 9.0, link_etx=1.0)
     assert decision is Decision.UPDATE
     assert state.default_parent == 7
     assert state.rank == pytest.approx(2.4)
@@ -159,11 +154,11 @@ def test_dio_from_a_non_parent_not_below_us_changes_nothing(
     # default parent
     state = NodeState(9)
     for s, rank, etx in history:
-        process_dio(state, DioMessage(s, rank), etx, hysteresis)
+        process_dio(state, s, rank, etx, hysteresis)
     assume(state.joined and sender != state.default_parent)
     before = copy.deepcopy(state)
-    dio = DioMessage(sender, state.rank + above)
-    assert process_dio(state, dio, link_etx, hysteresis) is Decision.IGNORE
+    rank = state.rank + above
+    assert process_dio(state, sender, rank, link_etx, hysteresis) is Decision.IGNORE
     assert state.rank == before.rank
     assert state.default_parent == before.default_parent
     assert state.parent_set == before.parent_set
@@ -202,9 +197,6 @@ def test_trickle_interval_stays_bounded():
 
 
 def test_dis_emission_and_trickle_reset_on_receipt():
-    unjoined = NodeState(4)
-    msg = emit_dis(unjoined)
-    assert msg == DisMessage(sender=4)
     receiver = NodeState(2)
     receiver.trickle.current_interval_ms = 3200.0
     receiver.trickle.counter = 5
@@ -263,19 +255,3 @@ def test_etx_estimate_capped_at_max():
     for _ in range(10):
         est.observe(5, 0)
     assert est.etx <= 16.0
-
-
-def test_trace_records():
-    dio = trace_record(DioMessage(sender=2, rank=1.5, relay_suboption=9), slot=17)
-    assert dio == {
-        "slot": 17,
-        "type": "DIO",
-        "sender": 2,
-        "rank": 1.5,
-        "relay_suboption": 9,
-    }
-    assert trace_record(DisMessage(sender=4), slot=3)["type"] == "DIS"
-    dao = trace_record(DaoMessage(sender=3, target=7, via_parent=1), slot=5)
-    assert dao["target"] == 7
-    with pytest.raises(TypeError):
-        trace_record("not-a-message", slot=0)
