@@ -32,10 +32,9 @@ from .forwarding import Protocol
 from .sim_engine import (
     _FIELD_TYPES,
     SWEPT_FIELD,
-    FieldConflict,
+    FieldError,
     MetricsReport,
     ScenarioConfig,
-    bound_violation,
     sweep_violation,
 )
 from .topology import DisconnectedRootError
@@ -180,11 +179,7 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
             weights_line = weights_line or lineno
             continue
         attr = _field_name(section, key)
-        value = _converter(_FIELD_TYPES[attr][0])(raw_value, lineno)
-        message = bound_violation(attr, value)
-        if message is not None:
-            raise ConfigError(message, lineno)
-        fields[attr] = value
+        fields[attr] = _converter(_FIELD_TYPES[attr][0])(raw_value, lineno)
         field_lines[attr] = lineno
     if weights:
         missing = [k for k in _SCHEMA["weights"] if k not in weights]
@@ -196,12 +191,11 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
             raise ConfigError(str(exc), weights_line)
     try:
         return ScenarioConfig(**fields)
-    except FieldConflict as exc:
-        # point at the last of the conflicting keys the text set
+    except FieldError as exc:
+        # the constructor checks every value; point at the last line that
+        # set a field the broken rule reads
         lines = [field_lines[f] for f in exc.fields if f in field_lines]
         raise ConfigError(str(exc), max(lines, default=None))
-    except ValueError as exc:
-        raise ConfigError(str(exc))
 
 
 def parse_scenario(path: str | Path) -> ScenarioConfig:

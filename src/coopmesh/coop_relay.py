@@ -192,20 +192,21 @@ def run_selection(
     channel,
     etx_of,
     routing_class: RoutingClass,
-    weights: RateWeights | None = None,
-    interferers: frozenset[int] = frozenset(),
-    slot: int = 0,
-    with_fading: bool = False,
+    weights: RateWeights,
+    interferers: frozenset[int],
+    slot: int,
+    with_fading: bool,
 ) -> tuple[int | None, dict[int, float]]:
     """Full pipeline for one sender: rank filter, eligibility, rate argmax.
 
     One pass over the sender's neighbors, applying the rules that
     filter_candidates_by_rank and eligible state (the tests hold this pass
-    to them). SINRs default to the fading-mean channel so choices stay
-    stable between advertisement rounds: with no other node transmitting
-    they are the channel's cached link SNRs, with one a one-term sum, and
-    with more (or with per-slot fading) compute_sinr's. etx_of(a, b)
-    supplies the current link estimate.
+    to them). Unless with_fading asks for per-slot gains, SINRs are the
+    fading-mean channel's, so choices stay stable between advertisement
+    rounds: with no other node transmitting they are the channel's cached
+    link SNRs, with one a one-term sum, and with more (or with per-slot
+    fading) compute_sinr's. etx_of(a, b) supplies the current link
+    estimate; weights are the config's active_weights().
 
     Returns (selected relay or None, candidate rates for tracing).
     """
@@ -264,6 +265,5 @@ def run_selection(
                 r, sinr_s_r, sinr_r_d, sinr_s_d, nac_r, nac_s, nch_r, nch_s,
                 etx_s_r, etx_r_d, etx_s_d,
             ))
-    w = weights if weights is not None else WEIGHT_PRESETS[routing_class]
-    rates = compute_rates(candidates, w)
+    rates = compute_rates(candidates, weights)
     return best_relay(rates), rates

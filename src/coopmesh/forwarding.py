@@ -186,18 +186,19 @@ def build_forwarding_set(
 
 @dataclass
 class NetworkView:
-    """Everything the data plane needs from a formed scenario."""
+    """Everything the data plane needs from a formed scenario; the run
+    parameters are the ScenarioConfig's."""
 
     states: dict
     gateway: int
     observe_link: Callable[[int, int, int, int], None]  # (src, dst, attempts, successes)
-    max_retx: int = 3
-    relay_retx: int = 1
-    retx_wait: int = 1
-    p_coop: float = 1.0
-    relay_for: dict[int, int | None] = field(default_factory=dict)
-    fsets: dict[int, tuple[int, ...]] = field(default_factory=dict)
-    seed: int = 0
+    max_retx: int
+    relay_retx: int
+    retx_wait: int
+    p_coop: float
+    relay_for: dict[int, int | None]
+    fsets: dict[int, tuple[int, ...]]
+    seed: int
 
 
 def advance_one_hop(

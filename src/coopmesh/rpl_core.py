@@ -12,12 +12,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 ETX_MAX_DEFAULT = 16.0
-HYSTERESIS_DEFAULT = 0.5
 EWMA_ALPHA = 0.3
-
-TRICKLE_IMIN_MS = 100.0
-TRICKLE_DOUBLINGS = 8
-TRICKLE_REDUNDANCY_K = 10
 
 
 class Decision(Enum):
@@ -28,11 +23,15 @@ class Decision(Enum):
 
 @dataclass
 class TrickleState:
-    interval_min_ms: float = TRICKLE_IMIN_MS
-    max_doublings: int = TRICKLE_DOUBLINGS
-    redundancy_k: int = TRICKLE_REDUNDANCY_K
-    current_interval_ms: float = TRICKLE_IMIN_MS
+    """One node's DIO timer (RFC 6206). seq numbers the scheduled fire, so
+    a reset can supersede the fire already queued."""
+
+    interval_min_ms: float
+    max_doublings: int
+    redundancy_k: int
+    current_interval_ms: float
     counter: int = 0
+    seq: int = 0
 
     @property
     def interval_max_ms(self) -> float:
@@ -53,18 +52,12 @@ class EtxEstimate:
     whose broadcast was in fact overheard elsewhere.
     """
 
-    src: int
-    dst: int
     etx: float
-    attempts: int = 0
-    successes: int = 0
     pending_attempts: int = 0
 
-    def observe(self, attempts: int, successes: int, etx_max: float = ETX_MAX_DEFAULT):
+    def observe(self, attempts: int, successes: int, etx_max: float):
         if attempts < successes or successes < 0:
             raise ValueError("malformed-stats")
-        self.attempts += attempts
-        self.successes += successes
         self.pending_attempts += attempts
         if successes > 0:
             sample = compute_etx(self.pending_attempts, successes, etx_max)
@@ -94,7 +87,6 @@ class NodeState:
     default_parent: int | None = None
     children: set[int] = field(default_factory=set)
     active_connections: int = 0
-    trickle: TrickleState = field(default_factory=TrickleState)
     last_dio_slot: int | None = None
 
     @property
@@ -139,7 +131,7 @@ def process_dio(
     sender: int,
     rank: float,
     link_etx: float,
-    hysteresis: float = HYSTERESIS_DEFAULT,
+    hysteresis: float,
 ) -> Decision:
     """Absorb a neighbor's DIO.
 
@@ -189,21 +181,17 @@ def process_dio(
     return Decision.IGNORE
 
 
-def trickle_fire(trickle: TrickleState, consistent: bool) -> tuple[bool, float]:
+def trickle_fire(trickle: TrickleState) -> tuple[bool, float]:
     """Advance the trickle timer at interval expiry.
 
-    Consistent intervals double (capped) and emit only while fewer than
-    redundancy_k consistent messages were heard; an inconsistency snaps the
-    interval back to the minimum and forces an emission.
+    The interval doubles (capped), and the node emits only while fewer than
+    redundancy_k consistent messages were heard; an inconsistency resets the
+    timer through process_dis instead.
     """
-    if consistent:
-        emit = trickle.counter < trickle.redundancy_k
-        trickle.current_interval_ms = min(
-            trickle.current_interval_ms * 2.0, trickle.interval_max_ms
-        )
-    else:
-        emit = True
-        trickle.current_interval_ms = trickle.interval_min_ms
+    emit = trickle.counter < trickle.redundancy_k
+    trickle.current_interval_ms = min(
+        trickle.current_interval_ms * 2.0, trickle.interval_max_ms
+    )
     trickle.counter = 0
     return emit, trickle.current_interval_ms
 
@@ -212,10 +200,10 @@ def trickle_hear_consistent(trickle: TrickleState) -> None:
     trickle.counter += 1
 
 
-def process_dis(state: NodeState) -> None:
+def process_dis(trickle: TrickleState) -> None:
     """A solicitation resets the receiver's trickle so a DIO follows promptly."""
-    state.trickle.current_interval_ms = state.trickle.interval_min_ms
-    state.trickle.counter = 0
+    trickle.current_interval_ms = trickle.interval_min_ms
+    trickle.counter = 0
 
 
 def update_children_and_connections(states: dict[int, NodeState]) -> None:

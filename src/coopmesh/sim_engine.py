@@ -73,8 +73,7 @@ class Bound(NamedTuple):
     highest: float | None = None  # allowed itself; only probabilities have one
 
 
-# field -> its allowed range; ScenarioConfig and the config-file parser both
-# check against this table
+# field -> its allowed range; ScenarioConfig checks against this table
 FIELD_BOUNDS: dict[str, Bound] = {
     "region_side": Bound(0, False),
     "intensity": Bound(0, False),
@@ -104,10 +103,11 @@ FIELD_BOUNDS: dict[str, Bound] = {
 }
 
 
-class FieldConflict(ValueError):
-    """Fields that pass their own bounds but together break a rule: a sweep
-    that is malformed, or settings that keep every meter from joining;
-    ``fields`` names each field the broken rule reads."""
+class FieldError(ValueError):
+    """Why ScenarioConfig rejects its values: a value of the wrong type or
+    out of its bound, a malformed sweep, or settings that together keep
+    every meter from joining; ``fields`` names each field the broken rule
+    reads."""
 
     def __init__(self, message: str, fields: tuple[str, ...]):
         super().__init__(message)
@@ -232,32 +232,32 @@ class ScenarioConfig:
         for name, (hint, annotation) in _FIELD_TYPES.items():
             value = getattr(self, name)
             if not _fits(hint, value):
-                raise ValueError(f"{name} must be {annotation}, got {value!r}")
+                raise FieldError(f"{name} must be {annotation}, got {value!r}", (name,))
         for name in FIELD_BOUNDS:
             message = bound_violation(name, getattr(self, name))
             if message is not None:
-                raise ValueError(message)
+                raise FieldError(message, (name,))
         message = sweep_violation(self.sweep_axis, self.sweep_values)
         if message is not None:
-            raise FieldConflict(message, ("sweep_axis", "sweep_values"))
+            raise FieldError(message, ("sweep_axis", "sweep_values"))
         imin = self.ms_to_slots(self.trickle_imin_ms)
         if self.ms_to_slots(self.dis_timeout_ms) < imin:
             # each DIS resets its neighbors' trickle timers, so the
             # gateway's first DIO keeps moving out and nothing joins
-            raise FieldConflict(
+            raise FieldError(
                 "dis_timeout_ms must not round to fewer slots than trickle_imin_ms",
                 ("dis_timeout_ms", "trickle_imin_ms", "slot_ms"),
             )
         if imin >= self.quiescence_slots:
             # quiescence counts from slot 0, so formation would end before
             # the gateway's first DIO
-            raise FieldConflict(
+            raise FieldError(
                 "trickle_imin_ms must round to fewer slots than quiescence_slots",
                 ("trickle_imin_ms", "quiescence_slots", "slot_ms"),
             )
         if self.warmup_slots < imin:
             # formation stops after warmup_slots, before the gateway's first DIO
-            raise FieldConflict(
+            raise FieldError(
                 "warmup_slots must not be fewer than the slots trickle_imin_ms rounds to",
                 ("warmup_slots", "trickle_imin_ms", "slot_ms"),
             )
@@ -401,23 +401,20 @@ class Simulation:
         )
         self.channel = Channel(self.placements, params, config.seed)
         self.states: dict[int, NodeState] = {
-            p.node_id: NodeState(
-                p.node_id,
-                trickle=TrickleState(
-                    interval_min_ms=config.trickle_imin_ms,
-                    max_doublings=config.trickle_doublings,
-                    redundancy_k=config.trickle_redundancy_k,
-                    current_interval_ms=config.trickle_imin_ms,
-                ),
-            )
-            for p in self.placements
+            p.node_id: NodeState(p.node_id) for p in self.placements
         }
         self.states[GATEWAY_ID].rank = 0.0
+        self.trickles = {
+            node: TrickleState(
+                config.trickle_imin_ms, config.trickle_doublings,
+                config.trickle_redundancy_k, config.trickle_imin_ms,
+            )
+            for node in self.states
+        }
         self.etx_table: dict[tuple[int, int], EtxEstimate] = {}
         # (slot, priority, event_id, kind, payload); see the module docstring
         self.queue: list[tuple] = []
         self.event_id = 0
-        self.trickle_seq: dict[int, int] = {n: 0 for n in self.states}
         self.last_change_slot = 0
         self.now = 0
         self.formation_slots = 0
@@ -441,7 +438,7 @@ class Simulation:
     def _seed_etx(self, src: int, dst: int) -> EtxEstimate:
         p = self.channel.success_probability(src, dst)
         seedv = self.config.etx_max if p <= 0 else min(self.config.etx_max, 1.0 / p)
-        est = self.etx_table[(src, dst)] = EtxEstimate(src, dst, etx=seedv)
+        est = self.etx_table[(src, dst)] = EtxEstimate(seedv)
         return est
 
     def etx_of(self, src: int, dst: int) -> float:
@@ -464,26 +461,22 @@ class Simulation:
     # --- control plane handlers ---
 
     def _trickle_restart(self, node: int, slot: int) -> None:
-        process_dis(self.states[node])  # interval back to minimum
-        self.trickle_seq[node] += 1
-        fire_at = slot + self.config.ms_to_slots(
-            self.states[node].trickle.interval_min_ms
-        )
-        self.push(fire_at, EventKind.TRICKLE_FIRE, (node, self.trickle_seq[node]))
+        trickle = self.trickles[node]
+        process_dis(trickle)  # interval back to minimum
+        trickle.seq += 1
+        fire_at = slot + self.config.ms_to_slots(trickle.interval_min_ms)
+        self.push(fire_at, EventKind.TRICKLE_FIRE, (node, trickle.seq))
 
     def _handle_trickle_fire(self, slot: int, payload) -> None:
         node, seq = payload
-        if seq != self.trickle_seq[node]:
+        trickle = self.trickles[node]
+        if seq != trickle.seq:
             return  # superseded by a reset
-        state = self.states[node]
-        emit, next_ms = trickle_fire(state.trickle, consistent=True)
-        self.trickle_seq[node] += 1
-        self.push(
-            slot + self.config.ms_to_slots(next_ms),
-            EventKind.TRICKLE_FIRE,
-            (node, self.trickle_seq[node]),
-        )
-        if emit and state.joined:
+        emit, next_ms = trickle_fire(trickle)
+        trickle.seq += 1
+        fire_at = slot + self.config.ms_to_slots(next_ms)
+        self.push(fire_at, EventKind.TRICKLE_FIRE, (node, trickle.seq))
+        if emit and self.states[node].joined:
             self.push(slot, EventKind.DIO_TX, node)
 
     def _refresh_relay(self, node: int, slot: int) -> None:
@@ -544,14 +537,14 @@ class Simulation:
                 # process_dio would ignore this DIO and change nothing: the
                 # receiver does not route through the sender, and the sender's
                 # rank plus a link ETX >= 1 cannot beat the receiver's rank
-                trickle_hear_consistent(other.trickle)
+                trickle_hear_consistent(self.trickles[neighbor])
                 continue
             was_parent = other.default_parent
             decision = process_dio(
                 other, node, rank, self.etx_of(neighbor, node), self.config.hysteresis
             )
             if decision is Decision.IGNORE:
-                trickle_hear_consistent(other.trickle)
+                trickle_hear_consistent(self.trickles[neighbor])
                 continue
             changed.append(neighbor)
             self.last_change_slot = slot
@@ -608,7 +601,7 @@ class Simulation:
         self.push(
             cfg.ms_to_slots(cfg.trickle_imin_ms),
             EventKind.TRICKLE_FIRE,
-            (GATEWAY_ID, self.trickle_seq[GATEWAY_ID]),
+            (GATEWAY_ID, self.trickles[GATEWAY_ID].seq),
         )
         dis_at = cfg.ms_to_slots(cfg.dis_timeout_ms)
         for node in sorted(self.states):

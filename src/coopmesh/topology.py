@@ -87,9 +87,6 @@ class ChannelParams:
 
 @dataclass(frozen=True)
 class LinkModel:
-    src: int
-    dst: int
-    distance: float
     mean_rx_power_w: float
     exists: bool  # within tx_range
     # fading-mean SNR in dB; Channel.link fills it in from the noise floor
@@ -226,7 +223,7 @@ class Channel:
             raise ValueError("degenerate-link")
         mean_rx = self.params.tx_power_w * path_loss_linear(d, self.params)
         link = LinkModel(
-            src, dst, d, mean_rx, d <= self.params.tx_range_m,
+            mean_rx, d <= self.params.tx_range_m,
             10.0 * math.log10(mean_rx / self.params.noise_floor_w),
         )
         self._links[key] = link

@@ -301,7 +301,9 @@ def test_run_selection_rank_and_reach_rules():
     sender.default_parent = 0
     sender.active_connections, sender.children = 2, {7, 8}
     args = (sender, states, channel, lambda a, b: 1.0, RoutingClass.CLASS_B)
-    selected, rates = run_selection(*args)
+    selected, rates = run_selection(
+        *args, WEIGHT_PRESETS[RoutingClass.CLASS_B], frozenset(), 0, False
+    )
     assert (selected, set(rates)) == (2, {2})
     assert (selected, rates) == reference_selection(*args, frozenset(), 0, False)
 

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from coopmesh.forwarding import (
 )
 from coopmesh.rng import uniform
 from coopmesh.rpl_core import NodeState, ParentEntry
+from coopmesh.sim_engine import ScenarioConfig
 from coopmesh.topology import Channel, ChannelMode, ChannelParams, NodePlacement
 
 
@@ -198,9 +201,8 @@ def _observing_view(**view):
     observations the hop reports."""
     observed = []
     states = {0: NodeState(0, rank=0.0), 1: _joined(1, 1.0, 0)}
-    net = NetworkView(
-        states=states, gateway=0,
-        observe_link=lambda *observation: observed.append(observation), **view,
+    net = network_view(
+        states, observe_link=lambda *observation: observed.append(observation), **view
     )
     return net, observed
 
@@ -301,6 +303,45 @@ def test_opportunistic_union_success_probability():
         assert delivered == pytest.approx(1.0 - (1.0 - p) ** 3)
 
 
+# receivers and relay of one hop from node 1; every node is within range of
+# every other
+ORACLE_HOPS = {
+    Protocol.RPL: ((0,), None),
+    Protocol.OPP_RPL: ((0, 2, 3), None),
+    Protocol.COOP_RPL: ((0,), 4),
+}
+
+
+def hop_failure_probability(protocol, p, max_retx, relay_retx):
+    """Closed form: each attempt fails when every receiver misses it and,
+    for coop_rpl, the relay misses it or misses all of its forwards."""
+    receivers, relay = ORACLE_HOPS[protocol]
+    per_attempt = (1 - p) ** len(receivers)
+    if relay is not None:
+        per_attempt *= 1 - p * (1 - (1 - p) ** relay_retx)
+    return per_attempt ** (max_retx + 1)
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5, 0.7])
+@pytest.mark.parametrize("protocol", list(ORACLE_HOPS), ids=lambda pr: pr.value)
+def test_hop_failure_rate_matches_closed_form(protocol, p):
+    # on a swept-LSR channel every link succeeds per attempt with p, and
+    # each attempt draws under its own key, so the failure count of
+    # independent hops is binomial with the closed-form probability
+    max_retx, relay_retx, hops = 3, 1, 20_000
+    ch = lsr_channel([(0.0, 0.0), (20.0, 0.0), (10.0, 5.0), (10.0, -5.0), (15.0, 8.0)], lsr=p)
+    receivers, relay = ORACLE_HOPS[protocol]
+    failed = sum(
+        not forward_hop(
+            LinkLayer(ch, 5, packet_id), 1, receivers, relay, 0, max_retx, relay_retx, 1
+        ).delivered
+        for packet_id in range(hops)
+    )
+    q = hop_failure_probability(protocol, p, max_retx, relay_retx)
+    z = (failed - hops * q) / math.sqrt(hops * q * (1 - q))
+    assert abs(z) <= 4, (failed, hops * q)
+
+
 def test_opportunistic_dedup_prefers_priority_order():
     members = (5, 7)
     both = forward_hop(ScriptedLinkLayer([True, True]), 1, members, None, 0, 0, 1, 1)
@@ -358,6 +399,17 @@ def _ignore(src, dst, attempts, successes):
     pass
 
 
+def network_view(states, observe_link=_ignore, **view):
+    """A view of states rooted at gateway 0 with ScenarioConfig's default
+    run parameters; view overrides any of them."""
+    cfg = ScenarioConfig()
+    params = dict(
+        max_retx=cfg.max_retx, relay_retx=cfg.relay_retx, retx_wait=cfg.retx_wait_slots,
+        p_coop=cfg.p_coop, relay_for={}, fsets={}, seed=cfg.seed,
+    )
+    return NetworkView(states, 0, observe_link, **{**params, **view})
+
+
 def _joined(node_id, rank, parent):
     st = NodeState(node_id, rank=rank, default_parent=parent)
     if parent is not None:
@@ -411,9 +463,7 @@ def _two_hop_net(lsr, seed=13):
         2: _joined(2, 2.0, 1),
         3: _joined(3, 1.5, 1),
     }
-    net = NetworkView(
-        states=states, gateway=0, observe_link=_ignore, relay_for={2: 3}, seed=seed,
-    )
+    net = network_view(states, relay_for={2: 3}, seed=seed)
     net.fsets = {
         n: build_forwarding_set(states[n], states, ch, _etx_one, 3) for n in states
     }
@@ -458,7 +508,7 @@ def test_route_loop_trap():
         1: _joined(1, 1.0, 2),  # deliberately corrupt: 1 and 2 point at each other
         2: _joined(2, 2.0, 1),
     }
-    net = NetworkView(states=states, gateway=0, observe_link=_ignore, seed=1)
+    net = network_view(states, seed=1)
     packet = Packet(packet_id=4, source=1, created_slot=0, current_holder=1)
     route_to_gateway(packet, Protocol.RPL, net, ch)
     assert packet.status is PacketStatus.DROPPED

@@ -83,7 +83,7 @@ def test_select_default_parent_empty_raises():
 
 def test_process_dio_first_join():
     state = NodeState(5)
-    decision = process_dio(state, 0, 0.0, link_etx=1.2)
+    decision = process_dio(state, 0, 0.0, link_etx=1.2, hysteresis=0.5)
     assert decision is Decision.JOIN
     assert state.rank == pytest.approx(1.2)
     assert state.default_parent == 0
@@ -91,8 +91,8 @@ def test_process_dio_first_join():
 
 def test_process_dio_within_hysteresis_ignored():
     state = NodeState(5)
-    process_dio(state, 0, 0.0, link_etx=3.0)
-    decision = process_dio(state, 1, 1.0, link_etx=1.7)
+    process_dio(state, 0, 0.0, link_etx=3.0, hysteresis=0.5)
+    decision = process_dio(state, 1, 1.0, link_etx=1.7, hysteresis=0.5)
     assert decision is Decision.IGNORE
     assert state.default_parent == 0
     # sender had lower rank, so it still lands in the parent set
@@ -101,9 +101,9 @@ def test_process_dio_within_hysteresis_ignored():
 
 def test_process_dio_strict_improvement_updates():
     state = NodeState(5)
-    process_dio(state, 3, 4.0, link_etx=1.0)
+    process_dio(state, 3, 4.0, link_etx=1.0, hysteresis=0.5)
     assert state.rank == pytest.approx(5.0)
-    decision = process_dio(state, 1, 1.0, link_etx=1.0)
+    decision = process_dio(state, 1, 1.0, link_etx=1.0, hysteresis=0.5)
     assert decision is Decision.UPDATE
     assert state.rank == pytest.approx(2.0)
     assert state.default_parent == 1
@@ -113,8 +113,8 @@ def test_process_dio_strict_improvement_updates():
 
 def test_process_dio_parent_cost_increase_propagates():
     state = NodeState(5)
-    process_dio(state, 0, 0.0, link_etx=1.0)
-    decision = process_dio(state, 0, 0.0, link_etx=2.5)
+    process_dio(state, 0, 0.0, link_etx=1.0, hysteresis=0.5)
+    decision = process_dio(state, 0, 0.0, link_etx=2.5, hysteresis=0.5)
     assert decision is Decision.IGNORE
     assert state.rank == pytest.approx(2.5)
     assert state.default_parent == 0
@@ -122,9 +122,9 @@ def test_process_dio_parent_cost_increase_propagates():
 
 def test_process_dio_parent_climbing_above_us_forces_reselect():
     state = NodeState(5)
-    process_dio(state, 2, 1.0, link_etx=1.0)  # rank 2
-    process_dio(state, 7, 1.4, link_etx=1.0)  # backup entry
-    decision = process_dio(state, 2, 9.0, link_etx=1.0)
+    process_dio(state, 2, 1.0, link_etx=1.0, hysteresis=0.5)  # rank 2
+    process_dio(state, 7, 1.4, link_etx=1.0, hysteresis=0.5)  # backup entry
+    decision = process_dio(state, 2, 9.0, link_etx=1.0, hysteresis=0.5)
     assert decision is Decision.UPDATE
     assert state.default_parent == 7
     assert state.rank == pytest.approx(2.4)
@@ -164,45 +164,56 @@ def test_dio_from_a_non_parent_not_below_us_changes_nothing(
     assert state.parent_set == before.parent_set
 
 
+def trickle(current_interval_ms=100.0):
+    """Imin 100 ms, 8 doublings, k = 10 (RFC 6206's example values)."""
+    return TrickleState(100.0, 8, 10, current_interval_ms)
+
+
 def test_trickle_consistent_doubles_interval():
-    t = TrickleState(interval_min_ms=100.0)
-    emit, nxt = trickle_fire(t, consistent=True)
+    t = trickle()
+    emit, nxt = trickle_fire(t)
     assert emit is True
     assert nxt == 200.0
 
 
 def test_trickle_inconsistent_resets_and_emits():
-    t = TrickleState(interval_min_ms=100.0, current_interval_ms=6400.0)
-    emit, nxt = trickle_fire(t, consistent=False)
+    # an inconsistency reaches the timer as process_dis: back to the
+    # minimum interval, counter cleared, so the next fire emits even after
+    # a suppressed interval
+    t = trickle(current_interval_ms=6400.0)
+    for _ in range(10):
+        trickle_hear_consistent(t)
+    process_dis(t)
+    assert (t.current_interval_ms, t.counter) == (100.0, 0)
+    emit, nxt = trickle_fire(t)
     assert emit is True
-    assert nxt == 100.0
+    assert nxt == 200.0
 
 
 def test_trickle_suppression_with_saturated_counter():
-    t = TrickleState(interval_min_ms=100.0, redundancy_k=10)
+    t = trickle()
     for _ in range(10):
         trickle_hear_consistent(t)
-    emit, nxt = trickle_fire(t, consistent=True)
+    emit, nxt = trickle_fire(t)
     assert emit is False
     assert nxt == 200.0
     assert t.counter == 0
 
 
 def test_trickle_interval_stays_bounded():
-    t = TrickleState(interval_min_ms=100.0, max_doublings=8)
+    t = trickle()
     for _ in range(20):
-        _, interval = trickle_fire(t, consistent=True)
+        _, interval = trickle_fire(t)
         assert 100.0 <= interval <= 100.0 * 2**8
     assert t.current_interval_ms == 100.0 * 2**8
 
 
 def test_dis_emission_and_trickle_reset_on_receipt():
-    receiver = NodeState(2)
-    receiver.trickle.current_interval_ms = 3200.0
-    receiver.trickle.counter = 5
+    receiver = trickle(current_interval_ms=3200.0)
+    receiver.counter = 5
     process_dis(receiver)
-    assert receiver.trickle.current_interval_ms == receiver.trickle.interval_min_ms
-    assert receiver.trickle.counter == 0
+    assert receiver.current_interval_ms == receiver.interval_min_ms
+    assert receiver.counter == 0
 
 
 def _joined(node_id, rank, parent):
@@ -240,18 +251,17 @@ def test_children_star_topology():
 
 
 def test_etx_estimate_ewma_moves_toward_observations():
-    est = EtxEstimate(1, 2, etx=1.0)
-    est.observe(4, 1)  # sample 4.0
+    est = EtxEstimate(etx=1.0)
+    est.observe(4, 1, etx_max=16.0)  # sample 4.0
     assert est.etx == pytest.approx(0.7 * 1.0 + 0.3 * 4.0)
-    assert (est.attempts, est.successes) == (4, 1)
-    est2 = EtxEstimate(1, 2, etx=2.0)
+    est2 = EtxEstimate(etx=2.0)
     for _ in range(50):
-        est2.observe(1, 1)
+        est2.observe(1, 1, etx_max=16.0)
     assert est2.etx == pytest.approx(1.0, abs=1e-6)
 
 
 def test_etx_estimate_capped_at_max():
-    est = EtxEstimate(1, 2, etx=15.0)
+    est = EtxEstimate(etx=15.0)
     for _ in range(10):
-        est.observe(5, 0)
+        est.observe(5, 0, etx_max=16.0)
     assert est.etx <= 16.0

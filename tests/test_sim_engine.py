@@ -1,20 +1,28 @@
 import copy
+import dataclasses
 import hashlib
 import heapq
+import inspect
 import json
 import math
 from dataclasses import replace
 
 import pytest
 
-from coopmesh import forwarding, sim_engine
+from coopmesh import forwarding, rpl_core, sim_engine
 from coopmesh.cli import default_variants
-from coopmesh.coop_relay import RoutingClass
-from coopmesh.forwarding import PacketStatus, Protocol
-from coopmesh.rpl_core import update_children_and_connections
+from coopmesh.coop_relay import RoutingClass, run_selection
+from coopmesh.forwarding import NetworkView, PacketStatus, Protocol
+from coopmesh.rpl_core import (
+    EtxEstimate,
+    TrickleState,
+    process_dio,
+    update_children_and_connections,
+)
 from coopmesh.sim_engine import (
     FIELD_BOUNDS,
     EventKind,
+    FieldError,
     MetricsReport,
     ScenarioConfig,
     Simulation,
@@ -96,6 +104,48 @@ def test_optional_fields_take_none_and_float_fields_take_ints():
         sweep_axis=None, sweep_values=(1, 2.5),
     )
     assert cfg.region_side == 300
+
+
+def test_every_rejection_is_a_field_error_naming_its_fields():
+    # the config parser finds the offending line through these names alone
+    for name, bound in FIELD_BOUNDS.items():
+        for bad in ("x", bound.lowest - 1):  # wrong type, below the bound
+            with pytest.raises(FieldError) as info:
+                ScenarioConfig(**{name: bad})
+            assert info.value.fields == (name,)
+    with pytest.raises(FieldError) as info:
+        ScenarioConfig(sweep_values=(0.9, 0.5))
+    assert info.value.fields == ("sweep_axis", "sweep_values")
+    with pytest.raises(FieldError) as info:
+        ScenarioConfig(warmup_slots=9)
+    assert info.value.fields == ("warmup_slots", "trickle_imin_ms", "slot_ms")
+
+
+def test_run_parameters_have_no_default_outside_scenario_config():
+    # ScenarioConfig alone holds a run parameter's default: a second copy
+    # can drift from it, as NetworkView's seed = 0 did from seed = 1
+    def defaulted(fields):
+        return [
+            f.name for f in fields
+            if f.default is not dataclasses.MISSING
+            or f.default_factory is not dataclasses.MISSING
+        ]
+
+    assert defaulted(dataclasses.fields(NetworkView)) == []
+    timer = ("interval_min_ms", "max_doublings", "redundancy_k", "current_interval_ms")
+    assert not set(defaulted(dataclasses.fields(TrickleState))) & set(timer)
+    for fn, names in (
+        (process_dio, ("hysteresis",)),
+        (EtxEstimate.observe, ("etx_max",)),
+        (run_selection, ("weights", "interferers", "slot", "with_fading")),
+    ):
+        parameters = inspect.signature(fn).parameters
+        for name in names:
+            assert parameters[name].default is inspect.Parameter.empty, name
+    for constant in (
+        "TRICKLE_IMIN_MS", "TRICKLE_DOUBLINGS", "TRICKLE_REDUNDANCY_K", "HYSTERESIS_DEFAULT",
+    ):
+        assert not hasattr(rpl_core, constant)
 
 
 def test_two_node_network_perfect_links():

@@ -167,25 +167,25 @@ def test_cached_snr_and_one_interferer_sinr_equal_compute_sinr_exactly():
 
 def test_swept_lsr_uniform_over_links():
     params = replace(PARAMS, mode=ChannelMode.SWEPT_LSR, lsr_value=0.7)
-    for d in [5.0, 20.0, 49.0]:
-        link = LinkModel(1, 2, d, 1e-9, True)
+    for power in [1e-12, 1e-9, 1.0]:  # weak to strong links
+        link = LinkModel(power, True)
         assert link_success_probability(link, params) == 0.7
 
 
 def test_physical_success_approaches_one_at_high_snr():
-    link = LinkModel(1, 2, 2.0, 1.0, True)  # 1 W received: enormous SNR
+    link = LinkModel(1.0, True)  # 1 W received: enormous SNR
     assert link_success_probability(link, PARAMS) > 0.999999
 
 
 def test_physical_success_at_threshold_equals_inverse_e():
     # mean SNR equal to the detection threshold
     params = replace(PARAMS, sinr_threshold_db=20.0)
-    link = LinkModel(1, 2, 2.0, params.noise_floor_w * 100.0, True)
+    link = LinkModel(params.noise_floor_w * 100.0, True)
     assert link_success_probability(link, params) == pytest.approx(math.exp(-1.0))
 
 
 def test_nonexistent_link_never_succeeds():
-    link = LinkModel(1, 2, 80.0, 1e-12, False)
+    link = LinkModel(1e-12, False)
     assert link_success_probability(link, PARAMS) == 0.0
 
 
