@@ -537,9 +537,9 @@ def main(argv: list[str] | None = None) -> int:
         out_path = args.out or Path("sweep.csv")
         rows, failed = run_sweep(config, spec, out_path, workers=max(1, args.workers))
         print(f"wrote {out_path} ({len(rows)} data rows, {failed} failed)")
-        has_rpl = any(r["protocol"] == "rpl" for r in rows)
-        has_coop = any(r["protocol"] == "coop_rpl" for r in rows)
-        if has_rpl and has_coop:
+        # a comparison needs both series, and only rows with metrics give one
+        scored = {r["protocol"] for r in rows if r.get("error") is None}
+        if {"rpl", "coop_rpl"} <= scored:
             emit_comparison(out_path)
         return 2 if failed else 0
     except ConfigError as exc:

@@ -176,16 +176,6 @@ def select_relay(
     return best_relay(compute_rates(candidates, w, bounds))
 
 
-def decide_use_relay(selected: int | None, p_coop: float, draw: float) -> bool:
-    """Bernoulli(p_coop) choice to actually cooperate on a packet, given a
-    uniform draw in [0, 1)."""
-    if not 0.0 <= p_coop <= 1.0:
-        raise ValueError("p_coop must be in [0, 1]")
-    if selected is None:
-        return False
-    return draw < p_coop
-
-
 def run_selection(
     sender: NodeState,
     states: dict[int, NodeState],

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
-from .coop_relay import decide_use_relay
 from .rng import derive_seed, prefixed_uniform, uniform
 from .topology import Channel
 
@@ -224,22 +223,12 @@ def advance_one_hop(
     relay = None
     if protocol is Protocol.COOP_RPL:
         relay = net.relay_for.get(holder)
-        # without a relay there is nothing to decide, and no draw to spend;
-        # at p_coop = 1 every draw in [0, 1) cooperates, so none is spent
-        cooperate = relay is not None and (
-            net.p_coop == 1.0
-            or decide_use_relay(
-                relay,
-                net.p_coop,
-                uniform(
-                    derive_seed(
-                        net.seed, DOMAIN_COOP_DECISION, packet.packet_id, holder
-                    ),
-                    0,
-                ),
-            )
-        )
-        if not cooperate:
+        # the cooperation decision: a Bernoulli(p_coop) draw keyed by packet
+        # and holder. Without a relay there is nothing to decide, and at
+        # p_coop = 1 every draw in [0, 1) cooperates; neither spends a draw
+        if relay is not None and net.p_coop < 1.0 and uniform(
+            derive_seed(net.seed, DOMAIN_COOP_DECISION, packet.packet_id, holder), 0
+        ) >= net.p_coop:
             relay = None
     elif protocol is Protocol.OPP_RPL:
         receivers = net.fsets.get(holder, receivers)

@@ -3,8 +3,11 @@
 One run has two phases on one event queue: DAG formation (trickle-paced DIOs
 plus DIS solicitation and DAO advertisements) until ranks are quiet, then
 traffic (uniform random sources and slots) with the control plane still
-live. Events are processed in (slot, kind priority, issue id) order, so a
-replay with the same config and seed is bit-identical.
+live. Both phases hand every control event to one dispatch, and from
+traffic start on the protocol's routes (coop_rpl's relays, opp_rpl's
+forwarding sets) are kept fresh by one refresh rule. Events are processed
+by slot, then kind priority, then push order, so a replay with the same
+config and seed is bit-identical.
 
 A heap entry is a plain tuple ``(slot, priority, event_id, kind, payload)``.
 ``event_id`` is unique per run, so tuple comparison is always settled within
@@ -70,7 +73,14 @@ DEFAULT_INTENSITY = DEFAULT_NODE_COUNT / (DEFAULT_REGION_SIDE * DEFAULT_REGION_S
 class Bound(NamedTuple):
     lowest: float
     inclusive: bool  # whether lowest itself is allowed
-    highest: float | None = None  # allowed itself; only probabilities have one
+    highest: float | None = None  # allowed itself
+    note: str = ""  # what a value outside [lowest, highest] would be
+
+
+PROBABILITY = "probability out of range"
+# +-300 dB is a factor of 1e30 either way: far past any radio, and far
+# inside a float, whose range ends near 3,080 dB
+DECIBELS = "beyond any radio's dB range"
 
 
 # field -> its allowed range; ScenarioConfig checks against this table
@@ -78,7 +88,7 @@ FIELD_BOUNDS: dict[str, Bound] = {
     "region_side": Bound(0, False),
     "intensity": Bound(0, False),
     "density_ratio": Bound(0, False),
-    "p_coop": Bound(0, True, 1),
+    "p_coop": Bound(0, True, 1, PROBABILITY),
     "n_packets": Bound(1, True),
     "warmup_slots": Bound(1, True),  # the gateway's first DIO is at slot >= 1
     "slot_ms": Bound(0, False),
@@ -96,7 +106,9 @@ FIELD_BOUNDS: dict[str, Bound] = {
     "tx_power_w": Bound(0, False),
     "noise_floor_w": Bound(0, False),
     "tx_range_m": Bound(0, False),
-    "lsr_value": Bound(0, False, 1),
+    "lsr_value": Bound(0, False, 1, PROBABILITY),
+    "reference_loss_db": Bound(-300, True, 300, DECIBELS),
+    "sinr_threshold_db": Bound(-300, True, 300, DECIBELS),
     "reference_distance": Bound(0, False),
     "path_loss_exponent": Bound(2, True),
     "trickle_imin_ms": Bound(0, False),
@@ -121,7 +133,7 @@ def bound_violation(name: str, value) -> str | None:
     bound = FIELD_BOUNDS.get(name)
     if bound is None or value is None:
         return None
-    lowest, inclusive, highest = bound
+    lowest, inclusive, highest, note = bound
     if (value > lowest or (inclusive and value == lowest)) and (
         highest is None or value <= highest
     ):
@@ -129,7 +141,7 @@ def bound_violation(name: str, value) -> str | None:
     if highest is None:
         return f"{name} must be {'>=' if inclusive else '>'} {lowest}"
     interval = f"{'[' if inclusive else '('}{lowest}, {highest}]"
-    return f"{name} must be in {interval}: probability out of range"
+    return f"{name} must be in {interval}: {note}"
 
 
 # sweep axis -> the ScenarioConfig field each of its values sets
@@ -240,6 +252,12 @@ class ScenarioConfig:
         message = sweep_violation(self.sweep_axis, self.sweep_values)
         if message is not None:
             raise FieldError(message, ("sweep_axis", "sweep_values"))
+        for name in ("trickle_imin_ms", "dis_timeout_ms"):
+            if not math.isfinite(getattr(self, name) / self.slot_ms):
+                raise FieldError(
+                    f"{name} / slot_ms overflows: too many slots to count",
+                    (name, "slot_ms"),
+                )
         imin = self.ms_to_slots(self.trickle_imin_ms)
         if self.ms_to_slots(self.dis_timeout_ms) < imin:
             # each DIS resets its neighbors' trickle timers, so the
@@ -389,7 +407,10 @@ class Simulation:
 
     form_network() builds one of these through the formation phase, which
     never reads the protocol; run_traffic() then plays the config's protocol
-    on it. Every run, sweep variants included, forms its own network.
+    on it. Every run, sweep variants included, forms its own network. Both
+    phases dispatch control events through _handle_control; once
+    traffic_started is set, _refresh_route keeps each changed node's route
+    current.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -428,6 +449,9 @@ class Simulation:
         self.relay_rates: dict[int, dict[int, float]] = {}
         self.fsets: dict[int, tuple[int, ...]] = {}
         self._counts_fresh = False
+        # set by run_traffic before its first route refresh; from then on
+        # DIOs refresh the routes their changes touch
+        self.traffic_started = False
 
     # --- plumbing ---
 
@@ -501,18 +525,24 @@ class Simulation:
         self.relay_for[node] = selected
         self.relay_rates[node] = rates
 
-    def _refresh_fset(self, node: int) -> None:
-        self.fsets[node] = build_forwarding_set(
-            self.states[node], self.states, self.channel, self.etx_of,
-            self.config.fset_size,
-        )
+    def _refresh_route(self, node: int, slot: int) -> None:
+        """Rebuild what node's hops read: coop_rpl's relay, opp_rpl's
+        forwarding set; an rpl hop reads the default parent alone."""
+        protocol = self.config.protocol
+        if protocol is Protocol.COOP_RPL:
+            self._refresh_relay(node, slot)
+        elif protocol is Protocol.OPP_RPL:
+            self.fsets[node] = build_forwarding_set(
+                self.states[node], self.states, self.channel, self.etx_of,
+                self.config.fset_size,
+            )
 
-    def _handle_dio_tx(self, slot: int, payload, data_phase: bool) -> None:
+    def _handle_dio_tx(self, slot: int, payload) -> None:
         node = payload
         state = self.states[node]
         if not state.joined:
             return
-        if data_phase and self.config.protocol is Protocol.COOP_RPL:
+        if self.traffic_started and self.config.protocol is Protocol.COOP_RPL:
             self._refresh_relay(node, slot)
         rank = state.rank
         if self.emit is not None:
@@ -553,12 +583,9 @@ class Simulation:
                 # children and connection counts read default parents only
                 self._counts_fresh = False
                 self.push(slot, EventKind.DAO_TX, neighbor)
-        if changed and data_phase:
+        if self.traffic_started:
             for neighbor in changed:
-                if self.config.protocol is Protocol.COOP_RPL:
-                    self._refresh_relay(neighbor, slot)
-                elif self.config.protocol is Protocol.OPP_RPL:
-                    self._refresh_fset(neighbor)
+                self._refresh_route(neighbor, slot)
 
     def _handle_dis_tx(self, slot: int, payload) -> None:
         node = payload
@@ -592,22 +619,31 @@ class Simulation:
                 "via_parent": state.default_parent,
             })
 
+    def _handle_control(self, slot: int, kind: EventKind, payload) -> None:
+        """Process one control-plane event; formation and traffic alike."""
+        if kind is EventKind.TRICKLE_FIRE:
+            self._handle_trickle_fire(slot, payload)
+        elif kind is EventKind.DIO_TX:
+            self._handle_dio_tx(slot, payload)
+        elif kind is EventKind.DIS_TX:
+            self._handle_dis_tx(slot, payload)
+        elif kind is EventKind.DAO_TX:
+            self._handle_dao_tx(slot, payload)
+
     # --- phases ---
 
     def run_formation(self) -> None:
         """Process control events until ranks hold still for the
         quiescence window (or the warmup budget runs out)."""
         cfg = self.config
-        self.push(
-            cfg.ms_to_slots(cfg.trickle_imin_ms),
-            EventKind.TRICKLE_FIRE,
-            (GATEWAY_ID, self.trickles[GATEWAY_ID].seq),
-        )
+        self._trickle_restart(GATEWAY_ID, 0)
         dis_at = cfg.ms_to_slots(cfg.dis_timeout_ms)
         for node in sorted(self.states):
             if node != GATEWAY_ID:
                 self.push(dis_at, EventKind.DIS_TX, node)
-        while self.queue:
+        # the gateway's trickle timer always has a fire queued, so the
+        # queue never runs dry before one of the two limits is reached
+        while True:
             head_slot = self.queue[0][0]
             if head_slot >= self.last_change_slot + cfg.quiescence_slots:
                 self.formation_slots = self.last_change_slot + cfg.quiescence_slots
@@ -617,18 +653,7 @@ class Simulation:
                 break
             slot, _, _, kind, payload = heapq.heappop(self.queue)
             self.now = slot
-            if kind is EventKind.TRICKLE_FIRE:
-                self._handle_trickle_fire(slot, payload)
-            elif kind is EventKind.DIO_TX:
-                self._handle_dio_tx(slot, payload, data_phase=False)
-            elif kind is EventKind.DIS_TX:
-                self._handle_dis_tx(slot, payload)
-            elif kind is EventKind.DAO_TX:
-                self._handle_dao_tx(slot, payload)
-        else:
-            self.formation_slots = min(
-                cfg.warmup_slots, self.last_change_slot + cfg.quiescence_slots
-            )
+            self._handle_control(slot, kind, payload)
         self._ensure_counts()
 
     def joined_meters(self) -> list[int]:
@@ -655,19 +680,10 @@ class Simulation:
         """Generate the packet load and drive every packet to resolution."""
         cfg = self.config
         sources = self.joined_meters()
-        disconnected = len(sources) < max(0, len(self.states) - 1)
-        if cfg.protocol is Protocol.COOP_RPL:
-            for node in sorted(sources):
-                self._refresh_relay(node, self.now)
-        elif cfg.protocol is Protocol.OPP_RPL:
-            for node in sorted(sources):
-                self._refresh_fset(node)
-        if not sources:
-            return collect_metrics(
-                [], cfg.slot_ms, disconnected=True,
-                joined_nodes=0, total_nodes=len(self.states) - 1,
-                formation_slots=self.formation_slots,
-            )
+        disconnected = len(sources) < len(self.states) - 1
+        self.traffic_started = True
+        for node in sorted(sources):
+            self._refresh_route(node, self.now)
         start = self.formation_slots
         packets: dict[int, Packet] = {}
         layers: dict[int, LinkLayer] = {}
@@ -679,7 +695,7 @@ class Simulation:
         hop_attempt = EventKind.HOP_ATTEMPT
         registry = self.registry
         trace_relays = self.emit is not None and cfg.protocol is Protocol.COOP_RPL
-        while self.queue and unresolved > 0:
+        while unresolved > 0:  # the queue never runs dry, as in formation
             slot, _, _, kind, payload = heapq.heappop(self.queue)
             if registry is not None and slot > self.now:
                 # transmissions register at their own slot or later, and the
@@ -736,14 +752,8 @@ class Simulation:
                 )
                 relay_hops[packet_id] = 0
                 self.push(slot, hop_attempt, packet_id)
-            elif kind is EventKind.TRICKLE_FIRE:
-                self._handle_trickle_fire(slot, payload)
-            elif kind is EventKind.DIO_TX:
-                self._handle_dio_tx(slot, payload, data_phase=True)
-            elif kind is EventKind.DIS_TX:
-                self._handle_dis_tx(slot, payload)
-            elif kind is EventKind.DAO_TX:
-                self._handle_dao_tx(slot, payload)
+            else:
+                self._handle_control(slot, kind, payload)
         return collect_metrics(
             list(packets.values()),
             cfg.slot_ms,

@@ -1,5 +1,7 @@
 import hashlib
 import io
+import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,8 @@ from coopmesh.cli import (
 )
 from coopmesh.coop_relay import RateWeights, RoutingClass
 from coopmesh.forwarding import Protocol
-from coopmesh.sim_engine import ScenarioConfig
+from coopmesh.sim_engine import FieldError, ScenarioConfig, form_network
+from coopmesh.topology import GATEWAY_ID, DisconnectedRootError
 
 
 def test_empty_config_gives_all_defaults(tmp_path):
@@ -125,6 +128,8 @@ SHORT_TRICKLE_IMIN = {
         ("rpl", "trickle_imin_ms", 0.0, 1e-9),
         ("channel", "lsr_value", 0.0, 1e-9),
         ("scenario", "p_coop", -0.1, 0.0),
+        ("channel", "reference_loss_db", -300.5, -300.0),
+        ("channel", "sinr_threshold_db", -300.5, -300.0),
     ],
 )
 def test_field_bounds_enforced_by_config_and_parser(section, key, bad, lowest_ok):
@@ -231,6 +236,45 @@ def test_formation_rule_error_names_the_later_key(text, line, rule):
         parse_scenario_text(text)
 
 
+# each value ran into a raw OverflowError or math domain error in the
+# channel's dB-to-linear arithmetic, deep in formation
+@pytest.mark.parametrize(
+    "key, bad",
+    [
+        ("reference_loss_db", -3081.0),
+        ("reference_loss_db", 3210.0),
+        ("sinr_threshold_db", 3083.0),
+    ],
+)
+def test_decibel_fields_bounded_to_a_radio_range(key, bad):
+    with pytest.raises(ConfigError, match=f"line 3: {key} must be in .*dB range"):
+        parse_scenario_text(f"[channel]\n# out of range\n{key} = {bad}\n")
+    assert getattr(parse_scenario_text(f"[channel]\n{key} = 300\n"), key) == 300.0
+
+
+# a quotient of in-bound values that overflows to infinity slots
+@pytest.mark.parametrize(
+    "text, name",
+    [
+        ("[scenario]\nslot_ms = 1e-300\n[rpl]\ntrickle_imin_ms = 1e300\n", "trickle_imin_ms"),
+        ("[scenario]\nslot_ms = 1e-300\n[rpl]\ndis_timeout_ms = 1e300\n", "dis_timeout_ms"),
+        ("[rpl]\ntrickle_imin_ms = 1e300\n[scenario]\nslot_ms = 1e-300\n", "trickle_imin_ms"),
+        ("[rpl]\ndis_timeout_ms = 1e300\n[scenario]\nslot_ms = 1e-300\n", "dis_timeout_ms"),
+    ],
+    ids=["imin-after-slot", "dis-after-slot", "slot-after-imin", "slot-after-dis"],
+)
+def test_slot_count_overflow_is_a_config_error(text, name, tmp_path, capsys):
+    with pytest.raises(FieldError, match="overflows") as caught:
+        ScenarioConfig(**{name: 1e300, "slot_ms": 1e-300})
+    assert set(caught.value.fields) == {name, "slot_ms"}
+    with pytest.raises(ConfigError, match=f"line 4: {name} / slot_ms overflows"):
+        parse_scenario_text(text)
+    cfg_path = tmp_path / "overflow.cfg"
+    cfg_path.write_text(text)
+    assert main(["--config", str(cfg_path), "--quiet"]) == 1
+    assert "line 4" in capsys.readouterr().err
+
+
 def test_help_epilog_quotes_scenario_defaults():
     epilog = build_arg_parser().epilog
     defaults = ScenarioConfig()
@@ -304,7 +348,7 @@ def test_render_round_trips():
 @st.composite
 def valid_configs(draw):
     positive = st.floats(min_value=1e-6, max_value=1e6)
-    finite = st.floats(allow_nan=False, allow_infinity=False)
+    decibels = st.floats(min_value=-300.0, max_value=300.0)
     share = st.floats(min_value=0.0, max_value=1.0)
     slot_ms = draw(st.floats(min_value=0.1, max_value=100.0))
     trickle_imin_ms = draw(st.floats(min_value=0.0, max_value=1e4, exclude_min=True))
@@ -329,10 +373,10 @@ def valid_configs(draw):
         density_ratio=draw(positive),
         tx_power_w=draw(positive),
         path_loss_exponent=draw(st.floats(min_value=2.0, max_value=8.0)),
-        reference_loss_db=draw(finite),
+        reference_loss_db=draw(decibels),
         noise_floor_w=draw(positive),
         tx_range_m=draw(positive),
-        sinr_threshold_db=draw(finite),
+        sinr_threshold_db=draw(decibels),
         lsr_value=draw(st.none() | st.floats(min_value=0.0, max_value=1.0, exclude_min=True)),
         lsr_mapping=draw(st.sampled_from(["reference", "uniform"])),
         reference_distance=draw(positive),
@@ -366,6 +410,59 @@ def valid_configs(draw):
 @given(valid_configs())
 def test_render_then_parse_is_identity(cfg):
     assert parse_scenario_text(render_scenario(cfg)) == cfg
+
+
+@st.composite
+def runnable_configs(draw):
+    """valid_configs() cut down to runs of well under a second: a region of
+    at most 150 m holding about 30 meters at most, at most 50 packets sent
+    within 200 slots, and a warmup of at most 2,000 slots past the
+    gateway's first DIO. Every other field is valid_configs()' draw."""
+    cfg = draw(valid_configs())
+    side = draw(st.floats(min_value=10.0, max_value=150.0))
+    meters = draw(st.floats(min_value=1.0, max_value=30.0))
+    imin_slots = cfg.ms_to_slots(cfg.trickle_imin_ms)
+    window = cfg.traffic_window_slots
+    return replace(
+        cfg,
+        region_side=side,
+        intensity=meters / side**2,
+        density_ratio=1.0,
+        n_packets=min(cfg.n_packets, 50),
+        warmup_slots=min(cfg.warmup_slots, imin_slots + 2000),
+        traffic_window_slots=None if window is None else min(window, 200),
+        sweep_axis=None,
+        sweep_values=(),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(runnable_configs())
+def test_generated_configs_run_soundly(cfg):
+    try:
+        sim = form_network(cfg)
+    except DisconnectedRootError:
+        return  # placement found no meter in the gateway's range
+    # formation leaves a DAG: every joined meter's default parents climb to
+    # the gateway through strictly falling ranks, visiting no node twice
+    for node, state in sim.states.items():
+        if node == GATEWAY_ID or not state.joined:
+            continue
+        seen = {node}
+        while state.node_id != GATEWAY_ID:
+            parent = sim.states[state.default_parent]
+            assert parent.joined and parent.rank < state.rank
+            assert parent.node_id not in seen
+            seen.add(parent.node_id)
+            state = parent
+    report = sim.run_traffic()
+    assert report.joined_nodes >= 1  # a config that validates forms a network
+    assert report.packets_sent == cfg.n_packets
+    assert report.delivered + report.dropped == report.packets_sent
+    assert math.isfinite(report.pdr) and math.isfinite(report.mean_retransmissions)
+    for delay in (report.mean_delay_slots, report.mean_delay_ms):
+        assert (delay is None) == (report.delivered == 0)
+        assert delay is None or (math.isfinite(delay) and delay >= 0)
 
 
 def test_default_variants_expand_coop_classes():
@@ -579,6 +676,21 @@ def test_main_sweep_partial_failure_exit_code(tmp_path, capsys):
     ])
     assert code == 2
     assert "1 failed" in capsys.readouterr().out
+
+
+def test_main_sweep_with_every_point_failed_exit_code(tmp_path, capsys):
+    # every variant fails, so no series can be compared: the exit code
+    # reports the failed points, not a missing baseline
+    cfg_path = tmp_path / "broken.cfg"
+    cfg_path.write_text("[scenario]\nintensity = 1e-9\n")
+    code = main([
+        "--config", str(cfg_path), "--sweep", "lsr", "--values", "0.5",
+        "--seeds", "1", "--out", str(tmp_path / "broken.csv"), "--quiet",
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "6 failed" in captured.out
+    assert captured.err == ""
 
 
 def test_main_trace_written_for_single_run(tmp_path):

@@ -10,7 +10,6 @@ from coopmesh.coop_relay import (
     best_relay,
     compute_rate,
     compute_rates,
-    decide_use_relay,
     eligible,
     eligible_class_a,
     eligible_class_b,
@@ -21,7 +20,6 @@ from coopmesh.coop_relay import (
     term_bounds,
 )
 from coopmesh.forwarding import Protocol
-from coopmesh.rng import uniform
 from coopmesh.rpl_core import NodeState
 from coopmesh.sim_engine import ScenarioConfig, form_network
 from coopmesh.topology import Channel, ChannelParams, NodePlacement
@@ -306,25 +304,3 @@ def test_run_selection_rank_and_reach_rules():
     )
     assert (selected, set(rates)) == (2, {2})
     assert (selected, rates) == reference_selection(*args, frozenset(), 0, False)
-
-
-def test_decide_use_relay_none_is_never_cooperative():
-    assert decide_use_relay(None, 1.0, 0.0) is False
-
-
-def test_decide_use_relay_certain_probability():
-    for draw in (0.0, 0.5, 0.999999):
-        assert decide_use_relay(3, 1.0, draw) is True
-        assert decide_use_relay(3, 0.0, draw) is False
-
-
-def test_decide_use_relay_frequency_matches_p():
-    hits = sum(
-        decide_use_relay(3, 0.5, uniform(77, packet)) for packet in range(10_000)
-    )
-    assert hits / 10_000 == pytest.approx(0.5, abs=0.02)
-
-
-def test_decide_use_relay_rejects_bad_probability():
-    with pytest.raises(ValueError):
-        decide_use_relay(3, 1.5, 0.0)

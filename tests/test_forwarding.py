@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coopmesh import forwarding
 from coopmesh.forwarding import (
     DOMAIN_TRANSMIT,
     HopOutcome,
@@ -229,6 +230,24 @@ def test_forward_hop_coop_without_cooperation_matches_rpl():
         assert never == rpl
     assert any(not o.delivered for o in rpl_outcomes)
     assert any(o.delivered and o.attempts > 1 for o in rpl_outcomes)
+
+
+def test_cooperation_decision_frequency_matches_p(monkeypatch):
+    # at p_coop = 0.5 about half of the hops whose sender has a relay are
+    # handed it; the decision draw is keyed by packet, so each hop is fresh
+    handed = []
+    hop = forwarding.forward_hop
+
+    def recording_hop(link_layer, holder, receivers, relay, *args):
+        handed.append(relay)
+        return hop(link_layer, holder, receivers, relay, *args)
+
+    monkeypatch.setattr(forwarding, "forward_hop", recording_hop)
+    ch = lsr_channel([(0.0, 0.0), (20.0, 0.0), (10.0, 5.0)], lsr=1.0)
+    for packet_id in range(10_000):
+        _single_hop(ch, Protocol.COOP_RPL, packet_id, relay_for={1: 2}, p_coop=0.5)
+    assert set(handed) == {None, 2}
+    assert handed.count(2) / 10_000 == pytest.approx(0.5, abs=0.02)
 
 
 def test_cooperative_dominance_exhaustive_over_p_grid():

@@ -1,10 +1,12 @@
 import copy
 import dataclasses
+import gc
 import hashlib
 import heapq
 import inspect
 import json
 import math
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -361,6 +363,26 @@ def test_events_pop_by_slot_then_kind_then_push_order():
         (7, EventKind.HOP_ATTEMPT, 3),
         (7, EventKind.HOP_ATTEMPT, 8),
     ]
+
+
+@pytest.mark.parametrize("protocol", list(Protocol))
+def test_finished_run_is_freed_without_the_collector(protocol):
+    # a finished Simulation must hold no reference cycle (a table of its own
+    # bound methods would make one), or every run of a sweep stays in
+    # memory until the cyclic collector happens to run
+    records = []
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sim = form_network(packet_trace_config(protocol), emit=records.append)
+        sim.run_traffic()
+        ref = weakref.ref(sim)
+        del sim
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert records
 
 
 def test_formation_is_identical_under_every_variant():
