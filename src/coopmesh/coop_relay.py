@@ -191,12 +191,13 @@ def run_selection(
 
     One pass over the sender's neighbors, applying the rules that
     filter_candidates_by_rank and eligible state (the tests hold this pass
-    to them). Unless with_fading asks for per-slot gains, SINRs are the
-    fading-mean channel's, so choices stay stable between advertisement
-    rounds: with no other node transmitting they are the channel's cached
-    link SNRs, with one a one-term sum, and with more (or with per-slot
-    fading) compute_sinr's. etx_of(a, b) supplies the current link
-    estimate; weights are the config's active_weights().
+    to them). Every SINR is channel.compute_sinr's against the other nodes
+    in interferers, the nodes transmitting in slot: the fading-mean channel
+    unless with_fading asks for per-slot gains, so choices stay stable
+    between advertisement rounds. The direct link's SINR is computed once
+    per sender, and again only for a candidate that is itself among the
+    interferers. etx_of(a, b) supplies the current link estimate; weights
+    are the config's active_weights().
 
     Returns (selected relay or None, candidate rates for tracing).
     """
@@ -208,11 +209,12 @@ def run_selection(
     # a candidate must actually reach the hop destination for its second
     # cooperative leg to exist at all (distance, hence reach, is symmetric)
     reaches_parent = set(channel.neighbors(parent))
-    link = channel.link
+    compute_sinr = channel.compute_sinr
     nac_s, nch_s = sender.active_connections, len(sender.children)
     etx_s_d = etx_of(s, parent)
-    snr_s_d = link(s, parent).mean_snr_db
-    others = [t for t in interferers if t != s]
+    # compute_sinr sums the interference in this set's order
+    others = frozenset(t for t in interferers if t != s)
+    direct = compute_sinr(parent, s, others, slot, with_fading)
     best_effort = routing_class is RoutingClass.BEST_EFFORT
     test_a = best_effort or routing_class is RoutingClass.CLASS_A
     test_b = best_effort or routing_class is RoutingClass.CLASS_B
@@ -228,22 +230,12 @@ def run_selection(
             or r not in reaches_parent
         ):
             continue
-        concurrent = len(others) - (r in others)
-        if with_fading or concurrent >= 2:
-            # compute_sinr sums the interference in this set's order
+        clean, sinr_s_d = others, direct
+        if r in others:
             clean = frozenset(t for t in interferers if t not in (s, r))
-            sinr_s_r = channel.compute_sinr(r, s, clean, slot, with_fading)
-            sinr_r_d = channel.compute_sinr(parent, r, clean, slot, with_fading)
-            sinr_s_d = channel.compute_sinr(parent, s, clean, slot, with_fading)
-        elif concurrent == 0:
-            sinr_s_r = link(s, r).mean_snr_db
-            sinr_r_d = link(r, parent).mean_snr_db
-            sinr_s_d = snr_s_d
-        else:
-            other = others[0] if others[0] != r else others[1]
-            sinr_s_r = channel.mean_sinr_db(r, s, other)
-            sinr_r_d = channel.mean_sinr_db(parent, r, other)
-            sinr_s_d = channel.mean_sinr_db(parent, s, other)
+            sinr_s_d = compute_sinr(parent, s, clean, slot, with_fading)
+        sinr_s_r = compute_sinr(r, s, clean, slot, with_fading)
+        sinr_r_d = compute_sinr(parent, r, clean, slot, with_fading)
         nac_r, nch_r = relay_state.active_connections, len(relay_state.children)
         etx_s_r, etx_r_d = etx_of(s, r), etx_of(r, parent)
         if (

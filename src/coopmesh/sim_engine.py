@@ -82,6 +82,13 @@ PROBABILITY = "probability out of range"
 # inside a float, whose range ends near 3,080 dB
 DECIBELS = "beyond any radio's dB range"
 
+# fading-mean SNR window, in dB, for every link a run can read: -300 keeps
+# the weakest in-range signal a normal float beside any interference, and
+# +2,000 keeps the strongest near-field power, and a threshold calibrated
+# on the reference link, finite
+LINK_SNR_DB = (-300.0, 2000.0)
+LINK_BUDGET_FIELDS = ("tx_power_w", "noise_floor_w", "reference_loss_db", "path_loss_exponent")
+
 
 # field -> its allowed range; ScenarioConfig checks against this table
 FIELD_BOUNDS: dict[str, Bound] = {
@@ -103,14 +110,14 @@ FIELD_BOUNDS: dict[str, Bound] = {
     "hysteresis": Bound(0, True),
     "etx_max": Bound(1, True),
     "trickle_redundancy_k": Bound(1, True),
-    "tx_power_w": Bound(0, False),
-    "noise_floor_w": Bound(0, False),
+    "tx_power_w": Bound(1e-30, True, 1e30, DECIBELS),
+    "noise_floor_w": Bound(1e-30, True, 1e30, DECIBELS),
     "tx_range_m": Bound(0, False),
     "lsr_value": Bound(0, False, 1, PROBABILITY),
     "reference_loss_db": Bound(-300, True, 300, DECIBELS),
     "sinr_threshold_db": Bound(-300, True, 300, DECIBELS),
     "reference_distance": Bound(0, False),
-    "path_loss_exponent": Bound(2, True),
+    "path_loss_exponent": Bound(2, True, 10, "steeper than any measured path loss"),
     "trickle_imin_ms": Bound(0, False),
 }
 
@@ -252,6 +259,35 @@ class ScenarioConfig:
         message = sweep_violation(self.sweep_axis, self.sweep_values)
         if message is not None:
             raise FieldError(message, ("sweep_axis", "sweep_values"))
+        densities = self.sweep_values if self.sweep_axis == "density" else ()
+        for name, ratios in (("density_ratio", (self.density_ratio,)), ("sweep_values", densities)):
+            # placement draws the meter count from the effective intensity
+            if not all(0.0 < self.intensity * ratio < math.inf for ratio in ratios):
+                raise FieldError(
+                    f"the effective intensity, intensity * {name}, must be a positive"
+                    " finite number",
+                    ("intensity", name),
+                )
+        # placement draws coordinates at 53-bit resolution: two meters lie
+        # about region_side * 2**-53 apart at the closest
+        log_side, log_2 = math.log10(self.region_side), math.log10(2.0)
+        budget_db = 10.0 * math.log10(self.tx_power_w / self.noise_floor_w) - self.reference_loss_db
+        for where, log_distance, fields in (
+            ("the closest pair of meters", log_side - 53 * log_2, ("region_side",)),
+            (
+                "the edge of range",
+                min(math.log10(self.tx_range_m), log_side + log_2 / 2),
+                ("tx_range_m", "region_side"),
+            ),
+            ("reference_distance", math.log10(self.reference_distance), ("reference_distance",)),
+        ):
+            snr_db = budget_db - 10.0 * self.path_loss_exponent * log_distance
+            if not LINK_SNR_DB[0] <= snr_db <= LINK_SNR_DB[1]:
+                raise FieldError(
+                    f"the link budget gives {snr_db:.10g} dB SNR at {where}, outside"
+                    f" [{LINK_SNR_DB[0]:g}, {LINK_SNR_DB[1]:g}] dB",
+                    LINK_BUDGET_FIELDS + fields,
+                )
         for name in ("trickle_imin_ms", "dis_timeout_ms"):
             if not math.isfinite(getattr(self, name) / self.slot_ms):
                 raise FieldError(
@@ -357,12 +393,11 @@ def collect_metrics(
 
     Retransmissions average over every packet, delivered or not; delay
     averages over delivered packets only and is absent when none made it.
+    An unresolved packet breaks MetricsReport's conservation check.
     """
     sent = len(packets)
     delivered = [p for p in packets if p.status is PacketStatus.DELIVERED]
     dropped = [p for p in packets if p.status is PacketStatus.DROPPED]
-    if len(delivered) + len(dropped) != sent:
-        raise ValueError("unresolved packets in metrics collection")
     pdr = len(delivered) / sent if sent else 0.0
     mean_retx = sum(p.retransmissions for p in packets) / sent if sent else 0.0
     if delivered:

@@ -71,26 +71,11 @@ class ChannelParams:
     mode: ChannelMode = ChannelMode.PHYSICAL
     lsr_value: float | None = None
 
-    def __post_init__(self):
-        if self.tx_power_w <= 0:
-            raise ValueError("tx_power_w must be positive")
-        if self.path_loss_exponent < 2:
-            raise ValueError("path_loss_exponent must be >= 2")
-        if self.noise_floor_w <= 0:
-            raise ValueError("noise_floor_w must be positive")
-        if self.tx_range_m <= 0:
-            raise ValueError("tx_range_m must be positive")
-        if self.mode is ChannelMode.SWEPT_LSR:
-            if self.lsr_value is None or not 0.0 <= self.lsr_value <= 1.0:
-                raise ValueError("swept-LSR mode needs lsr_value in [0, 1]")
-
 
 @dataclass(frozen=True)
 class LinkModel:
     mean_rx_power_w: float
     exists: bool  # within tx_range
-    # fading-mean SNR in dB; Channel.link fills it in from the noise floor
-    mean_snr_db: float = math.nan
 
 
 def place_nodes(
@@ -107,8 +92,6 @@ def place_nodes(
     retry budget runs out. Same (region, intensity, seed) gives bit-identical
     placements.
     """
-    if intensity <= 0:
-        raise ValueError("intensity must be positive")
     center = region.side_length / 2.0
     for attempt in range(max_retries):
         rng = np.random.default_rng(derive_seed(seed, DOMAIN_PLACEMENT, attempt))
@@ -219,13 +202,8 @@ class Channel:
         if cached is not None:
             return cached
         d = self.distance(src, dst)
-        if d <= 0:
-            raise ValueError("degenerate-link")
         mean_rx = self.params.tx_power_w * path_loss_linear(d, self.params)
-        link = LinkModel(
-            mean_rx, d <= self.params.tx_range_m,
-            10.0 * math.log10(mean_rx / self.params.noise_floor_w),
-        )
+        link = LinkModel(mean_rx, d <= self.params.tx_range_m)
         self._links[key] = link
         return link
 
@@ -242,16 +220,13 @@ class Channel:
         self._neighbors[node] = out
         return out
 
-    def fading_gain(self, src: int, dst: int, slot: int) -> float:
-        return fading_gain(src, dst, slot, self.seed)
-
     def compute_sinr(
         self,
         rx: int,
         tx: int,
-        concurrent_transmitters: set[int] | frozenset[int] = frozenset(),
-        slot: int = 0,
-        with_fading: bool = False,
+        concurrent_transmitters: set[int] | frozenset[int],
+        slot: int,
+        with_fading: bool,
     ) -> float:
         """SINR in dB at rx for a transmission from tx.
 
@@ -261,29 +236,15 @@ class Channel:
         """
         if tx in concurrent_transmitters:
             raise ValueError("transmitter cannot interfere with itself")
-        gain = self.fading_gain(tx, rx, slot) if with_fading else 1.0
+        gain = fading_gain(tx, rx, slot, self.seed) if with_fading else 1.0
         signal = self.link(tx, rx).mean_rx_power_w * gain
         interference = 0.0
         for other in concurrent_transmitters:
             if other == rx:
                 continue
-            g = self.fading_gain(other, rx, slot) if with_fading else 1.0
+            g = fading_gain(other, rx, slot, self.seed) if with_fading else 1.0
             interference += self.link(other, rx).mean_rx_power_w * g
         return 10.0 * math.log10(signal / (self.params.noise_floor_w + interference))
-
-    def mean_sinr_db(self, rx: int, tx: int, other: int) -> float:
-        """Fading-mean SINR in dB at rx for a transmission from tx while
-        other transmits too; bit for bit compute_sinr(rx, tx, {other}), since
-        a gain of 1.0 and a sum starting at 0.0 change no operand."""
-        if other == tx:
-            raise ValueError("transmitter cannot interfere with itself")
-        link = self.link(tx, rx)
-        if other == rx:
-            return link.mean_snr_db
-        interference = self.link(other, rx).mean_rx_power_w
-        return 10.0 * math.log10(
-            link.mean_rx_power_w / (self.params.noise_floor_w + interference)
-        )
 
     def success_probability(self, src: int, dst: int) -> float:
         """Cached per-pair success probability (slot-invariant in both modes)."""

@@ -4,7 +4,7 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from coopmesh import cli, sim_engine
@@ -252,6 +252,28 @@ def test_decibel_fields_bounded_to_a_radio_range(key, bad):
     assert getattr(parse_scenario_text(f"[channel]\n{key} = 300\n"), key) == 300.0
 
 
+# each failed inside the run (a math domain error, an infinite threshold
+# and a silent pdr 0, a raw ValueError from placement) before the boundary
+# rejected it
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("[scenario]\nregion_side = 80\n[channel]\n# subnormal\ntx_power_w = 1e-320\n", 5),
+        ("[channel]\npath_loss_exponent = 500\n[scenario]\nn_packets = 20\n", 2),
+        ("[channel]\ntx_power_w = 1e300\nnoise_floor_w = 1e-300\nlsr_value = 0.5\n", 2),
+        ("[channel]\ntx_power_w = 1e-30\n\nnoise_floor_w = 1e30\n[scenario]\nseed = 3\n", 4),
+        ("[scenario]\ndensity_ratio = 1e-200\nintensity = 1e-200\nseed = 2\n", 3),
+        ("[sweep]\naxis = density\nvalues = 1e-200, 1\n[scenario]\nintensity = 1e-200\n", 5),
+        ("[scenario]\nintensity = 1e-200\n[sweep]\naxis = density\nvalues = 1e-200, 1\n", 5),
+    ],
+    ids=["power-subnormal", "exponent-500", "power-1e300", "joint-budget",
+         "intensity-underflow", "sweep-underflow", "sweep-underflow-last"],
+)
+def test_link_budget_and_intensity_rules_name_a_line(text, line):
+    with pytest.raises(ConfigError, match=f"line {line}: "):
+        parse_scenario_text(text)
+
+
 # a quotient of in-bound values that overflows to infinity slots
 @pytest.mark.parametrize(
     "text, name",
@@ -346,7 +368,28 @@ def test_render_round_trips():
 
 
 @st.composite
-def valid_configs(draw):
+def link_budgets(draw, region_side):
+    """The seven fields the link budget rule reads, for a region of side
+    region_side; a draw the rule rejects is discarded."""
+    positive = st.floats(min_value=1e-6, max_value=1e6)
+    budget = dict(
+        region_side=region_side,
+        tx_power_w=draw(positive),
+        noise_floor_w=draw(positive),
+        reference_loss_db=draw(st.floats(min_value=-300.0, max_value=300.0)),
+        path_loss_exponent=draw(st.floats(min_value=2.0, max_value=8.0)),
+        tx_range_m=draw(positive),
+        reference_distance=draw(positive),
+    )
+    try:
+        ScenarioConfig(**budget)
+    except FieldError:
+        reject()
+    return budget
+
+
+@st.composite
+def valid_configs(draw, sides=st.floats(min_value=1e-6, max_value=1e6)):
     positive = st.floats(min_value=1e-6, max_value=1e6)
     decibels = st.floats(min_value=-300.0, max_value=300.0)
     share = st.floats(min_value=0.0, max_value=1.0)
@@ -367,19 +410,14 @@ def valid_configs(draw):
     values = st.lists(value, min_size=1, max_size=4, unique=True).map(
         lambda drawn: tuple(sorted(drawn))
     )
+    budget = draw(link_budgets(draw(sides)))
     return ScenarioConfig(
-        region_side=draw(positive),
+        **budget,
         intensity=draw(positive),
         density_ratio=draw(positive),
-        tx_power_w=draw(positive),
-        path_loss_exponent=draw(st.floats(min_value=2.0, max_value=8.0)),
-        reference_loss_db=draw(decibels),
-        noise_floor_w=draw(positive),
-        tx_range_m=draw(positive),
         sinr_threshold_db=draw(decibels),
         lsr_value=draw(st.none() | st.floats(min_value=0.0, max_value=1.0, exclude_min=True)),
         lsr_mapping=draw(st.sampled_from(["reference", "uniform"])),
-        reference_distance=draw(positive),
         protocol=draw(st.sampled_from(Protocol)),
         routing_class=draw(st.sampled_from(RoutingClass)),
         weights=weights,
@@ -418,15 +456,13 @@ def runnable_configs(draw):
     at most 150 m holding about 30 meters at most, at most 50 packets sent
     within 200 slots, and a warmup of at most 2,000 slots past the
     gateway's first DIO. Every other field is valid_configs()' draw."""
-    cfg = draw(valid_configs())
-    side = draw(st.floats(min_value=10.0, max_value=150.0))
+    cfg = draw(valid_configs(st.floats(min_value=10.0, max_value=150.0)))
     meters = draw(st.floats(min_value=1.0, max_value=30.0))
     imin_slots = cfg.ms_to_slots(cfg.trickle_imin_ms)
     window = cfg.traffic_window_slots
     return replace(
         cfg,
-        region_side=side,
-        intensity=meters / side**2,
+        intensity=meters / cfg.region_side**2,
         density_ratio=1.0,
         n_packets=min(cfg.n_packets, 50),
         warmup_slots=min(cfg.warmup_slots, imin_slots + 2000),
@@ -463,6 +499,26 @@ def test_generated_configs_run_soundly(cfg):
     for delay in (report.mean_delay_slots, report.mean_delay_ms):
         assert (delay is None) == (report.delivered == 0)
         assert delay is None or (math.isfinite(delay) and delay >= 0)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    cfg=runnable_configs(),
+    axis=st.sampled_from(["lsr", "density"]),
+    values=st.lists(st.floats(min_value=0.25, max_value=1.0), min_size=2, max_size=2, unique=True),
+)
+def test_generated_sweeps_replay_across_worker_counts(tmp_path_factory, cfg, axis, values):
+    # 2 values x 2 seeds x 2 variants: the CSV is the same bytes however
+    # many processes share the points. Eight runs per example, so the warmup
+    # is cut to 500 slots past the gateway's first DIO to bound the time.
+    imin_slots = cfg.ms_to_slots(cfg.trickle_imin_ms)
+    cfg = replace(cfg, warmup_slots=min(cfg.warmup_slots, imin_slots + 500))
+    variants = default_variants(["rpl", "coop_rpl"], ["best_effort"])
+    spec = SweepSpec(axis, tuple(sorted(values)), variants, seeds=2)
+    out = tmp_path_factory.mktemp("replay")
+    run_sweep(cfg, spec, out / "one.csv", workers=1)
+    run_sweep(cfg, spec, out / "two.csv", workers=2)
+    assert (out / "one.csv").read_bytes() == (out / "two.csv").read_bytes()
 
 
 def test_default_variants_expand_coop_classes():

@@ -10,6 +10,8 @@ import weakref
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopmesh import forwarding, rpl_core, sim_engine
 from coopmesh.cli import default_variants
@@ -33,7 +35,7 @@ from coopmesh.sim_engine import (
     generate_traffic,
     run_scenario,
 )
-from coopmesh.topology import GATEWAY_ID
+from coopmesh.topology import GATEWAY_ID, Channel, NodePlacement
 
 
 def tiny_config(**overrides):
@@ -123,6 +125,102 @@ def test_every_rejection_is_a_field_error_naming_its_fields():
     assert info.value.fields == ("warmup_slots", "trickle_imin_ms", "slot_ms")
 
 
+@pytest.mark.parametrize(
+    "changes, fields",
+    [
+        ({"intensity": 1e-200, "density_ratio": 1e-200}, ("intensity", "density_ratio")),
+        ({"intensity": 1e200, "density_ratio": 1e200}, ("intensity", "density_ratio")),
+        (
+            {"intensity": 1e-200, "sweep_axis": "density", "sweep_values": (1e-200, 1.0)},
+            ("intensity", "sweep_values"),
+        ),
+    ],
+    ids=["underflow", "overflow", "sweep-underflow"],
+)
+def test_effective_intensity_must_be_a_positive_finite_number(changes, fields):
+    # place_nodes would raise later, inside the run, with no field named
+    with pytest.raises(FieldError, match="effective intensity") as info:
+        ScenarioConfig(**changes)
+    assert info.value.fields == fields
+    # the same values are fine where the product is
+    assert ScenarioConfig(intensity=1e-200, density_ratio=1e100).effective_intensity > 0
+    ScenarioConfig(intensity=1e-200, sweep_axis="lsr", sweep_values=(1e-200, 1.0))
+
+
+LINK_BUDGET = ("tx_power_w", "noise_floor_w", "reference_loss_db", "path_loss_exponent")
+
+
+@pytest.mark.parametrize(
+    "changes, fields",
+    [
+        # each raised a math domain error inside the run, on an 80 m region
+        ({"tx_power_w": 1e-320}, ("tx_power_w",)),
+        ({"path_loss_exponent": 500.0}, ("path_loss_exponent",)),
+        # this one calibrated an infinite threshold and silently gave pdr 0
+        (
+            {"tx_power_w": 1e300, "noise_floor_w": 1e-300, "lsr_value": 0.5},
+            ("tx_power_w",),
+        ),
+        # in-bound fields whose joint budget leaves the SNR window
+        ({"tx_power_w": 1e-30, "noise_floor_w": 1e30}, LINK_BUDGET + ("tx_range_m", "region_side")),
+        ({"path_loss_exponent": 10.0, "region_side": 1e-9}, LINK_BUDGET + ("region_side",)),
+        (
+            {"reference_distance": 1e-100, "lsr_value": 0.5},
+            LINK_BUDGET + ("reference_distance",),
+        ),
+    ],
+    ids=["power-1e-320", "exponent-500", "power-1e300", "edge", "nearest-pair", "reference"],
+)
+def test_link_budgets_past_a_float_fail_at_construction(changes, fields):
+    base = {"region_side": 80.0, "intensity": 10.0 / 6400.0, "n_packets": 20}
+    with pytest.raises(FieldError) as info:
+        ScenarioConfig(**{**base, **changes})
+    assert info.value.fields == fields
+
+
+def _powers_of_ten(low, high):
+    return st.floats(min_value=low, max_value=high).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    tx_power_w=_powers_of_ten(-32.0, 32.0),
+    noise_floor_w=_powers_of_ten(-32.0, 32.0),
+    reference_loss_db=st.floats(min_value=-300.0, max_value=300.0),
+    path_loss_exponent=st.floats(min_value=2.0, max_value=12.0),
+    region_side=_powers_of_ten(-24.0, 24.0),
+    tx_range_m=_powers_of_ten(-24.0, 24.0),
+    reference_distance=_powers_of_ten(-24.0, 24.0),
+    sinr_threshold_db=st.floats(min_value=-300.0, max_value=300.0),
+    lsr_value=st.none() | st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    lsr_mapping=st.sampled_from(["reference", "uniform"]),
+)
+def test_link_budget_rule_keeps_every_in_range_link_finite(**fields):
+    try:
+        config = ScenarioConfig(**fields)
+    except FieldError:
+        return
+    # the gateway, a meter as close to it as a coordinate can be, two
+    # opposite corners, and a meter at the edge of range from one corner
+    side = config.region_side
+    center = side / 2.0
+    edge = min(config.tx_range_m, side * math.sqrt(2.0)) / math.sqrt(2.0)
+    points = [
+        (center, center), (math.nextafter(center, math.inf), center),
+        (0.0, 0.0), (side, side), (edge, edge),
+    ]
+    placements = [NodePlacement(i, x, y) for i, (x, y) in enumerate(dict.fromkeys(points))]
+    channel = Channel(placements, config.channel_params(), config.seed)
+    everyone = frozenset(channel.node_ids)
+    for tx in channel.node_ids:
+        for rx in channel.neighbors(tx):
+            assert 0.0 <= channel.success_probability(tx, rx) <= 1.0
+            for with_fading in (False, True):
+                # every other node transmits at once
+                sinr = channel.compute_sinr(rx, tx, everyone - {tx}, 7, with_fading)
+                assert math.isfinite(sinr)
+
+
 def test_run_parameters_have_no_default_outside_scenario_config():
     # ScenarioConfig alone holds a run parameter's default: a second copy
     # can drift from it, as NetworkView's seed = 0 did from seed = 1
@@ -140,6 +238,7 @@ def test_run_parameters_have_no_default_outside_scenario_config():
         (process_dio, ("hysteresis",)),
         (EtxEstimate.observe, ("etx_max",)),
         (run_selection, ("weights", "interferers", "slot", "with_fading")),
+        (Channel.compute_sinr, ("concurrent_transmitters", "slot", "with_fading")),
     ):
         parameters = inspect.signature(fn).parameters
         for name in names:

@@ -121,48 +121,28 @@ def test_compute_sinr_snr_only_case():
     ch = make_channel([(0.0, 0.0), (30.0, 0.0)])
     rx_power = ch.link(1, 0).mean_rx_power_w
     expected = 10.0 * math.log10(rx_power / PARAMS.noise_floor_w)
-    assert ch.compute_sinr(rx=0, tx=1) == pytest.approx(expected)
+    assert ch.compute_sinr(0, 1, frozenset(), 0, False) == pytest.approx(expected)
 
 
 def test_compute_sinr_equal_power_interferer_near_zero_db():
     # tx and interferer equidistant from rx; noise far below rx power
     ch = make_channel([(0.0, 0.0), (30.0, 0.0), (-30.0, 0.0)])
-    sinr = ch.compute_sinr(rx=0, tx=1, concurrent_transmitters={2})
+    sinr = ch.compute_sinr(0, 1, {2}, 0, False)
     assert abs(sinr) < 0.01
 
 
 def test_compute_sinr_interferers_strictly_decrease():
     ch = make_channel([(0.0, 0.0), (30.0, 0.0), (0.0, 40.0), (40.0, 40.0)])
-    clean = ch.compute_sinr(rx=0, tx=1)
-    one = ch.compute_sinr(rx=0, tx=1, concurrent_transmitters={2})
-    two = ch.compute_sinr(rx=0, tx=1, concurrent_transmitters={2, 3})
+    clean = ch.compute_sinr(0, 1, frozenset(), 0, False)
+    one = ch.compute_sinr(0, 1, {2}, 0, False)
+    two = ch.compute_sinr(0, 1, {2, 3}, 0, False)
     assert clean > one > two
 
 
 def test_compute_sinr_rejects_tx_in_interferer_set():
     ch = make_channel([(0.0, 0.0), (30.0, 0.0)])
     with pytest.raises(ValueError):
-        ch.compute_sinr(rx=0, tx=1, concurrent_transmitters={1})
-
-
-def test_cached_snr_and_one_interferer_sinr_equal_compute_sinr_exactly():
-    # relay selection reads these in place of compute_sinr: bit-equal, not close
-    params = replace(PARAMS, path_loss_exponent=3.7, noise_floor_w=3e-13)
-    placements = place_nodes(Region(150.0), 12 / 150.0**2, 4, params)
-    ch = Channel(placements, params, 4)
-    ids = ch.node_ids
-    for tx in ids:
-        for rx in ids:
-            if rx == tx:
-                continue
-            assert ch.link(tx, rx).mean_snr_db == ch.compute_sinr(rx, tx)
-            for other in ids:
-                if other != tx:
-                    assert ch.mean_sinr_db(rx, tx, other) == ch.compute_sinr(
-                        rx, tx, frozenset({other})
-                    )
-    with pytest.raises(ValueError):
-        ch.mean_sinr_db(ids[0], ids[1], ids[1])
+        ch.compute_sinr(0, 1, {1}, 0, False)
 
 
 def test_swept_lsr_uniform_over_links():
