@@ -508,6 +508,10 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError("--values needs --sweep (or a [sweep] section)")
         if config.sweep_values and not axis:
             raise ConfigError("[sweep] values need an axis (in the file or --sweep)")
+        if args.trace and axis:
+            raise ConfigError("--trace records a single run, not a sweep")
+        if args.workers < 1:
+            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         if not args.quiet:
             sys.stdout.write(render_scenario(config))
             sys.stdout.write("\n")
@@ -535,7 +539,7 @@ def main(argv: list[str] | None = None) -> int:
             seeds=args.seeds,
         )
         out_path = args.out or Path("sweep.csv")
-        rows, failed = run_sweep(config, spec, out_path, workers=max(1, args.workers))
+        rows, failed = run_sweep(config, spec, out_path, workers=args.workers)
         print(f"wrote {out_path} ({len(rows)} data rows, {failed} failed)")
         # a comparison needs both series, and only rows with metrics give one
         scored = {r["protocol"] for r in rows if r.get("error") is None}

@@ -14,6 +14,10 @@ A heap entry is a plain tuple ``(slot, priority, event_id, kind, payload)``.
 the first three fields and never reaches ``kind`` or ``payload``, which need
 not be orderable at all.
 
+Packet arrivals are the exception: they are generated up front as arrays
+and merged with the heap by the same (slot, priority) rule, so they never
+take a heap entry; see ``Simulation.run_traffic``.
+
 This module alone writes the trace format: each record is a dict literal
 built where it is emitted (DIO, DIS and DAO records by their control
 handlers, relay and packet records by the traffic loop).
@@ -381,60 +385,75 @@ class MetricsReport:
                 raise ValueError("pdr must equal delivered/sent")
 
 
-def collect_metrics(
-    packets: list[Packet],
-    slot_ms: float,
-    disconnected: bool = False,
-    joined_nodes: int = 0,
-    total_nodes: int = 0,
-    formation_slots: int = 0,
-) -> MetricsReport:
-    """Fold resolved packets into a report row.
+@dataclass
+class MetricsTally:
+    """Integer running totals of the packets folded in so far.
 
-    Retransmissions average over every packet, delivered or not; delay
-    averages over delivered packets only and is absent when none made it.
-    An unresolved packet breaks MetricsReport's conservation check.
+    A packet is folded once, when it resolves, and can then be dropped: the
+    report reads these sums alone, and integer sums are exact in any fold
+    order. Retransmissions average over every packet, delivered or not;
+    delay averages over delivered packets only and is absent when none made
+    it. A folded unresolved packet counts as sent but neither delivered nor
+    dropped, so it breaks MetricsReport's conservation check.
     """
-    sent = len(packets)
-    delivered = [p for p in packets if p.status is PacketStatus.DELIVERED]
-    dropped = [p for p in packets if p.status is PacketStatus.DROPPED]
-    pdr = len(delivered) / sent if sent else 0.0
-    mean_retx = sum(p.retransmissions for p in packets) / sent if sent else 0.0
-    if delivered:
-        mean_delay = sum(p.delay_slots for p in delivered) / len(delivered)
-        mean_delay_ms = mean_delay * slot_ms
-    else:
-        mean_delay = None
-        mean_delay_ms = None
-    return MetricsReport(
-        packets_sent=sent,
-        delivered=len(delivered),
-        dropped=len(dropped),
-        pdr=pdr,
-        mean_retransmissions=mean_retx,
-        mean_delay_slots=mean_delay,
-        mean_delay_ms=mean_delay_ms,
-        disconnected=disconnected,
-        joined_nodes=joined_nodes,
-        total_nodes=total_nodes,
-        formation_slots=formation_slots,
-    )
+
+    sent: int = 0
+    delivered: int = 0
+    dropped: int = 0
+    retransmissions: int = 0
+    delay_slots: int = 0  # over delivered packets
+
+    def fold(self, packet: Packet) -> None:
+        self.sent += 1
+        self.retransmissions += packet.retransmissions
+        if packet.status is PacketStatus.DELIVERED:
+            self.delivered += 1
+            self.delay_slots += packet.delay_slots
+        elif packet.status is PacketStatus.DROPPED:
+            self.dropped += 1
+
+    def report(
+        self,
+        slot_ms: float,
+        disconnected: bool = False,
+        joined_nodes: int = 0,
+        total_nodes: int = 0,
+        formation_slots: int = 0,
+    ) -> MetricsReport:
+        sent = self.sent
+        if self.delivered:
+            mean_delay = self.delay_slots / self.delivered
+            mean_delay_ms = mean_delay * slot_ms
+        else:
+            mean_delay = None
+            mean_delay_ms = None
+        return MetricsReport(
+            packets_sent=sent,
+            delivered=self.delivered,
+            dropped=self.dropped,
+            pdr=self.delivered / sent if sent else 0.0,
+            mean_retransmissions=self.retransmissions / sent if sent else 0.0,
+            mean_delay_slots=mean_delay,
+            mean_delay_ms=mean_delay_ms,
+            disconnected=disconnected,
+            joined_nodes=joined_nodes,
+            total_nodes=total_nodes,
+            formation_slots=formation_slots,
+        )
 
 
 def generate_traffic(
     config: ScenarioConfig, sources: list[int], start_slot: int
-) -> list[tuple[int, int]]:
-    """(slot, source) pairs: n_packets uniform over sources and the window."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """n_packets arrivals uniform over sources and the window, as two int64
+    arrays indexed by packet id: each packet's arrival slot and source."""
     if not sources:
         raise ValueError("no joined sources to generate traffic from")
     rng = np.random.default_rng(derive_seed(config.seed, DOMAIN_TRAFFIC))
     picks = rng.integers(0, len(sources), size=config.n_packets)
     offsets = rng.integers(0, config.window_slots, size=config.n_packets)
-    ordered = sorted(sources)
-    return [
-        (start_slot + int(offsets[i]), ordered[int(picks[i])])
-        for i in range(config.n_packets)
-    ]
+    offsets += start_slot
+    return offsets, np.array(sorted(sources), dtype=np.int64)[picks]
 
 
 class Simulation:
@@ -712,26 +731,48 @@ class Simulation:
         )
 
     def run_traffic(self) -> MetricsReport:
-        """Generate the packet load and drive every packet to resolution."""
+        """Generate the packet load and drive every packet to resolution.
+
+        Arrivals are not queued: they are walked in (slot, packet id) order
+        and taken before the queue head whenever their (slot, PACKET_GEN
+        priority) sorts first, which is the order queued arrivals would pop
+        in. Only in-flight packets are held; each is folded into the tally
+        as it resolves.
+        """
         cfg = self.config
         sources = self.joined_meters()
         disconnected = len(sources) < len(self.states) - 1
         self.traffic_started = True
         for node in sorted(sources):
             self._refresh_route(node, self.now)
-        start = self.formation_slots
+        arrival_slots, arrival_sources = generate_traffic(cfg, sources, self.formation_slots)
+        # a stable sort keeps packet ids rising within a slot
+        arrivals = iter(np.argsort(arrival_slots, kind="stable"))
+        next_id = int(next(arrivals))
+        next_slot = int(arrival_slots[next_id])  # math.inf once all have arrived
         packets: dict[int, Packet] = {}
         layers: dict[int, LinkLayer] = {}
         relay_hops: dict[int, int] = {}
-        for packet_id, (slot, source) in enumerate(generate_traffic(cfg, sources, start)):
-            self.push(slot, EventKind.PACKET_GEN, (packet_id, source))
+        tally = MetricsTally()
         net = self.network_view()
-        unresolved = cfg.n_packets
+        queue = self.queue
         hop_attempt = EventKind.HOP_ATTEMPT
+        packet_gen = EventKind.PACKET_GEN
+        gen_priority = packet_gen.value
         registry = self.registry
         trace_relays = self.emit is not None and cfg.protocol is Protocol.COOP_RPL
-        while unresolved > 0:  # the queue never runs dry, as in formation
-            slot, _, _, kind, payload = heapq.heappop(self.queue)
+        while tally.sent < cfg.n_packets:  # the queue never runs dry, as in formation
+            head = queue[0]
+            if next_slot < head[0] or (next_slot == head[0] and gen_priority < head[1]):
+                slot, kind, payload = next_slot, packet_gen, next_id
+                next_id = next(arrivals, None)
+                if next_id is None:
+                    next_slot = math.inf
+                else:
+                    next_id = int(next_id)
+                    next_slot = int(arrival_slots[next_id])
+            else:
+                slot, _, _, kind, payload = heapq.heappop(queue)
             if registry is not None and slot > self.now:
                 # transmissions register at their own slot or later, and the
                 # registry is read at the current slot only
@@ -763,7 +804,6 @@ class Simulation:
                 if packet.status is PacketStatus.IN_FLIGHT:
                     self.push(slot + outcome.slots_consumed, hop_attempt, payload)
                 else:
-                    unresolved -= 1
                     if self.emit is not None:
                         # the one kind without a "type"; adding one would
                         # change every trace file
@@ -776,21 +816,18 @@ class Simulation:
                             "relay_hops": relay_hops[payload],
                             "delay_slots": packet.delay_slots,
                         })
-                    # a resolved packet draws nothing more: free its hasher
-                    del layers[payload], relay_hops[payload]
-            elif kind is EventKind.PACKET_GEN:
-                packet_id, source = payload
-                packet = Packet(packet_id, source, slot, source)
-                packets[packet_id] = packet
-                layers[packet_id] = LinkLayer(
-                    self.channel, cfg.seed, packet_id, self.registry
-                )
-                relay_hops[packet_id] = 0
-                self.push(slot, hop_attempt, packet_id)
+                    tally.fold(packet)
+                    # a resolved packet draws nothing more and is counted
+                    del packets[payload], layers[payload], relay_hops[payload]
+            elif kind is packet_gen:
+                source = int(arrival_sources[payload])
+                packets[payload] = Packet(payload, source, slot, source)
+                layers[payload] = LinkLayer(self.channel, cfg.seed, payload, registry)
+                relay_hops[payload] = 0
+                self.push(slot, hop_attempt, payload)
             else:
                 self._handle_control(slot, kind, payload)
-        return collect_metrics(
-            list(packets.values()),
+        return tally.report(
             cfg.slot_ms,
             disconnected=disconnected,
             joined_nodes=len(sources),

@@ -704,6 +704,30 @@ def test_main_rejects_sweep_values_without_axis(tmp_path, capsys):
     assert "pdr = " not in captured.out  # no single run in their place
 
 
+def test_main_rejects_trace_with_sweep(tmp_path, capsys):
+    trace_path = tmp_path / "t.jsonl"
+    code = main([
+        "--sweep", "lsr", "--values", "0.5,0.9", "--trace", str(trace_path),
+        "--out", str(tmp_path / "out.csv"), "--quiet",
+    ])
+    assert code == 1
+    assert "--trace records a single run" in capsys.readouterr().err
+    assert not trace_path.exists()
+    assert not (tmp_path / "out.csv").exists()  # no sweep ran either
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_main_rejects_workers_below_one(tmp_path, capsys, workers):
+    out_csv = tmp_path / "out.csv"
+    code = main([
+        "--sweep", "lsr", "--values", "0.5", "--workers", workers,
+        "--out", str(out_csv), "--quiet",
+    ])
+    assert code == 1
+    assert f"--workers must be >= 1, got {workers}" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
 def test_main_sweep_writes_csv_and_comparison(tmp_path, capsys):
     cfg_path = tmp_path / "s.cfg"
     cfg_path.write_text(

@@ -361,6 +361,38 @@ def test_hop_failure_rate_matches_closed_form(protocol, p):
     assert abs(z) <= 4, (failed, hops * q)
 
 
+def rpl_hop_slots_distribution(p, max_retx, retx_wait):
+    """Exact slots-per-hop law of an rpl hop: delivered at attempt k it
+    takes k + (k - 1) * retx_wait slots, failed it takes every attempt and
+    every gap between them. Returns [(slots, probability)]."""
+    law = [
+        (k + (k - 1) * retx_wait, p * (1 - p) ** (k - 1))
+        for k in range(1, max_retx + 2)
+    ]
+    law.append((max_retx + 1 + max_retx * retx_wait, (1 - p) ** (max_retx + 1)))
+    return law
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5, 0.7])
+def test_hop_delay_matches_closed_form(p):
+    # the per-hop delay oracle: mean slots per rpl hop on a swept-LSR
+    # channel against the exact expectation, retry wait included
+    max_retx, retx_wait, hops = 3, 2, 20_000
+    ch = lsr_channel([(0.0, 0.0), (20.0, 0.0)], lsr=p)
+    total = sum(
+        forward_hop(
+            LinkLayer(ch, 7, packet_id), 1, (0,), None, 0, max_retx, 1, retx_wait
+        ).slots_consumed
+        for packet_id in range(hops)
+    )
+    law = rpl_hop_slots_distribution(p, max_retx, retx_wait)
+    assert math.fsum(q for _, q in law) == pytest.approx(1.0)
+    mean = math.fsum(s * q for s, q in law)
+    variance = math.fsum((s - mean) ** 2 * q for s, q in law)
+    z = (total / hops - mean) / math.sqrt(variance / hops)
+    assert abs(z) <= 4, (total / hops, mean)
+
+
 def test_opportunistic_dedup_prefers_priority_order():
     members = (5, 7)
     both = forward_hop(ScriptedLinkLayer([True, True]), 1, members, None, 0, 0, 1, 1)

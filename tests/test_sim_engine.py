@@ -6,9 +6,11 @@ import heapq
 import inspect
 import json
 import math
+import tracemalloc
 import weakref
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,7 +32,7 @@ from coopmesh.sim_engine import (
     MetricsReport,
     ScenarioConfig,
     Simulation,
-    collect_metrics,
+    MetricsTally,
     form_network,
     generate_traffic,
     run_scenario,
@@ -484,6 +486,27 @@ def test_finished_run_is_freed_without_the_collector(protocol):
     assert records
 
 
+def test_run_memory_does_not_grow_with_packet_count():
+    # a run holds its in-flight packets, the arrival arrays (a few int64
+    # per packet) and the network's tables; a resolved packet is folded
+    # into the report's tallies and freed, and an arrival takes no heap entry
+    def traced_peak(n_packets):
+        cfg = ScenarioConfig(
+            region_side=120.0, intensity=20.0 / 120.0**2, n_packets=n_packets,
+            lsr_value=0.9, seed=5,
+        )
+        gc.collect()
+        tracemalloc.start()
+        try:
+            run_scenario(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = traced_peak(1_000), traced_peak(10_000)
+    assert (large - small) / 9_000 <= 100, (small, large)
+
+
 def test_formation_is_identical_under_every_variant():
     # a sweep re-forms the network per variant; that is only sound because
     # formation never reads the protocol or routing class
@@ -555,25 +578,25 @@ def test_dao_routes_recorded_along_default_paths():
 
 def test_generate_traffic_count_and_window():
     cfg = tiny_config(n_packets=1000)
-    events = generate_traffic(cfg, sources=[3, 4, 5], start_slot=100)
-    assert len(events) == 1000
-    for slot, source in events:
-        assert 100 <= slot < 100 + cfg.window_slots
-        assert source in (3, 4, 5)
+    slots, sources = generate_traffic(cfg, sources=[3, 4, 5], start_slot=100)
+    assert slots.shape == sources.shape == (1000,)
+    assert slots.dtype == sources.dtype == np.int64
+    assert ((100 <= slots) & (slots < 100 + cfg.window_slots)).all()
+    assert set(sources.tolist()) <= {3, 4, 5}
 
 
 def test_generate_traffic_single_meter_gets_everything():
     cfg = tiny_config(n_packets=64)
-    events = generate_traffic(cfg, sources=[9], start_slot=0)
-    assert all(source == 9 for _, source in events)
+    _, sources = generate_traffic(cfg, sources=[9], start_slot=0)
+    assert (sources == 9).all()
 
 
 def test_generate_traffic_uniform_over_sources():
     cfg = ScenarioConfig(n_packets=100_000, seed=23)
     sources = list(range(1, 21))
-    events = generate_traffic(cfg, sources, start_slot=0)
+    _, picked = generate_traffic(cfg, sources, start_slot=0)
     counts = {s: 0 for s in sources}
-    for _, source in events:
+    for source in picked.tolist():
         counts[source] += 1
     for s in sources:
         assert counts[s] / 100_000 == pytest.approx(1 / 20, rel=0.05)
@@ -593,6 +616,13 @@ def _packet(status, retx=0, delay=None):
     if delay is not None:
         p.delivered_slot = delay
     return p
+
+
+def collect_metrics(packets, slot_ms):
+    tally = MetricsTally()
+    for packet in packets:
+        tally.fold(packet)
+    return tally.report(slot_ms)
 
 
 def test_collect_metrics_definitions():
