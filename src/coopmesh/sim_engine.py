@@ -817,7 +817,7 @@ class Simulation:
                             "delay_slots": packet.delay_slots,
                         })
                     tally.fold(packet)
-                    # a resolved packet draws nothing more and is counted
+                    # a resolved packet draws nothing more, and the tally has counted it
                     del packets[payload], layers[payload], relay_hops[payload]
             elif kind is packet_gen:
                 source = int(arrival_sources[payload])

@@ -618,7 +618,8 @@ def _packet(status, retx=0, delay=None):
     return p
 
 
-def collect_metrics(packets, slot_ms):
+def tally_report(packets, slot_ms):
+    # the report's definitions, reached the way run_traffic reaches them
     tally = MetricsTally()
     for packet in packets:
         tally.fold(packet)
@@ -628,7 +629,7 @@ def collect_metrics(packets, slot_ms):
 def test_collect_metrics_definitions():
     packets = [_packet(PacketStatus.DELIVERED, retx=0, delay=2) for _ in range(8)]
     packets += [_packet(PacketStatus.DROPPED, retx=3) for _ in range(2)]
-    report = collect_metrics(packets, slot_ms=10.0)
+    report = tally_report(packets, slot_ms=10.0)
     assert report.pdr == 0.8
     assert report.packets_sent == 10
     assert report.mean_retransmissions == pytest.approx(6 / 10)
@@ -642,14 +643,14 @@ def test_collect_metrics_delay_example():
         _packet(PacketStatus.DELIVERED, delay=4),
         _packet(PacketStatus.DROPPED),
     ]
-    report = collect_metrics(packets, slot_ms=10.0)
+    report = tally_report(packets, slot_ms=10.0)
     assert report.mean_delay_slots == 3.0
     assert report.pdr == pytest.approx(2 / 3)
 
 
 def test_collect_metrics_zero_delivered_has_no_delay():
     packets = [_packet(PacketStatus.DROPPED, retx=3) for _ in range(4)]
-    report = collect_metrics(packets, slot_ms=10.0)
+    report = tally_report(packets, slot_ms=10.0)
     assert report.mean_delay_slots is None
     assert report.mean_delay_ms is None
     assert report.pdr == 0.0
@@ -657,7 +658,7 @@ def test_collect_metrics_zero_delivered_has_no_delay():
 
 def test_collect_metrics_rejects_unresolved():
     with pytest.raises(ValueError):
-        collect_metrics([_packet(PacketStatus.IN_FLIGHT)], slot_ms=10.0)
+        tally_report([_packet(PacketStatus.IN_FLIGHT)], slot_ms=10.0)
 
 
 def test_metrics_report_conservation_enforced():
