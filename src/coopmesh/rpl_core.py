@@ -30,7 +30,7 @@ class TrickleState:
     max_doublings: int
     redundancy_k: int
     current_interval_ms: float
-    counter: int = 0
+    counter: int = 0  # consistent DIOs heard this interval
     seq: int = 0
 
     @property
@@ -194,10 +194,6 @@ def trickle_fire(trickle: TrickleState) -> tuple[bool, float]:
     )
     trickle.counter = 0
     return emit, trickle.current_interval_ms
-
-
-def trickle_hear_consistent(trickle: TrickleState) -> None:
-    trickle.counter += 1
 
 
 def process_dis(trickle: TrickleState) -> None:

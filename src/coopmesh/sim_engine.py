@@ -54,7 +54,6 @@ from .rpl_core import (
     process_dio,
     process_dis,
     trickle_fire,
-    trickle_hear_consistent,
     update_children_and_connections,
 )
 from .topology import (
@@ -408,7 +407,7 @@ class MetricsTally:
         self.retransmissions += packet.retransmissions
         if packet.status is PacketStatus.DELIVERED:
             self.delivered += 1
-            self.delay_slots += packet.delay_slots
+            self.delay_slots += packet.delivered_slot - packet.created_slot
         elif packet.status is PacketStatus.DROPPED:
             self.dropped += 1
 
@@ -511,7 +510,8 @@ class Simulation:
 
     def push(self, slot: int, kind: EventKind, payload=None) -> None:
         self.event_id += 1
-        heapq.heappush(self.queue, (slot, kind.value, self.event_id, kind, payload))
+        # _value_ skips the Python-level .value descriptor, once per event
+        heapq.heappush(self.queue, (slot, kind._value_, self.event_id, kind, payload))
 
     def _seed_etx(self, src: int, dst: int) -> EtxEstimate:
         p = self.channel.success_probability(src, dst)
@@ -621,14 +621,14 @@ class Simulation:
                 # process_dio would ignore this DIO and change nothing: the
                 # receiver does not route through the sender, and the sender's
                 # rank plus a link ETX >= 1 cannot beat the receiver's rank
-                trickle_hear_consistent(self.trickles[neighbor])
+                self.trickles[neighbor].counter += 1
                 continue
             was_parent = other.default_parent
             decision = process_dio(
                 other, node, rank, self.etx_of(neighbor, node), self.config.hysteresis
             )
             if decision is Decision.IGNORE:
-                trickle_hear_consistent(self.trickles[neighbor])
+                self.trickles[neighbor].counter += 1
                 continue
             changed.append(neighbor)
             self.last_change_slot = slot

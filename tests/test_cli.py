@@ -1,7 +1,11 @@
 import hashlib
 import io
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, reject, settings
@@ -64,6 +68,36 @@ def test_unknown_key_rejected_with_line_number():
     text = "[scenario]\nseed = 1\nbogus_key = 2\n"
     with pytest.raises(ConfigError, match="line 3.*bogus_key"):
         parse_scenario_text(text)
+    # the key is checked before a blank value would keep a default
+    with pytest.raises(ConfigError, match="line 2: unknown key 'bogus_key'"):
+        parse_scenario_text("[scenario]\nbogus_key =\n")
+
+
+@pytest.mark.parametrize(
+    "text, key, first, second",
+    [
+        ("[scenario]\nseed = 1\nn_packets = 5\nseed = 2\n", "seed", 2, 4),
+        ("[scenario]\nseed =\nseed = 2\n", "seed", 2, 3),  # blank counts as set
+        ("[scenario]\nseed = 1\n[rpl]\n[scenario]\nseed = 1\n", "seed", 2, 5),
+        ("[weights]\nw_sinr = 0.25\nw_nch = 0.25\nw_sinr = 0.5\n", "w_sinr", 2, 4),
+    ],
+)
+def test_key_set_twice_rejected_at_the_second_line(text, key, first, second):
+    with pytest.raises(
+        ConfigError, match=f"line {second}: '{key}' in .* already set at line {first}"
+    ):
+        parse_scenario_text(text)
+
+
+def test_importing_the_cli_leaves_the_process_pool_out():
+    # a serial run never pays for the pool machinery; workers > 1 imports it
+    code = "import sys, coopmesh.cli; print('concurrent.futures.process' in sys.modules)"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_malformed_value_names_the_line():

@@ -1,45 +1,15 @@
 import math
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from coopmesh import rng
-from coopmesh.rng import prefixed_uniform, uniform
-from coopmesh.topology import fading_gain
-
-# int64 values, plus ints on both sides of the int64 range (those take the
-# repr path) and a few non-ints (likewise)
-key_parts = st.one_of(
-    st.integers(-(2**63), 2**63 - 1),
-    st.integers(2**63, 2**70),
-    st.integers(-(2**70), -(2**63) - 1),
-    st.sampled_from([0, -1, 2**63 - 1, 2**63, -(2**63), -(2**63) - 1]),
-    st.sampled_from(["a", 0.5, None]),
+from coopmesh.forwarding import LinkLayer
+from coopmesh.rng import uniform
+from coopmesh.topology import (
+    Channel,
+    ChannelMode,
+    ChannelParams,
+    NodePlacement,
+    fading_gain,
 )
-
-
-@settings(max_examples=400, deadline=None)
-@given(
-    seed=key_parts,
-    key=st.lists(key_parts, min_size=1, max_size=10),
-    split=st.integers(0, 10),
-)
-def test_prefixed_draw_equals_uniform(seed, key, split):
-    # the simulator's keys have 1 (cooperation coin), 4 (fading) and 5
-    # (link transmit) parts; longer keys are covered too
-    split = min(split, len(key))
-    prefix, suffix = key[:split], key[split:]
-    draw = prefixed_uniform(seed, *prefix)
-    assert draw(*suffix) == uniform(seed, *key)
-
-
-@given(seed=st.integers(-(2**63), 2**63 - 1), packet=st.integers(0, 10**6))
-def test_prefixed_draw_reuses_its_prefix(seed, packet):
-    draw = prefixed_uniform(seed, 0x7B, packet)
-    links = [(1, 0, 0), (2, 0, 0), (1, 0, 1), (1, 0, 0)]
-    assert [draw(*link) for link in links] == [
-        uniform(seed, 0x7B, packet, *link) for link in links
-    ]
 
 
 def test_top_u64_values_map_below_one():
@@ -53,10 +23,27 @@ def test_top_u64_values_map_below_one():
 
 
 def test_both_draws_go_through_the_conversion(monkeypatch):
-    monkeypatch.setattr(rng, "_unit", lambda u64: -1.0)
-    assert uniform(3, 4, 5) == -1.0
-    assert prefixed_uniform(3, 4)(5) == -1.0
-    assert prefixed_uniform(3, "a")(5) == -1.0
+    # link draws on a packed key and on both fallbacks to uniform: a seed
+    # past int64 (the prefix does not pack) and a node id past int64 (the
+    # suffix does not)
+    params = ChannelParams(
+        tx_power_w=2.0, path_loss_exponent=3.0, reference_loss_db=40.0,
+        noise_floor_w=1e-13, tx_range_m=50.0, sinr_threshold_db=35.0,
+        mode=ChannelMode.SWEPT_LSR, lsr_value=0.5,
+    )
+    big = 2**63
+    channel = Channel(
+        [NodePlacement(0, 0.0, 0.0), NodePlacement(1, 10.0, 0.0), NodePlacement(big, 20.0, 0.0)],
+        params, seed=1,
+    )
+    for unit, succeeds in ((-1.0, True), (1.0, False)):
+        monkeypatch.setattr(rng, "_unit", lambda u64, unit=unit: unit)
+        assert uniform(3, 4, 5) == unit
+        for seed in (3, 2**70):
+            layer = LinkLayer(channel, seed, packet_id=9)
+            for src, dst in ((1, 0), (big, 1), (1, big)):
+                assert channel.success_probability(src, dst) > 0
+                assert [layer.transmit(src, dst, slot) for slot in range(3)] == [succeeds] * 3
 
 
 def test_fading_gain_is_finite_at_the_top_draw(monkeypatch):

@@ -17,7 +17,6 @@ from coopmesh.rpl_core import (
     process_dis,
     select_default_parent,
     trickle_fire,
-    trickle_hear_consistent,
     update_children_and_connections,
 )
 
@@ -182,7 +181,7 @@ def test_trickle_inconsistent_resets_and_emits():
     # a suppressed interval
     t = trickle(current_interval_ms=6400.0)
     for _ in range(10):
-        trickle_hear_consistent(t)
+        t.counter += 1  # a consistent DIO heard
     process_dis(t)
     assert (t.current_interval_ms, t.counter) == (100.0, 0)
     emit, nxt = trickle_fire(t)
@@ -193,7 +192,7 @@ def test_trickle_inconsistent_resets_and_emits():
 def test_trickle_suppression_with_saturated_counter():
     t = trickle()
     for _ in range(10):
-        trickle_hear_consistent(t)
+        t.counter += 1  # a consistent DIO heard
     emit, nxt = trickle_fire(t)
     assert emit is False
     assert nxt == 200.0
