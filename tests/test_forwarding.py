@@ -530,7 +530,7 @@ def _two_hop_net(lsr, seed=13):
 def test_route_adjacent_source_perfect_link():
     net, ch = _two_hop_net(lsr=1.0)
     packet = Packet(packet_id=1, source=1, created_slot=0, current_holder=1)
-    outcomes = route_to_gateway(packet, Protocol.RPL, net, ch)
+    route_to_gateway(packet, Protocol.RPL, net, ch)
     assert packet.status is PacketStatus.DELIVERED
     assert packet.hop_count == 1
     assert packet.delay_slots == 1
