@@ -510,8 +510,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = parse_scenario(args.config) if args.config else ScenarioConfig()
         axis = args.sweep or config.sweep_axis
-        if args.values and not axis:
-            raise ConfigError("--values needs --sweep (or a [sweep] section)")
+        for flag, value in (
+            ("--values", args.values), ("--protocols", args.protocols),
+            ("--classes", args.classes), ("--out", args.out),
+        ):
+            if value and not axis:
+                raise ConfigError(f"{flag} needs --sweep (or a [sweep] section)")
         if config.sweep_values and not axis:
             raise ConfigError("[sweep] values need an axis (in the file or --sweep)")
         if args.trace and axis:
@@ -536,6 +540,11 @@ def main(argv: list[str] | None = None) -> int:
         values = (
             _to_values(args.values, None) if args.values else tuple(config.sweep_values)
         )
+        try:
+            # the rules a [sweep] section meets, for an axis or values from the flags
+            replace(config, sweep_axis=axis, sweep_values=values)
+        except FieldError as exc:
+            raise ConfigError(f"{'--values' if args.values else '--sweep'}: {exc}")
         protocols = args.protocols.split(",") if args.protocols else None
         classes = args.classes.split(",") if args.classes else None
         spec = SweepSpec(

@@ -51,7 +51,10 @@ class Packet:
     status: PacketStatus = PacketStatus.IN_FLIGHT
     delivered_slot: int | None = None
     drop_reason: str | None = None
+    relay_hops: int = 0  # hops on which the relay overheard a copy
     visited: set[int] = field(default_factory=set)
+    # the packet's draw state, not part of its record: outside == and repr
+    link: LinkLayer | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.visited.add(self.current_holder)
@@ -200,7 +203,9 @@ def build_forwarding_set(
 @dataclass
 class NetworkView:
     """Everything the data plane needs from a formed scenario; the run
-    parameters are the ScenarioConfig's."""
+    parameters are the ScenarioConfig's. Only the simulator's route refresh
+    fills the route tables: coop_rpl fills relay_for, opp_rpl fills fsets,
+    and rpl neither, so a hop reads its protocol from them."""
 
     states: dict
     gateway: int
@@ -216,7 +221,6 @@ class NetworkView:
 
 def advance_one_hop(
     packet: Packet,
-    protocol: Protocol,
     net: NetworkView,
     link_layer: LinkLayer,
     slot: int,
@@ -233,19 +237,15 @@ def advance_one_hop(
         packet.status = PacketStatus.DROPPED
         packet.drop_reason = "no-route"
         return None
-    receivers = (parent,)
-    relay = None
-    if protocol is Protocol.COOP_RPL:
-        relay = net.relay_for.get(holder)
-        # the cooperation decision: a Bernoulli(p_coop) draw keyed by packet
-        # and holder. Without a relay there is nothing to decide, and at
-        # p_coop = 1 every draw in [0, 1) cooperates; neither spends a draw
-        if relay is not None and net.p_coop < 1.0 and uniform(
-            derive_seed(net.seed, DOMAIN_COOP_DECISION, packet.packet_id, holder), 0
-        ) >= net.p_coop:
-            relay = None
-    elif protocol is Protocol.OPP_RPL:
-        receivers = net.fsets.get(holder, receivers)
+    receivers = net.fsets.get(holder, (parent,))
+    relay = net.relay_for.get(holder)
+    # the cooperation decision: a Bernoulli(p_coop) draw keyed by packet and
+    # holder. Without a relay there is nothing to decide, and at p_coop = 1
+    # every draw in [0, 1) cooperates; neither spends a draw
+    if relay is not None and net.p_coop < 1.0 and uniform(
+        derive_seed(net.seed, DOMAIN_COOP_DECISION, packet.packet_id, holder), 0
+    ) >= net.p_coop:
+        relay = None
     outcome = forward_hop(
         link_layer, holder, receivers, relay, slot,
         net.max_retx, net.relay_retx, net.retx_wait,
@@ -263,6 +263,8 @@ def advance_one_hop(
         )
     attempts, relay_attempts = outcome.attempts, outcome.relay_attempts
     packet.total_transmissions += attempts + relay_attempts
+    if outcome.relay_used:
+        packet.relay_hops += 1
     packet.retransmissions += attempts - 1 + relay_attempts
     if not outcome.delivered:
         packet.status = PacketStatus.DROPPED

@@ -14,9 +14,9 @@ A heap entry is a plain tuple ``(slot, priority, event_id, kind, payload)``.
 the first three fields and never reaches ``kind`` or ``payload``, which need
 not be orderable at all.
 
-Packet arrivals are the exception: they are generated up front as arrays
-and merged with the heap by the same (slot, priority) rule, so they never
-take a heap entry; see ``Simulation.run_traffic``.
+Packet arrivals are generated up front as arrays and queued one at a time,
+each handled arrival queuing the next, so the heap holds at most one; a hop
+event's payload is its ``Packet``. See ``Simulation.run_traffic``.
 
 This module alone writes the trace format: each record is a dict literal
 built where it is emitted (DIO, DIS and DAO records by their control
@@ -91,6 +91,11 @@ DECIBELS = "beyond any radio's dB range"
 # on the reference link, finite
 LINK_SNR_DB = (-300.0, 2000.0)
 LINK_BUDGET_FIELDS = ("tx_power_w", "noise_floor_w", "reference_loss_db", "path_loss_exponent")
+
+# the most meters a run may expect to place: about 200 times the largest
+# network run so far (5,105 meters), and far inside the Poisson means that
+# placement's draw accepts
+MAX_EXPECTED_METERS = 1e6
 
 
 # field -> its allowed range; ScenarioConfig checks against this table
@@ -263,13 +268,22 @@ class ScenarioConfig:
         if message is not None:
             raise FieldError(message, ("sweep_axis", "sweep_values"))
         densities = self.sweep_values if self.sweep_axis == "density" else ()
+        side = self.region_side
         for name, ratios in (("density_ratio", (self.density_ratio,)), ("sweep_values", densities)):
-            # placement draws the meter count from the effective intensity
+            # placement draws the meter count from the effective intensity,
+            # a Poisson count whose mean is that intensity times the area
             if not all(0.0 < self.intensity * ratio < math.inf for ratio in ratios):
                 raise FieldError(
                     f"the effective intensity, intensity * {name}, must be a positive"
                     " finite number",
                     ("intensity", name),
+                )
+            meters = max((self.intensity * ratio * side * side for ratio in ratios), default=0.0)
+            if meters > MAX_EXPECTED_METERS:
+                raise FieldError(
+                    f"the expected meter count, intensity * {name} * region_side**2,"
+                    f" is {meters:.4g}, above {MAX_EXPECTED_METERS:g}",
+                    ("intensity", name, "region_side"),
                 )
         # placement draws coordinates at 53-bit resolution: two meters lie
         # about region_side * 2**-53 apart at the closest
@@ -733,11 +747,10 @@ class Simulation:
     def run_traffic(self) -> MetricsReport:
         """Generate the packet load and drive every packet to resolution.
 
-        Arrivals are not queued: they are walked in (slot, packet id) order
-        and taken before the queue head whenever their (slot, PACKET_GEN
-        priority) sorts first, which is the order queued arrivals would pop
-        in. Only in-flight packets are held; each is folded into the tally
-        as it resolves.
+        Arrivals are queued one at a time in (slot, packet id) order: the
+        first before the loop, each next one when its predecessor is
+        handled. A hop event carries its packet, so only in-flight packets
+        are held; each is folded into the tally as it resolves.
         """
         cfg = self.config
         sources = self.joined_meters()
@@ -748,31 +761,17 @@ class Simulation:
         arrival_slots, arrival_sources = generate_traffic(cfg, sources, self.formation_slots)
         # a stable sort keeps packet ids rising within a slot
         arrivals = iter(np.argsort(arrival_slots, kind="stable"))
-        next_id = int(next(arrivals))
-        next_slot = int(arrival_slots[next_id])  # math.inf once all have arrived
-        packets: dict[int, Packet] = {}
-        layers: dict[int, LinkLayer] = {}
-        relay_hops: dict[int, int] = {}
+        packet_gen = EventKind.PACKET_GEN
+        first = int(next(arrivals))
+        self.push(int(arrival_slots[first]), packet_gen, first)
         tally = MetricsTally()
         net = self.network_view()
         queue = self.queue
         hop_attempt = EventKind.HOP_ATTEMPT
-        packet_gen = EventKind.PACKET_GEN
-        gen_priority = packet_gen.value
         registry = self.registry
         trace_relays = self.emit is not None and cfg.protocol is Protocol.COOP_RPL
         while tally.sent < cfg.n_packets:  # the queue never runs dry, as in formation
-            head = queue[0]
-            if next_slot < head[0] or (next_slot == head[0] and gen_priority < head[1]):
-                slot, kind, payload = next_slot, packet_gen, next_id
-                next_id = next(arrivals, None)
-                if next_id is None:
-                    next_slot = math.inf
-                else:
-                    next_id = int(next_id)
-                    next_slot = int(arrival_slots[next_id])
-            else:
-                slot, _, _, kind, payload = heapq.heappop(queue)
+            slot, _, _, kind, payload = heapq.heappop(queue)
             if registry is not None and slot > self.now:
                 # transmissions register at their own slot or later, and the
                 # registry is read at the current slot only
@@ -781,13 +780,9 @@ class Simulation:
             self.now = slot
             # hop attempts are most of the traffic phase's events: test them first
             if kind is hop_attempt:
-                packet = packets[payload]
+                packet = payload
                 holder = packet.current_holder
-                outcome = advance_one_hop(
-                    packet, cfg.protocol, net, layers[payload], slot
-                )
-                if outcome is not None and outcome.relay_used:
-                    relay_hops[payload] += 1
+                outcome = advance_one_hop(packet, net, packet.link, slot)
                 if trace_relays and outcome is not None:
                     self.emit({
                         "type": "relay",
@@ -802,7 +797,7 @@ class Simulation:
                         "used": outcome.relay_used,
                     })
                 if packet.status is PacketStatus.IN_FLIGHT:
-                    self.push(slot + outcome.slots_consumed, hop_attempt, payload)
+                    self.push(slot + outcome.slots_consumed, hop_attempt, packet)
                 else:
                     if self.emit is not None:
                         # the one kind without a "type"; adding one would
@@ -813,18 +808,17 @@ class Simulation:
                             "status": packet.status.value,
                             "hops": packet.hop_count,
                             "transmissions": packet.total_transmissions,
-                            "relay_hops": relay_hops[payload],
+                            "relay_hops": packet.relay_hops,
                             "delay_slots": packet.delay_slots,
                         })
                     tally.fold(packet)
-                    # a resolved packet draws nothing more, and the tally has counted it
-                    del packets[payload], layers[payload], relay_hops[payload]
             elif kind is packet_gen:
                 source = int(arrival_sources[payload])
-                packets[payload] = Packet(payload, source, slot, source)
-                layers[payload] = LinkLayer(self.channel, cfg.seed, payload, registry)
-                relay_hops[payload] = 0
-                self.push(slot, hop_attempt, payload)
+                link = LinkLayer(self.channel, cfg.seed, payload, registry)
+                self.push(slot, hop_attempt, Packet(payload, source, slot, source, link=link))
+                following = next(arrivals, None)
+                if following is not None:
+                    self.push(int(arrival_slots[following]), packet_gen, int(following))
             else:
                 self._handle_control(slot, kind, payload)
         return tally.report(

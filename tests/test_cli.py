@@ -27,7 +27,7 @@ from coopmesh.cli import (
 )
 from coopmesh.coop_relay import RateWeights, RoutingClass
 from coopmesh.forwarding import Protocol
-from coopmesh.sim_engine import FieldError, ScenarioConfig, form_network
+from coopmesh.sim_engine import MAX_EXPECTED_METERS, FieldError, ScenarioConfig, form_network
 from coopmesh.topology import GATEWAY_ID, DisconnectedRootError
 
 
@@ -299,9 +299,14 @@ def test_decibel_fields_bounded_to_a_radio_range(key, bad):
         ("[scenario]\ndensity_ratio = 1e-200\nintensity = 1e-200\nseed = 2\n", 3),
         ("[sweep]\naxis = density\nvalues = 1e-200, 1\n[scenario]\nintensity = 1e-200\n", 5),
         ("[scenario]\nintensity = 1e-200\n[sweep]\naxis = density\nvalues = 1e-200, 1\n", 5),
+        ("[scenario]\n# a Poisson mean numpy refuses\nintensity = 1e300\n", 3),
+        ("[scenario]\nintensity = 1\nregion_side = 1e4\n[channel]\nlsr_value = 0.5\n", 3),
+        ("[sweep]\naxis = density\nvalues = 0.5, 2\n[scenario]\nintensity = 1\n"
+         "region_side = 1000\n", 6),
     ],
     ids=["power-subnormal", "exponent-500", "power-1e300", "joint-budget",
-         "intensity-underflow", "sweep-underflow", "sweep-underflow-last"],
+         "intensity-underflow", "sweep-underflow", "sweep-underflow-last",
+         "meters-intensity", "meters-side", "meters-sweep"],
 )
 def test_link_budget_and_intensity_rules_name_a_line(text, line):
     with pytest.raises(ConfigError, match=f"line {line}: "):
@@ -404,7 +409,8 @@ def test_render_round_trips():
 @st.composite
 def link_budgets(draw, region_side):
     """The seven fields the link budget rule reads, for a region of side
-    region_side; a draw the rule rejects is discarded."""
+    region_side; a draw the rule rejects is discarded. The trial config
+    expects one meter, so the meter-count cap rejects no region."""
     positive = st.floats(min_value=1e-6, max_value=1e6)
     budget = dict(
         region_side=region_side,
@@ -416,7 +422,7 @@ def link_budgets(draw, region_side):
         reference_distance=draw(positive),
     )
     try:
-        ScenarioConfig(**budget)
+        ScenarioConfig(**budget, intensity=1.0 / region_side**2)
     except FieldError:
         reject()
     return budget
@@ -445,10 +451,16 @@ def valid_configs(draw, sides=st.floats(min_value=1e-6, max_value=1e6)):
         lambda drawn: tuple(sorted(drawn))
     )
     budget = draw(link_budgets(draw(sides)))
+    density_ratio = draw(positive)
+    sweep_values = draw(values if axis else st.just(()) | values)
+    # the intensity follows from an expected meter count within the cap, on
+    # the densest ratio the config runs; half the cap leaves room for rounding
+    densest = max((density_ratio, *sweep_values) if axis == "density" else (density_ratio,))
+    meters = draw(st.floats(min_value=1e-6, max_value=MAX_EXPECTED_METERS / 2))
     return ScenarioConfig(
         **budget,
-        intensity=draw(positive),
-        density_ratio=draw(positive),
+        intensity=meters / budget["region_side"] ** 2 / densest,
+        density_ratio=density_ratio,
         sinr_threshold_db=draw(decibels),
         lsr_value=draw(st.none() | st.floats(min_value=0.0, max_value=1.0, exclude_min=True)),
         lsr_mapping=draw(st.sampled_from(["reference", "uniform"])),
@@ -474,7 +486,7 @@ def valid_configs(draw, sides=st.floats(min_value=1e-6, max_value=1e6)):
         dis_timeout_ms=trickle_imin_ms + draw(st.floats(min_value=slot_ms, max_value=1e4)),
         sinr_per_slot=draw(st.booleans()),
         sweep_axis=axis,
-        sweep_values=draw(values if axis else st.just(()) | values),
+        sweep_values=sweep_values,
     )
 
 
@@ -736,6 +748,34 @@ def test_main_rejects_sweep_values_without_axis(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "[sweep] values need an axis" in captured.err
     assert "pdr = " not in captured.out  # no single run in their place
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--protocols", "coop_rpl"), ("--classes", "a"), ("--out", "x.csv")]
+)
+def test_main_rejects_sweep_flags_without_a_sweep(tmp_path, capsys, flag, value):
+    # each was ignored: one scenario ran instead, and no CSV was written
+    if flag == "--out":
+        value = str(tmp_path / value)
+    code = main(["--workers", "4", "--seeds", "3", flag, value, "--quiet"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith(f"config error: {flag} needs --sweep")
+    assert "pdr = " not in captured.out
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_main_puts_cli_sweep_values_through_the_config_rules(tmp_path, capsys):
+    # the same values in a [sweep] section fail at the config boundary;
+    # from --values they used to fail inside the first sweep point
+    out_csv = tmp_path / "out.csv"
+    code = main([
+        "--sweep", "density", "--values", "1e-322,0.5", "--out", str(out_csv), "--quiet",
+    ])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("config error: --values: the effective intensity")
+    assert not out_csv.exists()
 
 
 def test_main_rejects_trace_with_sweep(tmp_path, capsys):

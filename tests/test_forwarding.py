@@ -214,10 +214,10 @@ def _observing_view(**view):
     return net, observed
 
 
-def _single_hop(ch, protocol, packet_id, **view):
+def _single_hop(ch, packet_id, **view):
     net, observed = _observing_view(seed=3, **view)
     packet = Packet(packet_id, source=1, created_slot=0, current_holder=1)
-    outcome = advance_one_hop(packet, protocol, net, LinkLayer(ch, 3, packet_id), 0)
+    outcome = advance_one_hop(packet, net, LinkLayer(ch, 3, packet_id), 0)
     return outcome, packet, observed
 
 
@@ -227,12 +227,11 @@ def test_forward_hop_coop_without_cooperation_matches_rpl():
     ch = lsr_channel([(0.0, 0.0), (20.0, 0.0), (10.0, 5.0)], lsr=0.5)
     rpl_outcomes = []
     for packet_id in range(200):
-        rpl = _single_hop(ch, Protocol.RPL, packet_id)
+        rpl = _single_hop(ch, packet_id)
         rpl_outcomes.append(rpl[0])
-        assert _single_hop(ch, Protocol.COOP_RPL, packet_id) == rpl
-        never = _single_hop(
-            ch, Protocol.COOP_RPL, packet_id, relay_for={1: 2}, p_coop=0.0
-        )
+        # coop_rpl's table when selection found no relay
+        assert _single_hop(ch, packet_id, relay_for={1: None}) == rpl
+        never = _single_hop(ch, packet_id, relay_for={1: 2}, p_coop=0.0)
         assert never == rpl
     assert any(not o.delivered for o in rpl_outcomes)
     assert any(o.delivered and o.attempts > 1 for o in rpl_outcomes)
@@ -251,7 +250,7 @@ def test_cooperation_decision_frequency_matches_p(monkeypatch):
     monkeypatch.setattr(forwarding, "forward_hop", recording_hop)
     ch = lsr_channel([(0.0, 0.0), (20.0, 0.0), (10.0, 5.0)], lsr=1.0)
     for packet_id in range(10_000):
-        _single_hop(ch, Protocol.COOP_RPL, packet_id, relay_for={1: 2}, p_coop=0.5)
+        _single_hop(ch, packet_id, relay_for={1: 2}, p_coop=0.5)
     assert set(handed) == {None, 2}
     assert handed.count(2) / 10_000 == pytest.approx(0.5, abs=0.02)
 
@@ -316,8 +315,8 @@ def test_opportunistic_single_member_reduces_to_rpl():
     ch = lsr_channel([(0.0, 0.0), (20.0, 0.0)], lsr=0.5)
     fsets = {1: (0,)}
     for packet_id in range(200):
-        rpl = _single_hop(ch, Protocol.RPL, packet_id)
-        assert _single_hop(ch, Protocol.OPP_RPL, packet_id, fsets=fsets) == rpl
+        rpl = _single_hop(ch, packet_id)
+        assert _single_hop(ch, packet_id, fsets=fsets) == rpl
 
 
 def test_opportunistic_union_success_probability():
@@ -416,36 +415,48 @@ F, T = False, True
 
 
 @pytest.mark.parametrize(
-    "protocol, view, script, expected",
+    "view, script, expected",
     [
-        (Protocol.RPL, {}, [F, T], [(1, 0, 2, 1)]),
-        (Protocol.RPL, {}, [F] * 4, [(1, 0, 4, 0)]),
+        # each view holds the table its protocol's route refresh fills
+        ({}, [F, T], [(1, 0, 2, 1)]),
+        ({}, [F] * 4, [(1, 0, 4, 0)]),
         # parent missed, relay overheard and forwarded
-        (Protocol.COOP_RPL, {"relay_for": {1: 2}}, [F, T, T], [(1, 0, 1, 0), (2, 0, 1, 1)]),
+        ({"relay_for": {1: 2}}, [F, T, T], [(1, 0, 1, 0), (2, 0, 1, 1)]),
         # relay forward failed, sender's retry got through
-        (Protocol.COOP_RPL, {"relay_for": {1: 2}}, [F, T, F, T], [(1, 0, 2, 1), (2, 0, 1, 0)]),
-        (Protocol.COOP_RPL, {"relay_for": {1: 2}}, [F, T, F] * 4, [(1, 0, 4, 0), (2, 0, 4, 0)]),
-        (Protocol.OPP_RPL, {"fsets": {1: (0, 2)}}, [F, T], [(1, 2, 1, 1)]),
-        (
-            Protocol.OPP_RPL, {"fsets": {1: (0, 2)}}, [F, F] * 4,
-            [(1, 0, 4, 0), (1, 2, 4, 0)],
-        ),
+        ({"relay_for": {1: 2}}, [F, T, F, T], [(1, 0, 2, 1), (2, 0, 1, 0)]),
+        ({"relay_for": {1: 2}}, [F, T, F] * 4, [(1, 0, 4, 0), (2, 0, 4, 0)]),
+        ({"fsets": {1: (0, 2)}}, [F, T], [(1, 2, 1, 1)]),
+        ({"fsets": {1: (0, 2)}}, [F, F] * 4, [(1, 0, 4, 0), (1, 2, 4, 0)]),
     ],
     ids=[
         "rpl-delivered", "rpl-failed", "coop-by-relay", "coop-direct-after-relay",
         "coop-failed", "opp-second-member", "opp-failed",
     ],
 )
-def test_hop_observations_follow_one_rule(protocol, view, script, expected):
+def test_hop_observations_follow_one_rule(view, script, expected):
     # (src, dst, attempts, successes): a direct delivery credits the link
     # that carried it; otherwise every receiver's link is charged; relay
     # forwards are credited or charged on the relay-to-parent link
     net, observed = _observing_view(**view)
     packet = Packet(1, source=1, created_slot=0, current_holder=1)
     layer = ScriptedLinkLayer(script)
-    advance_one_hop(packet, protocol, net, layer, slot=0)
+    advance_one_hop(packet, net, layer, slot=0)
     assert layer.i == len(script)
     assert observed == expected
+
+
+@pytest.mark.parametrize(
+    "script, relay_hops",
+    [([T], 0), ([F, T, T], 1), ([F, T, F, T], 1), ([F, F, T], 0)],
+    ids=["direct", "by-relay", "overheard-then-direct", "missed-by-relay"],
+)
+def test_relay_hops_count_hops_the_relay_overheard(script, relay_hops):
+    # a hop counts once the relay overheard a copy, whoever then delivered it
+    net, _ = _observing_view(relay_for={1: 2})
+    packet = Packet(1, source=1, created_slot=0, current_holder=1)
+    outcome = advance_one_hop(packet, net, ScriptedLinkLayer(script), slot=0)
+    assert outcome.delivered
+    assert packet.relay_hops == relay_hops
 
 
 def _etx_one(src, dst):
@@ -491,9 +502,7 @@ def test_build_forwarding_set_orders_by_cost_and_shrinks():
     assert small == (0, 2)  # set shrinks to the available count
 
 
-def route_to_gateway(
-    packet: Packet, protocol: Protocol, net: NetworkView, channel: Channel
-) -> list[HopOutcome]:
+def route_to_gateway(packet: Packet, net: NetworkView, channel: Channel) -> list[HopOutcome]:
     """Drive a packet hop by hop until the gateway or a drop.
 
     Synchronous driver over advance_one_hop on a static network snapshot;
@@ -503,7 +512,7 @@ def route_to_gateway(
     cursor = packet.created_slot
     link_layer = LinkLayer(channel, net.seed, packet.packet_id)
     while packet.status is PacketStatus.IN_FLIGHT:
-        outcome = advance_one_hop(packet, protocol, net, link_layer, cursor)
+        outcome = advance_one_hop(packet, net, link_layer, cursor)
         if outcome is None:
             break
         outcomes.append(outcome)
@@ -511,8 +520,10 @@ def route_to_gateway(
     return outcomes
 
 
-def _two_hop_net(lsr, seed=13):
-    # 2 -> 1 -> 0(gateway), relay 3 near the middle
+def _two_hop_net(lsr, seed=13, protocol=Protocol.RPL):
+    """2 -> 1 -> 0 (gateway), relay 3 near the middle. The view holds the
+    table protocol's route refresh fills: coop_rpl the relay, opp_rpl the
+    forwarding sets, rpl neither."""
     ch = lsr_channel([(0.0, 0.0), (30.0, 0.0), (60.0, 0.0), (45.0, 10.0)], lsr=lsr, seed=seed)
     states = {
         0: NodeState(0, rank=0.0),
@@ -520,17 +531,20 @@ def _two_hop_net(lsr, seed=13):
         2: _joined(2, 2.0, 1),
         3: _joined(3, 1.5, 1),
     }
-    net = network_view(states, relay_for={2: 3}, seed=seed)
-    net.fsets = {
-        n: build_forwarding_set(states[n], states, ch, _etx_one, 3) for n in states
-    }
+    net = network_view(states, seed=seed)
+    if protocol is Protocol.COOP_RPL:
+        net.relay_for = {2: 3}
+    elif protocol is Protocol.OPP_RPL:
+        net.fsets = {
+            n: build_forwarding_set(states[n], states, ch, _etx_one, 3) for n in states
+        }
     return net, ch
 
 
 def test_route_adjacent_source_perfect_link():
     net, ch = _two_hop_net(lsr=1.0)
     packet = Packet(packet_id=1, source=1, created_slot=0, current_holder=1)
-    route_to_gateway(packet, Protocol.RPL, net, ch)
+    route_to_gateway(packet, net, ch)
     assert packet.status is PacketStatus.DELIVERED
     assert packet.hop_count == 1
     assert packet.delay_slots == 1
@@ -540,7 +554,7 @@ def test_route_adjacent_source_perfect_link():
 def test_route_chain_delay_is_additive():
     net, ch = _two_hop_net(lsr=1.0)
     packet = Packet(packet_id=2, source=2, created_slot=10, current_holder=2)
-    outcomes = route_to_gateway(packet, Protocol.RPL, net, ch)
+    outcomes = route_to_gateway(packet, net, ch)
     assert packet.status is PacketStatus.DELIVERED
     assert packet.hop_count == 2
     assert packet.delay_slots == 2
@@ -553,7 +567,7 @@ def test_route_no_parent_drops_with_reason():
     net, ch = _two_hop_net(lsr=1.0)
     net.states[4] = NodeState(4)  # unjoined
     packet = Packet(packet_id=3, source=4, created_slot=0, current_holder=4)
-    route_to_gateway(packet, Protocol.RPL, net, ch)
+    route_to_gateway(packet, net, ch)
     assert packet.status is PacketStatus.DROPPED
     assert packet.drop_reason == "no-route"
 
@@ -567,7 +581,7 @@ def test_route_loop_trap():
     }
     net = network_view(states, seed=1)
     packet = Packet(packet_id=4, source=1, created_slot=0, current_holder=1)
-    route_to_gateway(packet, Protocol.RPL, net, ch)
+    route_to_gateway(packet, net, ch)
     assert packet.status is PacketStatus.DROPPED
     assert packet.drop_reason == "loop"
 
@@ -580,21 +594,21 @@ def test_route_outcomes_deterministic_across_replays():
 
 
 def _run_replay(protocol):
-    net, ch = _two_hop_net(lsr=0.6, seed=77)
+    net, ch = _two_hop_net(lsr=0.6, seed=77, protocol=protocol)
     results = []
     for packet_id in range(300):
         packet = Packet(packet_id=packet_id, source=2, created_slot=0, current_holder=2)
-        outcomes = route_to_gateway(packet, protocol, net, ch)
+        outcomes = route_to_gateway(packet, net, ch)
         results.append((packet.status, packet.total_transmissions, tuple(outcomes)))
     return results
 
 
 def test_route_retransmission_accounting_identity():
-    net, ch = _two_hop_net(lsr=0.5, seed=31)
+    nets = [_two_hop_net(lsr=0.5, seed=31, protocol=protocol) for protocol in Protocol]
     for packet_id in range(500):
-        for protocol in Protocol:
+        for net, ch in nets:
             packet = Packet(packet_id=packet_id, source=2, created_slot=0, current_holder=2)
-            outcomes = route_to_gateway(packet, protocol, net, ch)
+            outcomes = route_to_gateway(packet, net, ch)
             assert packet.total_transmissions == sum(
                 o.attempts + o.relay_attempts for o in outcomes
             )
@@ -605,11 +619,12 @@ def test_route_retransmission_accounting_identity():
 
 def test_coop_route_beats_rpl_packetwise_with_shared_draws():
     # same keyed draws: every packet RPL delivers, cooperative routing delivers too
-    net, ch = _two_hop_net(lsr=0.4, seed=91)
+    rpl_net, ch = _two_hop_net(lsr=0.4, seed=91)
+    coop_net, _ = _two_hop_net(lsr=0.4, seed=91, protocol=Protocol.COOP_RPL)
     for packet_id in range(400):
         rpl_packet = Packet(packet_id=packet_id, source=2, created_slot=0, current_holder=2)
-        route_to_gateway(rpl_packet, Protocol.RPL, net, ch)
+        route_to_gateway(rpl_packet, rpl_net, ch)
         coop_packet = Packet(packet_id=packet_id, source=2, created_slot=0, current_holder=2)
-        route_to_gateway(coop_packet, Protocol.COOP_RPL, net, ch)
+        route_to_gateway(coop_packet, coop_net, ch)
         if rpl_packet.status is PacketStatus.DELIVERED:
             assert coop_packet.status is PacketStatus.DELIVERED

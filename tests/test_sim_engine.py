@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from coopmesh import forwarding, rpl_core, sim_engine
 from coopmesh.cli import default_variants
 from coopmesh.coop_relay import RoutingClass, run_selection
-from coopmesh.forwarding import NetworkView, PacketStatus, Protocol
+from coopmesh.forwarding import NetworkView, Packet, PacketStatus, Protocol
 from coopmesh.rpl_core import (
     EtxEstimate,
     TrickleState,
@@ -149,6 +149,36 @@ def test_effective_intensity_must_be_a_positive_finite_number(changes, fields):
     ScenarioConfig(intensity=1e-200, sweep_axis="lsr", sweep_values=(1e-200, 1.0))
 
 
+@pytest.mark.parametrize(
+    "changes, fields",
+    [
+        ({"intensity": 1e300}, ("intensity", "density_ratio", "region_side")),
+        (
+            {"region_side": 1000.0, "intensity": 1.0, "density_ratio": 1.01},
+            ("intensity", "density_ratio", "region_side"),
+        ),
+        (
+            {"region_side": 1000.0, "intensity": 1.0, "sweep_axis": "density",
+             "sweep_values": (0.5, 2.0)},
+            ("intensity", "sweep_values", "region_side"),
+        ),
+    ],
+    ids=["intensity-1e300", "ratio", "sweep"],
+)
+def test_expected_meter_count_is_capped(changes, fields):
+    # placement would raise numpy's raw ValueError inside the run, or place
+    # more meters than a run can hold; these configs are never run
+    with pytest.raises(FieldError, match="expected meter count") as info:
+        ScenarioConfig(**changes)
+    assert info.value.fields == fields
+    # a million meters is allowed, on any axis
+    ScenarioConfig(region_side=1000.0, intensity=1.0)
+    ScenarioConfig(region_side=1000.0, intensity=1.0, sweep_axis="lsr", sweep_values=(0.5,))
+    ScenarioConfig(
+        region_side=1000.0, intensity=0.5, sweep_axis="density", sweep_values=(0.5, 2.0)
+    )
+
+
 LINK_BUDGET = ("tx_power_w", "noise_floor_w", "reference_loss_db", "path_loss_exponent")
 
 
@@ -198,8 +228,10 @@ def _powers_of_ten(low, high):
     lsr_mapping=st.sampled_from(["reference", "uniform"]),
 )
 def test_link_budget_rule_keeps_every_in_range_link_finite(**fields):
+    # one expected meter, so the meter-count cap rejects no drawn region
+    intensity = 1.0 / fields["region_side"] ** 2
     try:
-        config = ScenarioConfig(**fields)
+        config = ScenarioConfig(**fields, intensity=intensity)
     except FieldError:
         return
     # the gateway, a meter as close to it as a coordinate can be, two
@@ -467,6 +499,28 @@ def test_events_pop_by_slot_then_kind_then_push_order():
 
 
 @pytest.mark.parametrize("protocol", list(Protocol))
+def test_traffic_queues_one_arrival_at_a_time(protocol):
+    # arrivals share the one heap but enter it one by one, each handled
+    # arrival queuing the next; a hop event carries its packet
+    sim = form_network(packet_trace_config(protocol))
+    push = sim.push
+    arrivals = []
+
+    def checking_push(slot, kind, payload=None):
+        push(slot, kind, payload)
+        if kind is EventKind.PACKET_GEN:
+            arrivals.append(payload)
+        elif kind is EventKind.HOP_ATTEMPT:
+            assert isinstance(payload, Packet)
+        assert sum(entry[3] is EventKind.PACKET_GEN for entry in sim.queue) <= 1
+
+    sim.push = checking_push
+    report = sim.run_traffic()
+    assert report.packets_sent == len(arrivals) == sim.config.n_packets
+    assert sorted(arrivals) == list(range(sim.config.n_packets))
+
+
+@pytest.mark.parametrize("protocol", list(Protocol))
 def test_finished_run_is_freed_without_the_collector(protocol):
     # a finished Simulation must hold no reference cycle (a table of its own
     # bound methods would make one), or every run of a sweep stays in
@@ -489,7 +543,7 @@ def test_finished_run_is_freed_without_the_collector(protocol):
 def test_run_memory_does_not_grow_with_packet_count():
     # a run holds its in-flight packets, the arrival arrays (a few int64
     # per packet) and the network's tables; a resolved packet is folded
-    # into the report's tallies and freed, and an arrival takes no heap entry
+    # into the report's tallies and freed, and one arrival is queued at a time
     def traced_peak(n_packets):
         cfg = ScenarioConfig(
             region_side=120.0, intensity=20.0 / 120.0**2, n_packets=n_packets,
