@@ -38,6 +38,11 @@ from .sim_engine import (
 )
 from .topology import DisconnectedRootError
 
+# a sweep's --seeds and --workers when not given; main applies them only
+# once a sweep starts, so either flag given without a sweep is an error
+DEFAULT_SEEDS = 20
+DEFAULT_WORKERS = 1
+
 CSV_COLUMNS = [
     "protocol", "class", "axis", "axis_value", "seed",
     "pdr", "mean_retx", "mean_delay_slots", "mean_delay_ms",
@@ -494,10 +499,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--values", help="comma-separated sweep values")
     parser.add_argument("--protocols", help="comma list: rpl,opp_rpl,coop_rpl")
     parser.add_argument("--classes", help="comma list: a,b,c,best_effort")
-    parser.add_argument("--seeds", type=int, default=20, help="seeds per point")
+    parser.add_argument("--seeds", type=int, help=f"seeds per point (default {DEFAULT_SEEDS})")
     parser.add_argument("--out", type=Path, help="CSV output path")
     parser.add_argument("--trace", type=Path, help="JSON-lines trace (single run)")
-    parser.add_argument("--workers", type=int, default=1, help="parallel workers")
+    parser.add_argument(
+        "--workers", type=int, help=f"parallel workers (default {DEFAULT_WORKERS})"
+    )
     parser.add_argument(
         "--quiet", action="store_true", help="skip echoing the resolved config"
     )
@@ -513,14 +520,15 @@ def main(argv: list[str] | None = None) -> int:
         for flag, value in (
             ("--values", args.values), ("--protocols", args.protocols),
             ("--classes", args.classes), ("--out", args.out),
+            ("--seeds", args.seeds), ("--workers", args.workers),
         ):
-            if value and not axis:
+            if value is not None and not axis:
                 raise ConfigError(f"{flag} needs --sweep (or a [sweep] section)")
         if config.sweep_values and not axis:
             raise ConfigError("[sweep] values need an axis (in the file or --sweep)")
         if args.trace and axis:
             raise ConfigError("--trace records a single run, not a sweep")
-        if args.workers < 1:
+        if args.workers is not None and args.workers < 1:
             raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         if not args.quiet:
             sys.stdout.write(render_scenario(config))
@@ -551,10 +559,11 @@ def main(argv: list[str] | None = None) -> int:
             axis=axis,
             values=values,
             variants=default_variants(protocols, classes),
-            seeds=args.seeds,
+            seeds=DEFAULT_SEEDS if args.seeds is None else args.seeds,
         )
         out_path = args.out or Path("sweep.csv")
-        rows, failed = run_sweep(config, spec, out_path, workers=args.workers)
+        workers = DEFAULT_WORKERS if args.workers is None else args.workers
+        rows, failed = run_sweep(config, spec, out_path, workers=workers)
         print(f"wrote {out_path} ({len(rows)} data rows, {failed} failed)")
         # a comparison needs both series, and only rows with metrics give one
         scored = {r["protocol"] for r in rows if r.get("error") is None}

@@ -105,8 +105,7 @@ def eligible(m: CandidateMetrics, routing_class: RoutingClass) -> bool:
     return eligible_class_a(m) or eligible_class_b(m) or eligible_class_c(m)
 
 
-@dataclass(frozen=True)
-class TermBounds:
+class TermBounds(NamedTuple):
     """Min/max of each rate term over a candidate set, for normalization."""
 
     sinr: tuple[float, float]
@@ -115,19 +114,34 @@ class TermBounds:
     etx: tuple[float, float]
 
 
-def term_bounds(candidates: list[CandidateMetrics]) -> TermBounds:
-    if not candidates:
+# A row is one candidate's (relay, sinr, traffic, nch, etx) rate terms, and
+# its bounds are the (min, max) of each term over the rows, in that order;
+# the reference functions and run_selection score rows alike.
+def _row(
+    relay: int, sinr_s_r: float, sinr_r_d: float, nac_r: int, nch_r: int,
+    etx_s_r: float, etx_r_d: float,
+) -> tuple[int, float, float, float, float]:
+    return relay, min(sinr_s_r, sinr_r_d), float(nac_r), float(nch_r), etx_s_r + etx_r_d
+
+
+def _metrics_row(m: CandidateMetrics) -> tuple[int, float, float, float, float]:
+    return _row(m.relay, m.sinr_s_r, m.sinr_r_d, m.nac_r, m.nch_r, m.etx_s_r, m.etx_r_d)
+
+
+def _row_bounds(rows: list[tuple[int, float, float, float, float]]) -> tuple:
+    if not rows:
         raise ValueError("no candidates")
-    sinr = [min(m.sinr_s_r, m.sinr_r_d) for m in candidates]
-    traffic = [float(m.nac_r) for m in candidates]
-    nch = [float(m.nch_r) for m in candidates]
-    etx = [m.etx_s_r + m.etx_r_d for m in candidates]
-    return TermBounds(
+    _, sinr, traffic, nch, etx = zip(*rows)
+    return (
         (min(sinr), max(sinr)),
         (min(traffic), max(traffic)),
         (min(nch), max(nch)),
         (min(etx), max(etx)),
     )
+
+
+def term_bounds(candidates: list[CandidateMetrics]) -> TermBounds:
+    return TermBounds(*_row_bounds([_metrics_row(m) for m in candidates]))
 
 
 def _norm(value: float, bounds: tuple[float, float]) -> float:
@@ -137,16 +151,24 @@ def _norm(value: float, bounds: tuple[float, float]) -> float:
     return (value - lo) / (hi - lo)
 
 
+def _row_rate(
+    row: tuple[int, float, float, float, float], w: RateWeights, bounds: tuple
+) -> float:
+    _, sinr, traffic, nch, etx = row
+    sinr_b, traffic_b, nch_b, etx_b = bounds
+    return (
+        w.w_sinr * _norm(sinr, sinr_b)
+        - w.w_traffic * _norm(traffic, traffic_b)
+        - w.w_nch * _norm(nch, nch_b)
+        - w.w_etx * _norm(etx, etx_b)
+    )
+
+
 def compute_rate(m: CandidateMetrics, w: RateWeights, bounds: TermBounds) -> float:
     """Weighted candidate score; every term is normalized into [0, 1] against
     the candidate set's spread before weighting. Load and cost terms enter
     negatively so smaller is better."""
-    return (
-        w.w_sinr * _norm(min(m.sinr_s_r, m.sinr_r_d), bounds.sinr)
-        - w.w_traffic * _norm(float(m.nac_r), bounds.traffic)
-        - w.w_nch * _norm(float(m.nch_r), bounds.nch)
-        - w.w_etx * _norm(m.etx_s_r + m.etx_r_d, bounds.etx)
-    )
+    return _row_rate(_metrics_row(m), w, bounds)
 
 
 def compute_rates(
@@ -162,9 +184,11 @@ def compute_rates(
 def best_relay(rates: dict[int, float]) -> int | None:
     """Relay with the maximum rate; ties go to the lowest node id. No rates
     means the direct path is used."""
-    if not rates:
-        return None
-    return min(rates, key=lambda relay: (-rates[relay], relay))
+    best, best_rate = None, 0.0
+    for relay, rate in rates.items():
+        if best is None or rate > best_rate or (rate == best_rate and relay < best):
+            best, best_rate = relay, rate
+    return best
 
 
 def select_relay(
@@ -194,10 +218,11 @@ def run_selection(
     to them). Every SINR is channel.compute_sinr's against the other nodes
     in interferers, the nodes transmitting in slot: the fading-mean channel
     unless with_fading asks for per-slot gains, so choices stay stable
-    between advertisement rounds. The direct link's SINR is computed once
-    per sender, and again only for a candidate that is itself among the
-    interferers. etx_of(a, b) supplies the current link estimate; weights
-    are the config's active_weights().
+    between advertisement rounds. A candidate's SINRs are computed only when
+    a class-a test or its rate reads them. The direct link's SINR is
+    computed once per sender, and again only for a candidate that is itself
+    among the interferers. etx_of(a, b) supplies the current link estimate;
+    weights are the config's active_weights().
 
     Returns (selected relay or None, candidate rates for tracing).
     """
@@ -212,14 +237,14 @@ def run_selection(
     compute_sinr = channel.compute_sinr
     nac_s, nch_s = sender.active_connections, len(sender.children)
     etx_s_d = etx_of(s, parent)
-    # compute_sinr sums the interference in this set's order
-    others = frozenset(t for t in interferers if t != s)
-    direct = compute_sinr(parent, s, others, slot, with_fading)
     best_effort = routing_class is RoutingClass.BEST_EFFORT
     test_a = best_effort or routing_class is RoutingClass.CLASS_A
     test_b = best_effort or routing_class is RoutingClass.CLASS_B
     test_c = best_effort or routing_class is RoutingClass.CLASS_C
-    candidates = []
+    # compute_sinr sums the interference in this set's order
+    others = frozenset(t for t in interferers if t != s)
+    direct = compute_sinr(parent, s, others, slot, with_fading) if test_a else None
+    rows = []
     for r in channel.neighbors(s):  # ascending ids
         relay_state = states.get(r)
         if (
@@ -230,22 +255,28 @@ def run_selection(
             or r not in reaches_parent
         ):
             continue
-        clean, sinr_s_d = others, direct
-        if r in others:
-            clean = frozenset(t for t in interferers if t not in (s, r))
-            sinr_s_d = compute_sinr(parent, s, clean, slot, with_fading)
-        sinr_s_r = compute_sinr(r, s, clean, slot, with_fading)
-        sinr_r_d = compute_sinr(parent, r, clean, slot, with_fading)
         nac_r, nch_r = relay_state.active_connections, len(relay_state.children)
         etx_s_r, etx_r_d = etx_of(s, r), etx_of(r, parent)
-        if (
-            (test_a and sinr_s_r > sinr_s_d and sinr_r_d > sinr_s_d)
-            or (test_b and nac_r < nac_s and nch_r < nch_s)
-            or (test_c and etx_s_d > etx_s_r + etx_r_d)
-        ):
-            candidates.append(CandidateMetrics(
-                r, sinr_s_r, sinr_r_d, sinr_s_d, nac_r, nac_s, nch_r, nch_s,
-                etx_s_r, etx_r_d, etx_s_d,
-            ))
-    rates = compute_rates(candidates, weights)
+        passed = (test_b and nac_r < nac_s and nch_r < nch_s) or (
+            test_c and etx_s_d > etx_s_r + etx_r_d
+        )
+        if not (passed or test_a):
+            continue
+        clean = others
+        if r in others:
+            clean = frozenset(t for t in interferers if t not in (s, r))
+        sinr_s_r = compute_sinr(r, s, clean, slot, with_fading)
+        sinr_r_d = compute_sinr(parent, r, clean, slot, with_fading)
+        if not passed:  # class a is the test left
+            sinr_s_d = (
+                direct if clean is others
+                else compute_sinr(parent, s, clean, slot, with_fading)
+            )
+            if not (sinr_s_r > sinr_s_d and sinr_r_d > sinr_s_d):
+                continue
+        rows.append(_row(r, sinr_s_r, sinr_r_d, nac_r, nch_r, etx_s_r, etx_r_d))
+    if not rows:
+        return None, {}
+    bounds = _row_bounds(rows)
+    rates = {row[0]: _row_rate(row, weights, bounds) for row in rows}
     return best_relay(rates), rates

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 ETX_MAX_DEFAULT = 16.0
 EWMA_ALPHA = 0.3
@@ -69,8 +70,7 @@ class EtxEstimate:
         self.etx = min(etx_max, (1.0 - EWMA_ALPHA) * self.etx + EWMA_ALPHA * sample)
 
 
-@dataclass(frozen=True)
-class ParentEntry:
+class ParentEntry(NamedTuple):
     rank: float  # parent's advertised rank
     etx: float  # our link to it
 
@@ -207,7 +207,9 @@ def update_children_and_connections(states: dict[int, NodeState]) -> None:
 
     children(n) = nodes whose default parent is n; active_connections(n) =
     number of installed source-to-gateway default paths where n appears as an
-    intermediate hop.
+    intermediate hop. A run keeps both current at each parent switch, walking
+    ancestor_chain, and rebuilds them here only when a switch opens or closes
+    a cycle of default parents.
     """
     for st in states.values():
         st.children = set()
@@ -225,3 +227,20 @@ def update_children_and_connections(states: dict[int, NodeState]) -> None:
             seen.add(hop)
             states[hop].active_connections += 1
             hop = states[hop].default_parent
+
+
+def ancestor_chain(
+    states: dict[int, NodeState], hop: int | None, node: int, gateway: int
+) -> list[int] | None:
+    """The nodes update_children_and_connections' walk from node counts when
+    node's default parent is hop: hop, its default parent and so on, up to
+    the gateway, None or a node already passed, each excluded. None when the
+    walk comes back to node itself, which then sits on a cycle of default
+    parents."""
+    chain: list[int] = []
+    seen = {node}
+    while hop is not None and hop != gateway and hop not in seen:
+        seen.add(hop)
+        chain.append(hop)
+        hop = states[hop].default_parent
+    return None if hop == node else chain

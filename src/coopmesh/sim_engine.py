@@ -51,6 +51,7 @@ from .rpl_core import (
     EtxEstimate,
     NodeState,
     TrickleState,
+    ancestor_chain,
     process_dio,
     process_dis,
     trickle_fire,
@@ -515,7 +516,6 @@ class Simulation:
         self.relay_for: dict[int, int | None] = {}
         self.relay_rates: dict[int, dict[int, float]] = {}
         self.fsets: dict[int, tuple[int, ...]] = {}
-        self._counts_fresh = False
         # set by run_traffic before its first route refresh; from then on
         # DIOs refresh the routes their changes touch
         self.traffic_started = False
@@ -545,10 +545,31 @@ class Simulation:
             est = self._seed_etx(src, dst)
         est.observe(attempts, successes, self.config.etx_max)
 
-    def _ensure_counts(self) -> None:
-        if not self._counts_fresh:
-            update_children_and_connections(self.states)
-            self._counts_fresh = True
+    def _move_counts(self, node: int, old_parent: int | None) -> None:
+        """Keep children and active connections current after node's default
+        parent moved from old_parent: node changes children sets, and its
+        flow (itself plus the sources routing through it) leaves the old
+        ancestor chain and joins the new one. A node has joined exactly
+        while it has a default parent, so a chain it counts itself on is
+        never empty. A chain that meets node itself means the move opened
+        or closed a cycle through it; every count is then rebuilt from
+        scratch."""
+        states = self.states
+        state = states[node]
+        old_chain = ancestor_chain(states, old_parent, node, GATEWAY_ID)
+        new_chain = ancestor_chain(states, state.default_parent, node, GATEWAY_ID)
+        if old_chain is None or new_chain is None:
+            update_children_and_connections(states)
+            return
+        if old_parent is not None:
+            states[old_parent].children.discard(node)
+        if state.default_parent is not None:
+            states[state.default_parent].children.add(node)
+        flow = state.active_connections + 1
+        for hop in old_chain:
+            states[hop].active_connections -= flow
+        for hop in new_chain:
+            states[hop].active_connections += flow
 
     # --- control plane handlers ---
 
@@ -577,7 +598,6 @@ class Simulation:
             self.relay_for[node] = None
             self.relay_rates[node] = {}
             return
-        self._ensure_counts()
         interferers = frozenset(self.registry.get(slot, ()))
         selected, rates = run_selection(
             state,
@@ -649,7 +669,7 @@ class Simulation:
             self._trickle_restart(neighbor, slot)
             if other.default_parent != was_parent:
                 # children and connection counts read default parents only
-                self._counts_fresh = False
+                self._move_counts(neighbor, was_parent)
                 self.push(slot, EventKind.DAO_TX, neighbor)
         if self.traffic_started:
             for neighbor in changed:
@@ -722,7 +742,6 @@ class Simulation:
             slot, _, _, kind, payload = heapq.heappop(self.queue)
             self.now = slot
             self._handle_control(slot, kind, payload)
-        self._ensure_counts()
 
     def joined_meters(self) -> list[int]:
         return [

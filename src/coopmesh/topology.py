@@ -52,6 +52,13 @@ class NodePlacement:
 
 GATEWAY_ID = 0
 
+# Channel.neighbors searches a grid of square cells. A cell is a hair wider
+# than tx_range_m, so a pair that distance() puts within range never lies
+# two cells apart, however x / side rounds; and a tiny range widens the
+# cells rather than multiplying them past this many per axis.
+_CELL_MARGIN = 1.0 + 2.0**-20
+_MAX_CELLS_PER_AXIS = 1024
+
 
 @dataclass(frozen=True)
 class ChannelParams:
@@ -178,6 +185,9 @@ class Channel:
     _links: dict[tuple[int, int], LinkModel] = field(init=False, repr=False)
     _neighbors: dict[int, list[int]] = field(init=False, repr=False)
     _success: dict[tuple[int, int], float] = field(init=False, repr=False)
+    _ids: tuple[int, ...] = field(init=False, repr=False)
+    _grid: tuple[float, float, float] = field(init=False, repr=False)  # x0, y0, side
+    _cells: dict[tuple[int, int], list[int]] = field(init=False, repr=False)
 
     def __post_init__(self):
         self._pos = {p.node_id: (p.x, p.y) for p in self.placements}
@@ -186,10 +196,26 @@ class Channel:
         self._links = {}
         self._neighbors = {}
         self._success = {}
+        self._ids = tuple(sorted(self._pos))
+        # grid cells, each holding its nodes in ascending id order
+        xs = [x for x, _ in self._pos.values()]
+        ys = [y for _, y in self._pos.values()]
+        x0, y0 = min(xs), min(ys)
+        extent = max(max(xs) - x0, max(ys) - y0)
+        side = max(self.params.tx_range_m * _CELL_MARGIN, extent / _MAX_CELLS_PER_AXIS)
+        self._grid = (x0, y0, side)
+        self._cells = {}
+        for node in self._ids:
+            self._cells.setdefault(self._cell_of(node), []).append(node)
+
+    def _cell_of(self, node: int) -> tuple[int, int]:
+        x0, y0, side = self._grid
+        x, y = self._pos[node]
+        return int((x - x0) / side), int((y - y0) / side)
 
     @property
-    def node_ids(self) -> list[int]:
-        return sorted(self._pos)
+    def node_ids(self) -> tuple[int, ...]:
+        return self._ids
 
     def distance(self, a: int, b: int) -> float:
         xa, ya = self._pos[a]
@@ -208,15 +234,22 @@ class Channel:
         return link
 
     def neighbors(self, node: int) -> list[int]:
-        """Nodes within tx_range (closed ball), excluding the node itself."""
+        """Nodes within tx_range (closed ball), excluding the node itself, in
+        ascending id order. Only the nine grid cells around the node can
+        hold one."""
         cached = self._neighbors.get(node)
         if cached is not None:
             return cached
+        distance, reach, cells = self.distance, self.params.tx_range_m, self._cells
+        cx, cy = self._cell_of(node)
         out = [
             other
-            for other in self.node_ids
-            if other != node and self.distance(node, other) <= self.params.tx_range_m
+            for x in (cx - 1, cx, cx + 1)
+            for y in (cy - 1, cy, cy + 1)
+            for other in cells.get((x, y), ())
+            if other != node and distance(node, other) <= reach
         ]
+        out.sort()
         self._neighbors[node] = out
         return out
 
@@ -236,14 +269,22 @@ class Channel:
         """
         if tx in concurrent_transmitters:
             raise ValueError("transmitter cannot interfere with itself")
-        gain = fading_gain(tx, rx, slot, self.seed) if with_fading else 1.0
-        signal = self.link(tx, rx).mean_rx_power_w * gain
         interference = 0.0
-        for other in concurrent_transmitters:
-            if other == rx:
-                continue
-            g = fading_gain(other, rx, slot, self.seed) if with_fading else 1.0
-            interference += self.link(other, rx).mean_rx_power_w * g
+        if with_fading:
+            signal = self.link(tx, rx).mean_rx_power_w * fading_gain(tx, rx, slot, self.seed)
+            for other in concurrent_transmitters:
+                if other == rx:
+                    continue
+                g = fading_gain(other, rx, slot, self.seed)
+                interference += self.link(other, rx).mean_rx_power_w * g
+        else:
+            # gain 1 multiplies nothing away; cached links are read in place
+            links = self._links
+            signal = (links.get((tx, rx)) or self.link(tx, rx)).mean_rx_power_w
+            for other in concurrent_transmitters:
+                if other == rx:
+                    continue
+                interference += (links.get((other, rx)) or self.link(other, rx)).mean_rx_power_w
         return 10.0 * math.log10(signal / (self.params.noise_floor_w + interference))
 
     def success_probability(self, src: int, dst: int) -> float:

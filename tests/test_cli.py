@@ -765,6 +765,38 @@ def test_main_rejects_sweep_flags_without_a_sweep(tmp_path, capsys, flag, value)
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--seeds", "3"), ("--workers", "4")])
+def test_main_rejects_seeds_and_workers_without_a_sweep(tmp_path, capsys, flag, value):
+    # each was ignored: one scenario ran and the run exited 0
+    cfg_path = tmp_path / "small.cfg"
+    cfg_path.write_text("[scenario]\nregion_side = 80\nintensity = 0.0015625\nn_packets = 20\n")
+    code = main(["--config", str(cfg_path), flag, value, "--quiet"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith(f"config error: {flag} needs --sweep")
+    assert "pdr = " not in captured.out
+
+
+def test_main_sweep_without_seeds_or_workers_runs_20_seeds_on_1_worker(
+    tmp_path, capsys, monkeypatch
+):
+    calls = []
+
+    def recording(config, spec, out_path, workers):
+        calls.append((spec.seeds, workers))
+        return [], 0
+
+    monkeypatch.setattr(cli, "run_sweep", recording)
+    out_csv = tmp_path / "out.csv"
+    assert main(["--sweep", "lsr", "--values", "0.5", "--out", str(out_csv), "--quiet"]) == 0
+    assert calls == [(20, 1)]
+    assert main([
+        "--sweep", "lsr", "--values", "0.5", "--out", str(out_csv), "--quiet",
+        "--seeds", "3", "--workers", "2",
+    ]) == 0
+    assert calls[1] == (3, 2)
+
+
 def test_main_puts_cli_sweep_values_through_the_config_rules(tmp_path, capsys):
     # the same values in a [sweep] section fail at the config boundary;
     # from --values they used to fail inside the first sweep point

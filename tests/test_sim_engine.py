@@ -21,7 +21,9 @@ from coopmesh.coop_relay import RoutingClass, run_selection
 from coopmesh.forwarding import NetworkView, Packet, PacketStatus, Protocol
 from coopmesh.rpl_core import (
     EtxEstimate,
+    NodeState,
     TrickleState,
+    ancestor_chain,
     process_dio,
     update_children_and_connections,
 )
@@ -37,7 +39,8 @@ from coopmesh.sim_engine import (
     generate_traffic,
     run_scenario,
 )
-from coopmesh.topology import GATEWAY_ID, Channel, NodePlacement
+from coopmesh.topology import GATEWAY_ID, Channel, DisconnectedRootError, NodePlacement
+from test_cli import runnable_configs
 
 
 def tiny_config(**overrides):
@@ -425,8 +428,8 @@ def test_full_cooperation_spends_no_decision_draw(monkeypatch):
 
 
 def test_counts_are_fresh_at_every_relay_selection(monkeypatch):
-    # counts are rebuilt only after a default parent moves; at each
-    # selection they must match a rebuild from scratch
+    # counts are kept current at each parent switch; at each selection they
+    # must match a rebuild from scratch
     checked = []
     select = sim_engine.run_selection
 
@@ -439,15 +442,15 @@ def test_counts_are_fresh_at_every_relay_selection(monkeypatch):
         checked.append(sender.node_id)
         return select(sender, states, *args, **kwargs)
 
-    rebuilds = []
-    rebuild = sim_engine.update_children_and_connections
+    moves = []
+    move = Simulation._move_counts
 
-    def counting(states):
-        rebuilds.append(len(checked))
-        rebuild(states)
+    def counting(sim, *args):
+        moves.append(len(checked))
+        move(sim, *args)
 
     monkeypatch.setattr(sim_engine, "run_selection", checking)
-    monkeypatch.setattr(sim_engine, "update_children_and_connections", counting)
+    monkeypatch.setattr(Simulation, "_move_counts", counting)
     cfg = tiny_config(
         region_side=100.0, intensity=20.0 / 100.0**2, tx_range_m=40.0,
         lsr_value=0.5, lsr_mapping="uniform", n_packets=200,
@@ -455,8 +458,163 @@ def test_counts_are_fresh_at_every_relay_selection(monkeypatch):
     )
     run_scenario(cfg)
     assert len(checked) > 50
-    # some parent moved during traffic, so the counts had to be rebuilt
-    assert any(0 < at < len(checked) for at in rebuilds)
+    # some parent moved between selections, so the counts had to follow
+    assert any(0 < at < len(checked) for at in moves)
+
+
+def assert_counts_match_reference(states):
+    # the rebuild reads ranks and default parents only, so those are all a
+    # fresh copy needs
+    fresh = {
+        node: NodeState(node, st.rank, default_parent=st.default_parent)
+        for node, st in states.items()
+    }
+    update_children_and_connections(fresh)
+    for node, st in states.items():
+        assert st.children == fresh[node].children, node
+        assert st.active_connections == fresh[node].active_connections, node
+
+
+def check_counts_after_every_dio(mp):
+    """Check the counts against a rebuild from scratch after every DIO;
+    returns the DIO slots checked and the fallback rebuilds' call list."""
+    checked, rebuilds = [], []
+    handle = Simulation._handle_dio_tx
+    rebuild = sim_engine.update_children_and_connections
+
+    def checking(sim, slot, payload):
+        handle(sim, slot, payload)
+        assert_counts_match_reference(sim.states)
+        checked.append(slot)
+
+    def counting(states):
+        rebuilds.append(len(checked))
+        rebuild(states)
+
+    mp.setattr(Simulation, "_handle_dio_tx", checking)
+    mp.setattr(sim_engine, "update_children_and_connections", counting)
+    return checked, rebuilds
+
+
+@settings(max_examples=25, deadline=None)
+@given(cfg=runnable_configs())
+@pytest.mark.parametrize("protocol", list(Protocol))
+def test_counts_equal_the_reference_after_every_dio(protocol, cfg):
+    with pytest.MonkeyPatch.context() as mp:
+        checked, _ = check_counts_after_every_dio(mp)
+        try:
+            sim = form_network(replace(cfg, protocol=protocol))
+        except DisconnectedRootError:
+            return  # placement found no meter in the gateway's range
+        sim.run_traffic()
+    assert checked
+
+
+@pytest.mark.parametrize("protocol", [Protocol.RPL, Protocol.COOP_RPL])
+def test_counts_equal_the_reference_on_a_run_with_loop_drops(monkeypatch, protocol):
+    # transient cycles of default parents drop packets as loops; a parent
+    # switch that closes or opens one rebuilds every count
+    checked, rebuilds = check_counts_after_every_dio(monkeypatch)
+    reasons = []
+    fold = MetricsTally.fold
+
+    def recording(tally, packet):
+        reasons.append(packet.drop_reason)
+        fold(tally, packet)
+
+    monkeypatch.setattr(MetricsTally, "fold", recording)
+    run_scenario(ScenarioConfig(protocol=protocol, lsr_value=0.5, n_packets=1000, seed=4))
+    assert "loop" in reasons
+    assert 0 < len(rebuilds) < len(checked)
+
+
+def test_a_parent_switch_through_a_cycle_rebuilds_the_counts(monkeypatch):
+    # 0 <- 1 <- 2 <- 3, 0 <- 6, and a standing cycle 4 <-> 5 that no switch
+    # below passes through
+    sim = Simulation(tiny_config())
+    parents = {1: 0, 2: 1, 3: 2, 4: 5, 5: 4, 6: 0}
+    sim.states = states = {0: NodeState(0, rank=0.0)}
+    for node, parent in parents.items():
+        states[node] = NodeState(node, rank=float(node), default_parent=parent)
+    update_children_and_connections(states)
+    rebuilds = []
+    rebuild = sim_engine.update_children_and_connections
+
+    def counting(states):
+        rebuilds.append(1)
+        rebuild(states)
+
+    monkeypatch.setattr(sim_engine, "update_children_and_connections", counting)
+
+    def switch(node, parent):
+        state = states[node]
+        old = state.default_parent
+        state.default_parent = parent
+        state.rank = None if parent is None else float(node)
+        sim._move_counts(node, old)
+        assert_counts_match_reference(states)
+
+    switch(1, 3)  # closes 1 -> 3 -> 2 -> 1
+    assert len(rebuilds) == 1
+    switch(1, 0)  # opens it
+    assert len(rebuilds) == 2
+    switch(6, 4)  # 6 -> 4 -> 5, stopping at the repeat as the reference does
+    switch(2, None)  # loses its last parent; 3 still routes through it
+    switch(2, 6)  # rejoins above the cycle
+    switch(6, 0)
+    assert len(rebuilds) == 2
+    assert (states[6].active_connections, states[2].active_connections) == (2, 1)
+
+
+def test_formation_work_grows_about_linearly_in_meter_count(monkeypatch):
+    # Twice the region side at constant density holds four times the meters.
+    # An all-pairs neighbour scan multiplies formation's distance calls by
+    # about 16, the grid by about 4. Each parent switch walks two ancestor
+    # chains, as long as the DAG is deep, and the depth grows with the side:
+    # walk steps per unit of depth grow like the switches, about 4 times,
+    # where a rebuild of every count at each switch would multiply them by
+    # about 4 more. A rebuild counts the steps of its own walk.
+    counts = {"distance": 0, "steps": 0}
+    distance = Channel.distance
+    chain = sim_engine.ancestor_chain
+    rebuild = sim_engine.update_children_and_connections
+
+    def counting_distance(channel, a, b):
+        counts["distance"] += 1
+        return distance(channel, a, b)
+
+    def counting_chain(*args):
+        walked = chain(*args)
+        counts["steps"] += len(walked or ())
+        return walked
+
+    def counting_rebuild(states):
+        rebuild(states)
+        counts["steps"] += sum(st.active_connections for st in states.values())
+
+    monkeypatch.setattr(Channel, "distance", counting_distance)
+    monkeypatch.setattr(sim_engine, "ancestor_chain", counting_chain)
+    monkeypatch.setattr(sim_engine, "update_children_and_connections", counting_rebuild)
+    totals = {}
+    for side in (600.0, 1200.0):
+        total = {"distance": 0, "steps": 0, "meters": 0, "hops": 0}
+        for seed in (1, 2):
+            counts.update(distance=0, steps=0)
+            sim = form_network(ScenarioConfig(region_side=side, lsr_value=0.5, seed=seed))
+            for key in counts:
+                total[key] += counts[key]
+            total["meters"] += len(sim.states) - 1
+            total["hops"] += sum(
+                len(chain(sim.states, st.default_parent, node, GATEWAY_ID)) + 1
+                for node, st in sim.states.items()
+                if node != GATEWAY_ID and st.joined
+            )
+        totals[side] = total
+    small, large = totals[600.0], totals[1200.0]
+    assert 3.5 < large["meters"] / small["meters"] < 4.5
+    assert large["distance"] / small["distance"] < 6
+    depth = (large["hops"] / large["meters"]) / (small["hops"] / small["meters"])
+    assert large["steps"] / small["steps"] / depth < 6
 
 
 def test_events_pop_by_slot_then_kind_then_push_order():

@@ -2,6 +2,8 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopmesh.topology import (
     Channel,
@@ -209,3 +211,113 @@ def test_neighbor_relation_symmetric_and_loop_free():
         for other in ch.neighbors(node):
             assert node in ch.neighbors(other)
 
+
+
+def all_pairs_neighbors(ch, node):
+    """The all-pairs scan the grid replaces: every node within range, by id."""
+    reach = ch.params.tx_range_m
+    return [o for o in sorted(ch.node_ids) if o != node and ch.distance(node, o) <= reach]
+
+
+def assert_grid_equals_scan(ch):
+    for node in ch.node_ids:
+        assert ch.neighbors(node) == all_pairs_neighbors(ch, node), node
+
+
+@pytest.mark.parametrize("tx_range_m", [10.0, 50.0, 70.0, 123.4])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_grid_neighbors_equal_the_scan_on_placements(seed, tx_range_m):
+    params = replace(PARAMS, tx_range_m=tx_range_m)
+    placements = place_nodes(Region(300.0), 1.5e-3, seed=seed, params=params)
+    assert_grid_equals_scan(Channel(placements, params, seed=seed))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    positions=st.lists(
+        st.tuples(st.floats(-500.0, 500.0), st.floats(-500.0, 500.0)), min_size=1, max_size=40
+    ),
+    reach=st.floats(1e-6, 1e3),
+)
+def test_grid_neighbors_equal_the_scan_on_drawn_points(positions, reach):
+    # drawn points repeat and cluster often, and a range is sometimes drawn
+    # as one of their distances
+    ch = make_channel(positions, params=replace(PARAMS, tx_range_m=reach))
+    assert_grid_equals_scan(ch)
+    if len(positions) > 1:
+        exact = replace(PARAMS, tx_range_m=ch.distance(0, 1) or reach)
+        assert_grid_equals_scan(make_channel(positions, params=exact))
+
+
+@pytest.mark.parametrize("reach", [0.1, 1.0 / 3.0, 7.0, 50.0, 70.0, 1e6 / 7.0])
+def test_grid_neighbors_keep_pairs_at_exactly_the_range(reach):
+    # three nodes exactly one range from the origin, then rows spaced one
+    # range apart off the origin and 3-4-5 pairs, whose distances round to
+    # the range or just beside it
+    positions = [(0.0, 0.0), (reach, 0.0), (0.0, reach), (-reach, 0.0)]
+    positions += [(1.0 + k * reach, 2.0) for k in range(6)]
+    positions += [(1.0 + k * reach, 2.0 + reach) for k in range(6)]
+    positions += [(0.6 * reach, 0.8 * reach), (-0.6 * reach, -0.8 * reach)]
+    ch = make_channel(positions, params=replace(PARAMS, tx_range_m=reach))
+    assert [ch.distance(0, n) for n in (1, 2, 3)] == [reach] * 3
+    assert {1, 2, 3} <= set(ch.neighbors(0))
+    assert_grid_equals_scan(ch)
+
+
+@pytest.mark.parametrize("reach, x0, x1, x2", [
+    (90.72557171887829, 662.2685058344357, 2658.2310836497577, 2748.956655368636),
+    (59.68875154308655, 216.40202403154152, 455.1570302038877, 514.8457817469742),
+    (90.60194219128167, 894.1069816073009, 5061.796322406257, 5152.398264597538),
+    (84.4438476042526, 58.74292626069533, 312.0744690734531, 396.5183166777057),
+])
+def test_grid_neighbors_keep_pairs_that_cells_one_range_wide_would_split(reach, x0, x1, x2):
+    # x1 and x2 lie within range by distance(), yet (x - x0) / reach rounds
+    # them two cells apart: cells exactly one range wide would drop the pair
+    assert math.hypot(x1 - x2, 0.0) <= reach
+    assert int((x2 - x0) / reach) - int((x1 - x0) / reach) == 2
+    ch = make_channel([(x0, 0.0), (x1, 0.0), (x2, 0.0)], params=replace(PARAMS, tx_range_m=reach))
+    assert ch.neighbors(1) == [2]
+    assert_grid_equals_scan(ch)
+
+
+def test_grid_neighbors_on_cell_edges():
+    # points on and beside multiples of the range and of the range widened
+    # by the cell margin, from a minimum corner at the origin
+    reach = 50.0
+    edges = []
+    for k in range(5):
+        for step in (reach, reach * (1.0 + 2.0**-20)):
+            x = k * step
+            edges += [x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)]
+    edges = sorted({x for x in edges if x >= 0.0})
+    positions = [(x, y) for x in edges[::2] for y in (0.0, edges[len(edges) // 2])]
+    positions += [(x, x) for x in edges[1::3]]
+    assert_grid_equals_scan(make_channel(positions))
+
+
+@pytest.mark.parametrize("reach", [300.0, 1e3, 1e300])
+def test_grid_neighbors_with_range_past_the_region(reach):
+    placements = place_nodes(Region(300.0), 5e-4, seed=4, params=PARAMS)
+    ch = Channel(placements, replace(PARAMS, tx_range_m=reach), seed=4)
+    assert_grid_equals_scan(ch)
+    if reach > 300.0 * math.sqrt(2.0):
+        assert all(len(ch.neighbors(n)) == len(placements) - 1 for n in ch.node_ids)
+
+
+@pytest.mark.parametrize("reach", [1e-3, 1e-9, 1e-300, 5e-324])
+def test_grid_neighbors_with_range_far_below_the_region(reach):
+    # a cell as narrow as the range would put a coordinate's cell index at
+    # up to 1e6 / 5e-324, which is no finite float (OverflowError in int());
+    # the grid caps the cells per axis instead
+    placements = place_nodes(Region(1e6), 1e-10, seed=2, params=replace(PARAMS, tx_range_m=1e6))
+    base = placements[1]
+    placements.append(NodePlacement(len(placements), base.x + reach / 2.0, base.y))
+    ch = Channel(placements, replace(PARAMS, tx_range_m=reach), seed=2)
+    assert_grid_equals_scan(ch)
+    assert ch.neighbors(base.node_id) == [len(placements) - 1]
+
+
+def test_node_ids_are_sorted_once():
+    ch = make_channel([(5.0, 5.0), (1.0, 1.0), (3.0, 3.0)])
+    assert list(ch.node_ids) == [0, 1, 2]
+    assert ch.node_ids is ch.node_ids
