@@ -34,7 +34,6 @@ from .sim_engine import (
     FieldError,
     MetricsReport,
     ScenarioConfig,
-    sweep_violation,
 )
 from .topology import DisconnectedRootError
 
@@ -48,6 +47,9 @@ CSV_COLUMNS = [
     "pdr", "mean_retx", "mean_delay_slots", "mean_delay_ms",
     "sent", "delivered", "dropped",
 ]
+# the columns after a run's five labels: what a failed run leaves blank and
+# the mean and stddev rows average
+METRIC_COLUMNS = CSV_COLUMNS[5:]
 
 class ConfigError(Exception):
     def __init__(self, message: str, line: int | None = None):
@@ -252,11 +254,9 @@ class SweepSpec:
     seeds: int
 
     def __post_init__(self):
+        # run_sweep checks the values, against the config they sweep
         if self.axis not in SWEPT_FIELD:
             raise ConfigError("sweep axis must be 'lsr' or 'density'")
-        message = sweep_violation(self.axis, self.values)
-        if message is not None:
-            raise ConfigError(message)
         if self.seeds < 1:
             raise ConfigError("seeds must be >= 1")
 
@@ -330,11 +330,7 @@ def _sweep_point(args) -> list[dict]:
                 dropped=report.dropped,
             )
         except DisconnectedRootError as exc:  # an unlucky topology, not a bug
-            row.update(
-                pdr=None, mean_retx=None, mean_delay_slots=None,
-                mean_delay_ms=None, sent=None, delivered=None, dropped=None,
-                error=str(exc),
-            )
+            row.update(dict.fromkeys(METRIC_COLUMNS), error=str(exc))
         rows.append(row)
     return rows
 
@@ -349,12 +345,17 @@ def run_sweep(
 
     Rows are ordered by (axis value, variant, seed); aggregate rows (seed
     column 'mean' / 'stddev', population stddev) follow the data rows.
+    Raises FieldError, before any point runs, when config rejects
+    spec.values on spec.axis as it would a [sweep] section. At most one
+    worker process runs per (value, seed) point.
     """
+    replace(config, sweep_axis=spec.axis, sweep_values=spec.values)
     tasks = [
         (config, spec.axis, value, seed, spec.variants)
         for value in spec.values
         for seed in range(1, spec.seeds + 1)
     ]
+    workers = min(workers, len(tasks))
     if workers > 1:
         # imported here: the pool machinery costs a serial run ~1.4 MB RSS
         from concurrent.futures import ProcessPoolExecutor
@@ -378,8 +379,7 @@ def run_sweep(
             for stat_name, fn in (("mean", statistics.fmean), ("stddev", statistics.pstdev)):
                 # the group's labels; seed and every metric column are replaced
                 agg = dict(group[0], seed=stat_name)
-                for column in ("pdr", "mean_retx", "mean_delay_slots",
-                               "mean_delay_ms", "sent", "delivered", "dropped"):
+                for column in METRIC_COLUMNS:
                     samples = [r[column] for r in group if r[column] is not None]
                     agg[column] = fn(samples) if samples else None
                 aggregates.append(agg)
@@ -548,11 +548,6 @@ def main(argv: list[str] | None = None) -> int:
         values = (
             _to_values(args.values, None) if args.values else tuple(config.sweep_values)
         )
-        try:
-            # the rules a [sweep] section meets, for an axis or values from the flags
-            replace(config, sweep_axis=axis, sweep_values=values)
-        except FieldError as exc:
-            raise ConfigError(f"{'--values' if args.values else '--sweep'}: {exc}")
         protocols = args.protocols.split(",") if args.protocols else None
         classes = args.classes.split(",") if args.classes else None
         spec = SweepSpec(
@@ -563,7 +558,11 @@ def main(argv: list[str] | None = None) -> int:
         )
         out_path = args.out or Path("sweep.csv")
         workers = DEFAULT_WORKERS if args.workers is None else args.workers
-        rows, failed = run_sweep(config, spec, out_path, workers=workers)
+        try:
+            rows, failed = run_sweep(config, spec, out_path, workers=workers)
+        except FieldError as exc:
+            # the rules a [sweep] section meets, for an axis or values from the flags
+            raise ConfigError(f"{'--values' if args.values else '--sweep'}: {exc}")
         print(f"wrote {out_path} ({len(rows)} data rows, {failed} failed)")
         # a comparison needs both series, and only rows with metrics give one
         scored = {r["protocol"] for r in rows if r.get("error") is None}

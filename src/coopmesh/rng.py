@@ -35,12 +35,11 @@ _PACKERS = _Packers()
 
 
 def _draw_u64(seed: int, key: tuple) -> int:
-    # hot path: integer-only keys pack fast; anything else goes through repr
-    try:
-        material = _PACKERS[len(key) + 1].pack(seed, *key)
-    except struct.error:
-        material = repr((seed,) + key).encode()
-    return int.from_bytes(hashlib.blake2b(material, digest_size=8).digest(), "little")
+    # integer-only keys hash their packed bytes; anything else, its repr
+    state = prefix_state(seed, *key)
+    if state is None:
+        return derive_seed(seed, *key)
+    return int.from_bytes(state.digest(), "little")
 
 
 def _unit(u64: int) -> float:

@@ -116,14 +116,17 @@ def select_default_parent(parent_set: dict[int, ParentEntry]) -> int:
     return min(parent_set, key=lambda n: (parent_set[n].cost, n))
 
 
+def _prune_parent_set(state: NodeState) -> None:
+    """Keep the entries ranked below the node, plus its default parent."""
+    rank, keep = state.rank, state.default_parent
+    state.parent_set = {n: e for n, e in state.parent_set.items() if e.rank < rank or n == keep}
+
+
 def _adopt_best_parent(state: NodeState) -> None:
     best = select_default_parent(state.parent_set)
     state.default_parent = best
     state.rank = state.parent_set[best].cost
-    # drop entries that would sit at or above our own position
-    stale = [n for n, e in state.parent_set.items() if e.rank >= state.rank and n != best]
-    for n in stale:
-        del state.parent_set[n]
+    _prune_parent_set(state)
 
 
 def process_dio(
@@ -156,9 +159,7 @@ def process_dio(
         # our default parent climbed to or above our own position: unusable
         state.parent_set.pop(sender, None)
         state.default_parent = None
-        state.parent_set = {
-            n: e for n, e in state.parent_set.items() if e.rank < state.rank
-        }
+        _prune_parent_set(state)
         if state.parent_set:
             _adopt_best_parent(state)
         else:
@@ -172,13 +173,16 @@ def process_dio(
     if is_parent:
         # same position, refreshed cost: rank increases must still propagate
         state.rank = state.parent_set[sender].cost
-        keep = state.default_parent
-        state.parent_set = {
-            n: e
-            for n, e in state.parent_set.items()
-            if e.rank < state.rank or n == keep
-        }
+        _prune_parent_set(state)
     return Decision.IGNORE
+
+
+def dio_changes_nothing(state: NodeState, sender: int, rank: float) -> bool:
+    """Whether process_dio would ignore a DIO from sender advertising rank
+    and leave state as it is: the node is joined, does not route through
+    sender, and sits at or below rank, which plus a link ETX >= 1 cannot
+    beat its own."""
+    return state.rank is not None and state.rank <= rank and state.default_parent != sender
 
 
 def trickle_fire(trickle: TrickleState) -> tuple[bool, float]:

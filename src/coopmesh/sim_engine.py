@@ -52,6 +52,7 @@ from .rpl_core import (
     NodeState,
     TrickleState,
     ancestor_chain,
+    dio_changes_nothing,
     process_dio,
     process_dis,
     trickle_fire,
@@ -422,7 +423,7 @@ class MetricsTally:
         self.retransmissions += packet.retransmissions
         if packet.status is PacketStatus.DELIVERED:
             self.delivered += 1
-            self.delay_slots += packet.delivered_slot - packet.created_slot
+            self.delay_slots += packet.delay_slots
         elif packet.status is PacketStatus.DROPPED:
             self.dropped += 1
 
@@ -593,14 +594,9 @@ class Simulation:
             self.push(slot, EventKind.DIO_TX, node)
 
     def _refresh_relay(self, node: int, slot: int) -> None:
-        state = self.states[node]
-        if not state.joined or state.default_parent is None:
-            self.relay_for[node] = None
-            self.relay_rates[node] = {}
-            return
         interferers = frozenset(self.registry.get(slot, ()))
         selected, rates = run_selection(
-            state,
+            self.states[node],
             self.states,
             self.channel,
             self.etx_of,
@@ -647,14 +643,7 @@ class Simulation:
                 continue
             other = self.states[neighbor]
             other.last_dio_slot = slot
-            if (
-                other.rank is not None
-                and other.rank <= rank
-                and other.default_parent != node
-            ):
-                # process_dio would ignore this DIO and change nothing: the
-                # receiver does not route through the sender, and the sender's
-                # rank plus a link ETX >= 1 cannot beat the receiver's rank
+            if dio_changes_nothing(other, node, rank):
                 self.trickles[neighbor].counter += 1
                 continue
             was_parent = other.default_parent

@@ -269,22 +269,20 @@ class Channel:
         """
         if tx in concurrent_transmitters:
             raise ValueError("transmitter cannot interfere with itself")
-        interference = 0.0
+        # the fading mean is gain 1, which is left out rather than multiplied
+        # in; cached links are read in place
+        links = self._links
+        signal = (links.get((tx, rx)) or self.link(tx, rx)).mean_rx_power_w
         if with_fading:
-            signal = self.link(tx, rx).mean_rx_power_w * fading_gain(tx, rx, slot, self.seed)
-            for other in concurrent_transmitters:
-                if other == rx:
-                    continue
-                g = fading_gain(other, rx, slot, self.seed)
-                interference += self.link(other, rx).mean_rx_power_w * g
-        else:
-            # gain 1 multiplies nothing away; cached links are read in place
-            links = self._links
-            signal = (links.get((tx, rx)) or self.link(tx, rx)).mean_rx_power_w
-            for other in concurrent_transmitters:
-                if other == rx:
-                    continue
-                interference += (links.get((other, rx)) or self.link(other, rx)).mean_rx_power_w
+            signal *= fading_gain(tx, rx, slot, self.seed)
+        interference = 0.0
+        for other in concurrent_transmitters:
+            if other == rx:
+                continue
+            power = (links.get((other, rx)) or self.link(other, rx)).mean_rx_power_w
+            if with_fading:
+                power *= fading_gain(other, rx, slot, self.seed)
+            interference += power
         return 10.0 * math.log10(signal / (self.params.noise_floor_w + interference))
 
     def success_probability(self, src: int, dst: int) -> float:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import io
 import math
@@ -576,16 +577,29 @@ def test_default_variants_expand_coop_classes():
     assert len(variants) == 6
 
 
-def test_sweep_spec_validation():
+def test_sweep_spec_validation(tmp_path, monkeypatch):
     variants = default_variants(["rpl"])
-    with pytest.raises(ConfigError, match="strictly increasing"):
-        SweepSpec("lsr", (0.7, 0.5), variants, 1)
-    with pytest.raises(ConfigError, match="probability"):
-        SweepSpec("lsr", (0.5, 1.2), variants, 1)
-    with pytest.raises(ConfigError, match="density_ratio must be > 0"):
-        SweepSpec("density", (-1.0,), variants, 1)
     with pytest.raises(ConfigError, match="seeds"):
         SweepSpec("lsr", (0.5,), variants, 0)
+
+    # run_sweep puts the values through the rules of its config, as a
+    # [sweep] section is, before any point runs or the CSV is opened
+    def no_point_runs(config, emit=None):
+        raise AssertionError(f"a point ran at {config.lsr_value}, {config.density_ratio}")
+
+    monkeypatch.setattr(sim_engine, "run_scenario", no_point_runs)
+    out = tmp_path / "sweep.csv"
+    for axis, values, message in (
+        ("lsr", (0.7, 0.5), "strictly increasing"),
+        ("lsr", (0.5, 1.2), "probability"),
+        ("density", (-1.0,), "density_ratio must be > 0"),
+        # each value passes density_ratio's bound; 1e30 would place 8e31 meters
+        ("density", (0.5, 1e30), "expected meter count"),
+    ):
+        spec = SweepSpec(axis, values, variants, 1)
+        with pytest.raises(FieldError, match=message):
+            run_sweep(ScenarioConfig(n_packets=50), spec, out)
+        assert not out.exists()
 
 
 SMALL = ScenarioConfig(region_side=80.0, intensity=10.0 / 6400.0, n_packets=60)
@@ -623,6 +637,38 @@ def test_run_sweep_deterministic_csv_bytes(tmp_path):
     run_sweep(SMALL, spec, a, workers=1)
     run_sweep(SMALL, spec, b, workers=2)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_run_sweep_starts_at_most_one_worker_per_point(tmp_path, monkeypatch):
+    requested = []
+
+    class InProcessPool:
+        """Records the pool size asked for and maps in this process."""
+
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    variants = default_variants(["rpl"])
+    one_point = SweepSpec("lsr", (0.6,), variants, seeds=1)
+    run_sweep(SMALL, one_point, tmp_path / "serial.csv", workers=1)
+    run_sweep(SMALL, one_point, tmp_path / "wide.csv", workers=64)
+    assert requested == []  # one point runs serially
+    assert (tmp_path / "wide.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+    two_points = SweepSpec("lsr", (0.6, 0.7), variants, seeds=1)
+    run_sweep(SMALL, two_points, tmp_path / "serial.csv", workers=1)
+    run_sweep(SMALL, two_points, tmp_path / "wide.csv", workers=100_000)
+    assert requested == [2]
+    assert (tmp_path / "wide.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
 
 
 def test_run_sweep_density_axis(tmp_path):

@@ -13,6 +13,7 @@ from coopmesh.rpl_core import (
     TrickleState,
     compute_etx,
     compute_rank,
+    dio_changes_nothing,
     process_dio,
     process_dis,
     select_default_parent,
@@ -141,26 +142,45 @@ dios = st.tuples(
 @given(
     history=st.lists(dios, min_size=1, max_size=8),
     sender=st.integers(0, 6),
-    above=st.floats(min_value=0.0, max_value=20.0),
+    offset=st.floats(min_value=-20.0, max_value=20.0),
     link_etx=st.floats(min_value=1.0, max_value=16.0),
     hysteresis=st.floats(min_value=0.0, max_value=5.0),
 )
 def test_dio_from_a_non_parent_not_below_us_changes_nothing(
-    history, sender, above, link_etx, hysteresis
+    history, sender, offset, link_etx, hysteresis
 ):
-    # the rule the event loop uses to skip process_dio: the receiver is
-    # joined, its rank is <= the advertised rank, and the sender is not its
-    # default parent
+    # dio_changes_nothing is the rule the event loop skips process_dio by;
+    # a negative offset advertises a rank below the receiver's, which a
+    # sound rule never skips
     state = NodeState(9)
     for s, rank, etx in history:
         process_dio(state, s, rank, etx, hysteresis)
-    assume(state.joined and sender != state.default_parent)
+    rank = (state.rank or 0.0) + offset
+    assume(dio_changes_nothing(state, sender, rank))
     before = copy.deepcopy(state)
-    rank = state.rank + above
     assert process_dio(state, sender, rank, link_etx, hysteresis) is Decision.IGNORE
     assert state.rank == before.rank
     assert state.default_parent == before.default_parent
     assert state.parent_set == before.parent_set
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    history=st.lists(dios, min_size=1, max_size=12),
+    hysteresis=st.floats(min_value=0.0, max_value=5.0),
+)
+def test_parent_set_invariants_hold_after_every_dio(history, hysteresis):
+    state = NodeState(9)
+    for sender, rank, etx in history:
+        process_dio(state, sender, rank, etx, hysteresis)
+        assert state.joined == (state.default_parent is not None)
+        if not state.joined:
+            assert state.parent_set == {}
+            continue
+        for node, entry in state.parent_set.items():
+            assert entry.rank < state.rank or node == state.default_parent
+        assert state.default_parent in state.parent_set
+        assert state.rank == state.parent_set[state.default_parent].cost
 
 
 def trickle(current_interval_ms=100.0):
