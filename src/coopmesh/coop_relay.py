@@ -222,14 +222,13 @@ def run_selection(
     a class-a test or its rate reads them. The direct link's SINR is
     computed once per sender, and again only for a candidate that is itself
     among the interferers. etx_of(a, b) supplies the current link estimate;
-    weights are the config's active_weights().
+    weights are the config's active_weights(). A sender without a default
+    parent gets no relay; one with a default parent has joined.
 
     Returns (selected relay or None, candidate rates for tracing).
     """
     if sender.default_parent is None:
         return None, {}
-    if not sender.joined:
-        raise ValueError("sender must be joined")
     s, parent, rank = sender.node_id, sender.default_parent, sender.rank
     # a candidate must actually reach the hop destination for its second
     # cooperative leg to exist at all (distance, hence reach, is symmetric)

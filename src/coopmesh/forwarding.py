@@ -11,6 +11,7 @@ transmission is one slot and one deterministic Bernoulli draw keyed by
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -18,13 +19,13 @@ from enum import Enum
 from typing import NamedTuple
 
 from . import rng
-from .rng import _PACKERS, derive_seed, prefix_state, uniform
+from .rng import _PACKERS, derive_seed, uniform
 from .topology import Channel
 
 DOMAIN_TRANSMIT = 0x7B
 DOMAIN_COOP_DECISION = 0xC0
 
-_pack_link = _PACKERS[3].pack  # (src, dst, attempt)
+_pack_draw = _PACKERS[6].pack  # (seed, domain, packet, src, dst, attempt)
 
 
 class Protocol(Enum):
@@ -39,7 +40,7 @@ class PacketStatus(Enum):
     DROPPED = "dropped"
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     packet_id: int
     source: int
@@ -81,12 +82,14 @@ class LinkLayer:
 
     Each directed link keeps an attempt counter so the n-th use of a link by
     a packet always sees the same draw, independent of slots or call order
-    elsewhere: ``uniform(seed, DOMAIN_TRANSMIT, packet_id, src, dst, n)``,
-    with the (seed, domain, packet) prefix hashed once per packet, and the
-    whole key sent to ``uniform`` when a part does not pack as int64.
+    elsewhere: ``uniform(seed, DOMAIN_TRANSMIT, packet_id, src, dst, n)``.
+    Each attempt hashes its whole packed key in one blake2b call, and sends
+    the key to ``uniform`` when a part does not pack as int64.
     Transmissions are optionally registered per slot for interference
     bookkeeping.
     """
+
+    __slots__ = ("channel", "registry", "seed", "packet_id", "_counters")
 
     def __init__(
         self,
@@ -97,9 +100,9 @@ class LinkLayer:
     ):
         self.channel = channel
         self.registry = registry
+        self.seed = seed
+        self.packet_id = packet_id
         self._counters: dict[tuple[int, int], int] = {}
-        self._key = (seed, DOMAIN_TRANSMIT, packet_id)
-        self._prefix = prefix_state(*self._key)
 
     def transmit(self, src: int, dst: int, slot: int) -> bool:
         key = (src, dst)
@@ -111,16 +114,12 @@ class LinkLayer:
         p = channel._success.get(key)  # success_probability's cache; a hit skips the call
         if p is None:
             p = channel.success_probability(src, dst)
-        if self._prefix is not None:
-            try:
-                material = _pack_link(src, dst, idx)
-            except struct.error:
-                pass
-            else:
-                hasher = self._prefix.copy()
-                hasher.update(material)
-                return rng._unit(int.from_bytes(hasher.digest(), "little")) < p
-        return uniform(*self._key, src, dst, idx) < p
+        try:
+            material = _pack_draw(self.seed, DOMAIN_TRANSMIT, self.packet_id, src, dst, idx)
+        except struct.error:
+            return uniform(self.seed, DOMAIN_TRANSMIT, self.packet_id, src, dst, idx) < p
+        u64 = int.from_bytes(hashlib.blake2b(material, digest_size=8).digest(), "little")
+        return rng._unit(u64) < p
 
 
 def forward_hop(
@@ -200,7 +199,7 @@ def build_forwarding_set(
     return tuple(members)
 
 
-@dataclass
+@dataclass(slots=True)
 class NetworkView:
     """Everything the data plane needs from a formed scenario; the run
     parameters are the ScenarioConfig's. Only the simulator's route refresh
@@ -250,35 +249,31 @@ def advance_one_hop(
         link_layer, holder, receivers, relay, slot,
         net.max_retx, net.relay_retx, net.retx_wait,
     )
+    attempts, relay_used, relay_attempts, delivered, slots, receiver, by_relay = outcome
     observe = net.observe_link
-    if outcome.delivered and not outcome.delivered_by_relay:
-        observe(holder, outcome.receiver, outcome.attempts, 1)
+    if delivered and not by_relay:
+        observe(holder, receiver, attempts, 1)
     else:
         for member in receivers:
-            observe(holder, member, outcome.attempts, 0)
-    if outcome.relay_attempts:
-        observe(
-            relay, receivers[0], outcome.relay_attempts,
-            1 if outcome.delivered_by_relay else 0,
-        )
-    attempts, relay_attempts = outcome.attempts, outcome.relay_attempts
+            observe(holder, member, attempts, 0)
+    if relay_attempts:
+        observe(relay, receivers[0], relay_attempts, 1 if by_relay else 0)
     packet.total_transmissions += attempts + relay_attempts
-    if outcome.relay_used:
+    if relay_used:
         packet.relay_hops += 1
     packet.retransmissions += attempts - 1 + relay_attempts
-    if not outcome.delivered:
+    if not delivered:
         packet.status = PacketStatus.DROPPED
         packet.drop_reason = "link-failure"
         return outcome
     packet.hop_count += 1
-    packet.current_holder = outcome.receiver
-    if outcome.receiver == net.gateway:
+    packet.current_holder = receiver
+    if receiver == net.gateway:
         packet.status = PacketStatus.DELIVERED
-        packet.delivered_slot = slot + outcome.slots_consumed
-    elif outcome.receiver in packet.visited:
+        packet.delivered_slot = slot + slots
+    elif receiver in packet.visited:
         packet.status = PacketStatus.DROPPED
         packet.drop_reason = "loop"
     else:
-        packet.visited.add(outcome.receiver)
+        packet.visited.add(receiver)
     return outcome
-

@@ -36,10 +36,11 @@ _PACKERS = _Packers()
 
 def _draw_u64(seed: int, key: tuple) -> int:
     # integer-only keys hash their packed bytes; anything else, its repr
-    state = prefix_state(seed, *key)
-    if state is None:
+    try:
+        material = _PACKERS[len(key) + 1].pack(seed, *key)
+    except struct.error:
         return derive_seed(seed, *key)
-    return int.from_bytes(state.digest(), "little")
+    return int.from_bytes(hashlib.blake2b(material, digest_size=8).digest(), "little")
 
 
 def _unit(u64: int) -> float:
@@ -51,17 +52,3 @@ def uniform(seed: int, *key: object) -> float:
     """Uniform draw in [0, 1), deterministic in (seed, key)."""
     return _unit(_draw_u64(seed, key))
 
-
-def prefix_state(seed: int, *prefix: object) -> hashlib.blake2b | None:
-    """The blake2b state after hashing the packed (seed, *prefix), or None
-    when a part does not pack as int64.
-
-    Packed int64 keys hash their parts back to back, so a copy of this
-    state fed the packed suffix digests exactly what
-    ``uniform(seed, *prefix, *suffix)`` hashes.
-    """
-    try:
-        material = _PACKERS[len(prefix) + 1].pack(seed, *prefix)
-    except struct.error:
-        return None
-    return hashlib.blake2b(material, digest_size=8)

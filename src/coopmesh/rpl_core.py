@@ -22,7 +22,7 @@ class Decision(Enum):
     IGNORE = "ignore"
 
 
-@dataclass
+@dataclass(slots=True)
 class TrickleState:
     """One node's DIO timer (RFC 6206). seq numbers the scheduled fire, so
     a reset can supersede the fire already queued."""
@@ -42,7 +42,7 @@ class TrickleState:
 DEAD_LINK_WINDOW = 8  # consecutive failed attempts before sampling etx_max
 
 
-@dataclass
+@dataclass(slots=True)
 class EtxEstimate:
     """Per-link ETX: seeded from the channel, updated by an EWMA once data
     flows.
@@ -79,7 +79,7 @@ class ParentEntry(NamedTuple):
         return self.rank + self.etx
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeState:
     node_id: int
     rank: float | None = None  # None until joined; gateway starts at 0

@@ -502,6 +502,7 @@ class Simulation:
             for node in self.states
         }
         self.etx_table: dict[tuple[int, int], EtxEstimate] = {}
+        self.etx_max = config.etx_max
         # (slot, priority, event_id, kind, payload); see the module docstring
         self.queue: list[tuple] = []
         self.event_id = 0
@@ -530,7 +531,7 @@ class Simulation:
 
     def _seed_etx(self, src: int, dst: int) -> EtxEstimate:
         p = self.channel.success_probability(src, dst)
-        seedv = self.config.etx_max if p <= 0 else min(self.config.etx_max, 1.0 / p)
+        seedv = self.etx_max if p <= 0 else min(self.etx_max, 1.0 / p)
         est = self.etx_table[(src, dst)] = EtxEstimate(seedv)
         return est
 
@@ -544,7 +545,7 @@ class Simulation:
         est = self.etx_table.get((src, dst))
         if est is None:
             est = self._seed_etx(src, dst)
-        est.observe(attempts, successes, self.config.etx_max)
+        est.observe(attempts, successes, self.etx_max)
 
     def _move_counts(self, node: int, old_parent: int | None) -> None:
         """Keep children and active connections current after node's default
@@ -775,11 +776,17 @@ class Simulation:
         tally = MetricsTally()
         net = self.network_view()
         queue = self.queue
+        # looked up per run, not imported by name, so a stand-in for
+        # sim_engine.heapq installed before the run is used
+        heappop = heapq.heappop
+        push = self.push
         hop_attempt = EventKind.HOP_ATTEMPT
+        in_flight = PacketStatus.IN_FLIGHT
+        n_packets = cfg.n_packets
         registry = self.registry
         trace_relays = self.emit is not None and cfg.protocol is Protocol.COOP_RPL
-        while tally.sent < cfg.n_packets:  # the queue never runs dry, as in formation
-            slot, _, _, kind, payload = heapq.heappop(queue)
+        while tally.sent < n_packets:  # the queue never runs dry, as in formation
+            slot, _, _, kind, payload = heappop(queue)
             if registry is not None and slot > self.now:
                 # transmissions register at their own slot or later, and the
                 # registry is read at the current slot only
@@ -789,7 +796,8 @@ class Simulation:
             # hop attempts are most of the traffic phase's events: test them first
             if kind is hop_attempt:
                 packet = payload
-                holder = packet.current_holder
+                if trace_relays:
+                    holder = packet.current_holder
                 outcome = advance_one_hop(packet, net, packet.link, slot)
                 if trace_relays and outcome is not None:
                     self.emit({
@@ -804,8 +812,8 @@ class Simulation:
                         "selected": self.relay_for.get(holder),
                         "used": outcome.relay_used,
                     })
-                if packet.status is PacketStatus.IN_FLIGHT:
-                    self.push(slot + outcome.slots_consumed, hop_attempt, packet)
+                if packet.status is in_flight:
+                    push(slot + outcome.slots_consumed, hop_attempt, packet)
                 else:
                     if self.emit is not None:
                         # the one kind without a "type"; adding one would
@@ -823,10 +831,10 @@ class Simulation:
             elif kind is packet_gen:
                 source = int(arrival_sources[payload])
                 link = LinkLayer(self.channel, cfg.seed, payload, registry)
-                self.push(slot, hop_attempt, Packet(payload, source, slot, source, link=link))
+                push(slot, hop_attempt, Packet(payload, source, slot, source, link=link))
                 following = next(arrivals, None)
                 if following is not None:
-                    self.push(int(arrival_slots[following]), packet_gen, int(following))
+                    push(int(arrival_slots[following]), packet_gen, int(following))
             else:
                 self._handle_control(slot, kind, payload)
         return tally.report(

@@ -18,7 +18,7 @@ from coopmesh.forwarding import (
     forward_hop,
 )
 from coopmesh.rng import uniform
-from coopmesh.rpl_core import NodeState, ParentEntry
+from coopmesh.rpl_core import EtxEstimate, NodeState, ParentEntry, TrickleState
 from coopmesh.sim_engine import ScenarioConfig
 from coopmesh.topology import Channel, ChannelMode, ChannelParams, NodePlacement
 
@@ -130,8 +130,8 @@ def test_link_layer_draws_are_deterministic_and_attempt_keyed():
     links=st.lists(st.sampled_from([(0, 1), (1, 0), (1, 2), (2, 0)]), max_size=30),
 )
 def test_transmit_is_the_keyed_draw_per_attempt(seed, packet_id, third, links):
-    # a seed or packet id past int64 leaves the prefix unpacked, a node id
-    # past int64 the suffix; either draw falls back to uniform
+    # a seed, packet id or node id past int64 leaves the key unpacked, and
+    # the draw falls back to uniform
     ids = (0, 1, third)
     ch = lsr_channel([(0.0, 0.0), (20.0, 0.0), (30.0, 0.0)], lsr=0.5, ids=ids)
     layer = LinkLayer(ch, seed=seed, packet_id=packet_id)
@@ -144,6 +144,24 @@ def test_transmit_is_the_keyed_draw_per_attempt(seed, packet_id, third, links):
             seed, DOMAIN_TRANSMIT, packet_id, src, dst, idx
         ) < ch.success_probability(src, dst)
         assert layer.transmit(src, dst, slot) is expected
+
+
+def test_hop_path_state_is_slotted():
+    # slots keep the hop path's attribute access fast, and a mistyped field
+    # raises instead of adding an attribute
+    ch = lsr_channel([(0.0, 0.0), (20.0, 0.0)], lsr=0.5)
+    instances = (
+        Packet(0, source=1, created_slot=0, current_holder=1),
+        network_view({0: NodeState(0, rank=0.0)}),
+        LinkLayer(ch, seed=1, packet_id=0),
+        NodeState(1),
+        EtxEstimate(1.0),
+        TrickleState(100.0, 3, 1, 100.0),
+    )
+    for obj in instances:
+        assert not hasattr(obj, "__dict__"), type(obj).__name__
+        with pytest.raises(AttributeError):
+            obj.no_such_field = 1
 
 
 def test_forward_hop_rpl_perfect_link():

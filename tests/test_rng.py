@@ -1,8 +1,13 @@
+import hashlib
 import math
+import struct
+
+from hypothesis import given
+from hypothesis import strategies as st
 
 from coopmesh import rng
 from coopmesh.forwarding import LinkLayer
-from coopmesh.rng import uniform
+from coopmesh.rng import derive_seed, uniform
 from coopmesh.topology import (
     Channel,
     ChannelMode,
@@ -23,9 +28,8 @@ def test_top_u64_values_map_below_one():
 
 
 def test_both_draws_go_through_the_conversion(monkeypatch):
-    # link draws on a packed key and on both fallbacks to uniform: a seed
-    # past int64 (the prefix does not pack) and a node id past int64 (the
-    # suffix does not)
+    # link draws on a packed key and on the fallback to uniform, which a
+    # seed or a node id past int64 takes (the key does not pack)
     params = ChannelParams(
         tx_power_w=2.0, path_loss_exponent=3.0, reference_loss_db=40.0,
         noise_floor_w=1e-13, tx_range_m=50.0, sinr_threshold_db=35.0,
@@ -50,3 +54,23 @@ def test_fading_gain_is_finite_at_the_top_draw(monkeypatch):
     monkeypatch.setattr(rng, "_draw_u64", lambda seed, key: 2**64 - 1)
     gain = fading_gain(1, 2, 3, seed=4)
     assert math.isfinite(gain) and gain > 0
+
+
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+# key parts at, inside and just past both int64 edges
+_PART = st.one_of(
+    st.sampled_from([_INT64_MIN - 1, _INT64_MIN, _INT64_MAX, _INT64_MAX + 1]),
+    st.integers(_INT64_MIN - 2**8, _INT64_MAX + 2**8),
+)
+
+
+@given(seed=_PART, key=st.lists(_PART, min_size=1, max_size=8).map(tuple))
+def test_draw_bytes_are_the_packed_key_hashed_once(seed, key):
+    # pins the draw's bytes independently of how they are hashed
+    if all(_INT64_MIN <= part <= _INT64_MAX for part in (seed, *key)):
+        material = struct.pack(f"<{len(key) + 1}q", seed, *key)
+        digest = hashlib.blake2b(material, digest_size=8).digest()
+        expected = int.from_bytes(digest, "little")
+    else:
+        expected = derive_seed(seed, *key)
+    assert rng._draw_u64(seed, key) == expected
