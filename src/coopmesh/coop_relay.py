@@ -213,26 +213,26 @@ def run_selection(
 ) -> tuple[int | None, dict[int, float]]:
     """Full pipeline for one sender: rank filter, eligibility, rate argmax.
 
-    One pass over the sender's neighbors, applying the rules that
-    filter_candidates_by_rank and eligible state (the tests hold this pass
-    to them). Every SINR is channel.compute_sinr's against the other nodes
-    in interferers, the nodes transmitting in slot: the fading-mean channel
-    unless with_fading asks for per-slot gains, so choices stay stable
-    between advertisement rounds. A candidate's SINRs are computed only when
-    a class-a test or its rate reads them. The direct link's SINR is
-    computed once per sender, and again only for a candidate that is itself
-    among the interferers. etx_of(a, b) supplies the current link estimate;
-    weights are the config's active_weights(). A sender without a default
-    parent gets no relay; one with a default parent has joined.
+    One pass over channel.relay_legs(sender, parent), the sender's
+    neighbors that also reach the parent (so both cooperative legs exist),
+    applying the rules that filter_candidates_by_rank and eligible state
+    (the tests hold this pass to them). Every SINR is channel.compute_sinr's
+    against the other nodes in interferers, the nodes transmitting in slot:
+    the fading-mean channel unless with_fading asks for per-slot gains, so
+    choices stay stable between advertisement rounds. A candidate's SINRs
+    are computed only when a class-a test or its rate reads them, and class
+    a's second leg only once its first beats the direct link. The direct
+    link's SINR is computed once per sender, and again only for a candidate
+    that is itself among the interferers. etx_of(a, b) supplies the current
+    link estimate; weights are the config's active_weights(). A sender
+    without a default parent gets no relay; one with a default parent has
+    joined.
 
     Returns (selected relay or None, candidate rates for tracing).
     """
     if sender.default_parent is None:
         return None, {}
     s, parent, rank = sender.node_id, sender.default_parent, sender.rank
-    # a candidate must actually reach the hop destination for its second
-    # cooperative leg to exist at all (distance, hence reach, is symmetric)
-    reaches_parent = set(channel.neighbors(parent))
     compute_sinr = channel.compute_sinr
     nac_s, nch_s = sender.active_connections, len(sender.children)
     etx_s_d = etx_of(s, parent)
@@ -241,18 +241,12 @@ def run_selection(
     test_b = best_effort or routing_class is RoutingClass.CLASS_B
     test_c = best_effort or routing_class is RoutingClass.CLASS_C
     # compute_sinr sums the interference in this set's order
-    others = frozenset(t for t in interferers if t != s)
+    others = frozenset(t for t in interferers if t != s) if interferers else interferers
     direct = compute_sinr(parent, s, others, slot, with_fading) if test_a else None
     rows = []
-    for r in channel.neighbors(s):  # ascending ids
+    for r in channel.relay_legs(s, parent):  # ascending ids
         relay_state = states.get(r)
-        if (
-            relay_state is None
-            or relay_state.rank is None
-            or relay_state.rank >= rank
-            or r == parent
-            or r not in reaches_parent
-        ):
+        if relay_state is None or relay_state.rank is None or relay_state.rank >= rank:
             continue
         nac_r, nch_r = relay_state.active_connections, len(relay_state.children)
         etx_s_r, etx_r_d = etx_of(s, r), etx_of(r, parent)
@@ -265,14 +259,16 @@ def run_selection(
         if r in others:
             clean = frozenset(t for t in interferers if t not in (s, r))
         sinr_s_r = compute_sinr(r, s, clean, slot, with_fading)
-        sinr_r_d = compute_sinr(parent, r, clean, slot, with_fading)
-        if not passed:  # class a is the test left
+        if not passed:  # class a is the test left, leg by leg
             sinr_s_d = (
                 direct if clean is others
                 else compute_sinr(parent, s, clean, slot, with_fading)
             )
-            if not (sinr_s_r > sinr_s_d and sinr_r_d > sinr_s_d):
+            if not sinr_s_r > sinr_s_d:
                 continue
+        sinr_r_d = compute_sinr(parent, r, clean, slot, with_fading)
+        if not (passed or sinr_r_d > sinr_s_d):
+            continue
         rows.append(_row(r, sinr_s_r, sinr_r_d, nac_r, nch_r, etx_s_r, etx_r_d))
     if not rows:
         return None, {}

@@ -11,7 +11,6 @@ transmission is one slot and one deterministic Bernoulli draw keyed by
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -83,8 +82,8 @@ class LinkLayer:
     Each directed link keeps an attempt counter so the n-th use of a link by
     a packet always sees the same draw, independent of slots or call order
     elsewhere: ``uniform(seed, DOMAIN_TRANSMIT, packet_id, src, dst, n)``.
-    Each attempt hashes its whole packed key in one blake2b call, and sends
-    the key to ``uniform`` when a part does not pack as int64.
+    Each attempt hashes its whole packed key with ``rng._hash_u64``, and
+    sends the key to ``uniform`` when a part does not pack as int64.
     Transmissions are optionally registered per slot for interference
     bookkeeping.
     """
@@ -118,8 +117,7 @@ class LinkLayer:
             material = _pack_draw(self.seed, DOMAIN_TRANSMIT, self.packet_id, src, dst, idx)
         except struct.error:
             return uniform(self.seed, DOMAIN_TRANSMIT, self.packet_id, src, dst, idx) < p
-        u64 = int.from_bytes(hashlib.blake2b(material, digest_size=8).digest(), "little")
-        return rng._unit(u64) < p
+        return rng._unit(rng._hash_u64(material)) < p
 
 
 def forward_hop(

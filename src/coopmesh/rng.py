@@ -15,12 +15,22 @@ _U64 = 2**64
 # double below 1 instead, so every draw lies in [0, 1)
 _TOP = 2**64 - 2**10
 _BELOW_ONE = 1.0 - 2.0**-53
+# blake2b fixes its digest size at construction, so a copy of this empty
+# state hashes exactly as a new blake2b(digest_size=8) would, without
+# parsing the keyword on every draw
+_EMPTY = hashlib.blake2b(digest_size=8)
+
+
+def _hash_u64(material: bytes) -> int:
+    """The 8-byte blake2b digest of material, as a little-endian u64."""
+    h = _EMPTY.copy()
+    h.update(material)
+    return int.from_bytes(h.digest(), "little")
 
 
 def derive_seed(seed: int, *key: object) -> int:
     """Derive a 64-bit sub-seed from a base seed and a key tuple."""
-    material = repr((seed,) + key).encode()
-    return int.from_bytes(hashlib.blake2b(material, digest_size=8).digest(), "little")
+    return _hash_u64(repr((seed,) + key).encode())
 
 
 class _Packers(dict):
@@ -40,7 +50,7 @@ def _draw_u64(seed: int, key: tuple) -> int:
         material = _PACKERS[len(key) + 1].pack(seed, *key)
     except struct.error:
         return derive_seed(seed, *key)
-    return int.from_bytes(hashlib.blake2b(material, digest_size=8).digest(), "little")
+    return _hash_u64(material)
 
 
 def _unit(u64: int) -> float:

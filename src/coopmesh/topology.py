@@ -184,6 +184,7 @@ class Channel:
     _pos: dict[int, tuple[float, float]] = field(init=False, repr=False)
     _links: dict[tuple[int, int], LinkModel] = field(init=False, repr=False)
     _neighbors: dict[int, list[int]] = field(init=False, repr=False)
+    _relay_legs: dict[tuple[int, int], tuple[int, ...]] = field(init=False, repr=False)
     _success: dict[tuple[int, int], float] = field(init=False, repr=False)
     _ids: tuple[int, ...] = field(init=False, repr=False)
     _grid: tuple[float, float, float] = field(init=False, repr=False)  # x0, y0, side
@@ -195,6 +196,7 @@ class Channel:
             raise ValueError("node ids must be unique")
         self._links = {}
         self._neighbors = {}
+        self._relay_legs = {}
         self._success = {}
         self._ids = tuple(sorted(self._pos))
         # grid cells, each holding its nodes in ascending id order
@@ -252,6 +254,18 @@ class Channel:
         out.sort()
         self._neighbors[node] = out
         return out
+
+    def relay_legs(self, src: int, dst: int) -> tuple[int, ...]:
+        """Nodes within tx_range of both src and dst, in ascending id order:
+        the relays whose two legs exist for a src -> dst hop. Neither end
+        is one of them."""
+        key = (src, dst)
+        cached = self._relay_legs.get(key)
+        if cached is None:
+            reaches_dst = set(self.neighbors(dst))
+            cached = tuple(r for r in self.neighbors(src) if r in reaches_dst)
+            self._relay_legs[key] = cached
+        return cached
 
     def compute_sinr(
         self,

@@ -304,3 +304,35 @@ def test_run_selection_rank_and_reach_rules():
     )
     assert (selected, set(rates)) == (2, {2})
     assert (selected, rates) == reference_selection(*args, frozenset(), 0, False)
+
+
+@pytest.mark.parametrize("candidate_at, first_leg_holds", [((0, 60), False), ((30, 20), True)])
+def test_class_a_second_leg_is_computed_only_when_the_first_holds(candidate_at, first_leg_holds):
+    # sender 1 is 60 m from its parent 0; candidate 2 passes neither class
+    # b (the sender carries no load) nor c (every ETX is 1), so best-effort
+    # admits it by class a alone: its first leg is 85 m or 36 m long
+    positions = {0: (0, 0), 1: (60, 0), 2: candidate_at}
+    channel = Channel(
+        [NodePlacement(n, x, y) for n, (x, y) in positions.items()],
+        ChannelParams(
+            tx_power_w=2.0, path_loss_exponent=3.0, reference_loss_db=40.0,
+            noise_floor_w=1e-13, tx_range_m=100.0, sinr_threshold_db=35.0,
+        ),
+        seed=1,
+    )
+    states = {0: _node(0, 0.0), 1: _node(1, 3.0, parent=0), 2: _node(2, 2.0)}
+    args = (states[1], states, channel, lambda a, b: 1.0, RoutingClass.BEST_EFFORT)
+    expected = reference_selection(*args, frozenset(), 0, False)
+    calls = []
+    compute_sinr = channel.compute_sinr
+
+    def recording(rx, tx, *rest):
+        calls.append((rx, tx))
+        return compute_sinr(rx, tx, *rest)
+
+    channel.compute_sinr = recording
+    got = run_selection(*args, WEIGHT_PRESETS[RoutingClass.BEST_EFFORT], frozenset(), 0, False)
+    assert got == expected
+    assert got[0] == (2 if first_leg_holds else None)
+    naming_candidate = [call for call in calls if 2 in call]
+    assert naming_candidate == ([(2, 1), (0, 2)] if first_leg_holds else [(2, 1)])

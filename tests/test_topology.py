@@ -232,6 +232,30 @@ def test_grid_neighbors_equal_the_scan_on_placements(seed, tx_range_m):
     assert_grid_equals_scan(Channel(placements, params, seed=seed))
 
 
+@pytest.mark.parametrize("tx_range_m", [10.0, 50.0, 123.4])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_relay_legs_are_the_shared_neighbours(seed, tx_range_m):
+    params = replace(PARAMS, tx_range_m=tx_range_m)
+    placements = place_nodes(Region(300.0), 1.5e-3, seed=seed, params=params)
+    ch = Channel(placements, params, seed=seed)
+    for src in ch.node_ids:
+        for dst in ch.node_ids:
+            shared = set(ch.neighbors(src)) & set(ch.neighbors(dst)) - {dst}
+            assert ch.relay_legs(src, dst) == tuple(sorted(shared)), (src, dst)
+
+
+def test_relay_legs_leave_out_the_parent_and_nodes_it_cannot_reach():
+    # hop 1 -> 0: 2 reaches both ends, 3 only the sender (110 m from 0),
+    # 4 only the parent (110 m from 1)
+    ch = make_channel(
+        [(0, 0), (60, 0), (40, 20), (110, 0), (-50, 0)], replace(PARAMS, tx_range_m=70.0)
+    )
+    assert ch.neighbors(1) == [0, 2, 3]
+    assert ch.neighbors(0) == [1, 2, 4]
+    assert ch.relay_legs(1, 0) == (2,)
+    assert ch.relay_legs(0, 1) == (2,)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     positions=st.lists(
