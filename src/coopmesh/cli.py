@@ -530,6 +530,11 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError("--trace records a single run, not a sweep")
         if args.workers is not None and args.workers < 1:
             raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+        out_path = (args.out or Path("sweep.csv")) if axis else None
+        # checked before any run, so a sweep's results are never lost to them
+        for flag, path in (("--out", out_path), ("--trace", args.trace)):
+            if path is not None and path.is_dir():
+                raise ConfigError(f"{flag} names a directory: {path}")
         if not args.quiet:
             sys.stdout.write(render_scenario(config))
             sys.stdout.write("\n")
@@ -556,7 +561,6 @@ def main(argv: list[str] | None = None) -> int:
             variants=default_variants(protocols, classes),
             seeds=DEFAULT_SEEDS if args.seeds is None else args.seeds,
         )
-        out_path = args.out or Path("sweep.csv")
         workers = DEFAULT_WORKERS if args.workers is None else args.workers
         try:
             rows, failed = run_sweep(config, spec, out_path, workers=workers)
@@ -572,7 +576,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # OSError: the config, the trace or the CSV could not be opened
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -105,15 +105,6 @@ def eligible(m: CandidateMetrics, routing_class: RoutingClass) -> bool:
     return eligible_class_a(m) or eligible_class_b(m) or eligible_class_c(m)
 
 
-class TermBounds(NamedTuple):
-    """Min/max of each rate term over a candidate set, for normalization."""
-
-    sinr: tuple[float, float]
-    traffic: tuple[float, float]
-    nch: tuple[float, float]
-    etx: tuple[float, float]
-
-
 # A row is one candidate's (relay, sinr, traffic, nch, etx) rate terms, and
 # its bounds are the (min, max) of each term over the rows, in that order;
 # the reference functions and run_selection score rows alike.
@@ -140,8 +131,9 @@ def _row_bounds(rows: list[tuple[int, float, float, float, float]]) -> tuple:
     )
 
 
-def term_bounds(candidates: list[CandidateMetrics]) -> TermBounds:
-    return TermBounds(*_row_bounds([_metrics_row(m) for m in candidates]))
+def term_bounds(candidates: list[CandidateMetrics]) -> tuple:
+    """(min, max) of each rate term over a candidate set, for normalization."""
+    return _row_bounds([_metrics_row(m) for m in candidates])
 
 
 def _norm(value: float, bounds: tuple[float, float]) -> float:
@@ -164,7 +156,7 @@ def _row_rate(
     )
 
 
-def compute_rate(m: CandidateMetrics, w: RateWeights, bounds: TermBounds) -> float:
+def compute_rate(m: CandidateMetrics, w: RateWeights, bounds: tuple) -> float:
     """Weighted candidate score; every term is normalized into [0, 1] against
     the candidate set's spread before weighting. Load and cost terms enter
     negatively so smaller is better."""
@@ -172,7 +164,7 @@ def compute_rate(m: CandidateMetrics, w: RateWeights, bounds: TermBounds) -> flo
 
 
 def compute_rates(
-    candidates: list[CandidateMetrics], w: RateWeights, bounds: TermBounds | None = None
+    candidates: list[CandidateMetrics], w: RateWeights, bounds: tuple | None = None
 ) -> dict[int, float]:
     if not candidates:
         return {}
@@ -194,7 +186,7 @@ def best_relay(rates: dict[int, float]) -> int | None:
 def select_relay(
     candidates: list[CandidateMetrics],
     w: RateWeights,
-    bounds: TermBounds | None = None,
+    bounds: tuple | None = None,
 ) -> int | None:
     """Candidate with the maximum rate, as best_relay picks it."""
     return best_relay(compute_rates(candidates, w, bounds))

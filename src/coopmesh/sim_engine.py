@@ -59,7 +59,6 @@ from .rpl_core import (
     update_children_and_connections,
 )
 from .topology import (
-    ChannelMode,
     ChannelParams,
     Channel,
     GATEWAY_ID,
@@ -360,9 +359,7 @@ class ScenarioConfig:
         if self.lsr_value is None:
             return base
         if self.lsr_mapping == "uniform":
-            return replace(
-                base, mode=ChannelMode.SWEPT_LSR, lsr_value=self.lsr_value
-            )
+            return replace(base, lsr_value=self.lsr_value)
         return calibrate_params_for_lsr(base, self.lsr_value, self.reference_distance)
 
     def active_weights(self) -> RateWeights:

@@ -2,15 +2,16 @@
 
 Meters are scattered by a Poisson point process in a square region with the
 gateway at the center. Links follow log-distance path loss with Rayleigh
-fading; per-link success probability comes either from the fading outage
-form (physical mode) or from a single swept value (swept-LSR mode).
+fading. A link beyond tx_range_m never succeeds. Within it, a channel is
+swept exactly when ChannelParams.lsr_value is set: every link then succeeds
+with that value. Otherwise the channel is physical, and a link succeeds with
+the probability of the fading outage form.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from enum import Enum
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,11 +24,6 @@ DOMAIN_PLACEMENT = 0x97
 
 class DisconnectedRootError(RuntimeError):
     """Raised when no placement attempt gives the gateway a neighbor."""
-
-
-class ChannelMode(Enum):
-    PHYSICAL = "physical"
-    SWEPT_LSR = "swept_lsr"
 
 
 @dataclass(frozen=True)
@@ -66,7 +62,8 @@ class ChannelParams:
     the values a run uses.
 
     sinr_threshold_db is the detection threshold of the Rayleigh outage
-    form.
+    form. The channel is swept exactly when lsr_value is set: every link
+    within tx_range_m then succeeds with probability lsr_value.
     """
 
     tx_power_w: float
@@ -75,32 +72,25 @@ class ChannelParams:
     noise_floor_w: float
     tx_range_m: float
     sinr_threshold_db: float
-    mode: ChannelMode = ChannelMode.PHYSICAL
     lsr_value: float | None = None
 
 
-@dataclass(frozen=True)
-class LinkModel:
-    mean_rx_power_w: float
-    exists: bool  # within tx_range
+# placements place_nodes draws before it gives up on a connected gateway
+PLACEMENT_ATTEMPTS = 20
 
 
 def place_nodes(
-    region: Region,
-    intensity: float,
-    seed: int,
-    params: ChannelParams,
-    max_retries: int = 20,
+    region: Region, intensity: float, seed: int, params: ChannelParams
 ) -> list[NodePlacement]:
     """Scatter meters by a Poisson point process; gateway at region center.
 
     Retries with an incremented sub-seed while the gateway would be isolated
-    (no meter within tx_range) and raises DisconnectedRootError when the
-    retry budget runs out. Same (region, intensity, seed) gives bit-identical
-    placements.
+    (no meter within tx_range) and raises DisconnectedRootError after
+    PLACEMENT_ATTEMPTS placements. Same (region, intensity, seed) gives
+    bit-identical placements.
     """
     center = region.side_length / 2.0
-    for attempt in range(max_retries):
+    for attempt in range(PLACEMENT_ATTEMPTS):
         rng = np.random.default_rng(derive_seed(seed, DOMAIN_PLACEMENT, attempt))
         count = int(rng.poisson(intensity * region.area))
         xs = rng.uniform(0.0, region.side_length, size=count)
@@ -134,18 +124,16 @@ def fading_gain(src: int, dst: int, slot: int, seed: int) -> float:
     return -math.log(1.0 - u)
 
 
-def link_success_probability(link: LinkModel, params: ChannelParams) -> float:
-    """Per-transmission delivery probability for a link.
+def link_success_probability(mean_rx_power_w: float, params: ChannelParams) -> float:
+    """Per-transmission delivery probability for a link within tx_range.
 
-    Swept-LSR mode returns the swept value identically for every link.
-    Physical mode uses the Rayleigh outage form
-    P_success = exp(-threshold / mean SNR), both linear.
+    A swept channel returns lsr_value identically for every link. A physical
+    one uses the Rayleigh outage form P_success = exp(-threshold / mean SNR),
+    both linear.
     """
-    if not link.exists:
-        return 0.0
-    if params.mode is ChannelMode.SWEPT_LSR:
+    if params.lsr_value is not None:
         return float(params.lsr_value)
-    mean_snr = link.mean_rx_power_w / params.noise_floor_w
+    mean_snr = mean_rx_power_w / params.noise_floor_w
     threshold = 10.0 ** (params.sinr_threshold_db / 10.0)
     return math.exp(-threshold / mean_snr)
 
@@ -153,7 +141,7 @@ def link_success_probability(link: LinkModel, params: ChannelParams) -> float:
 def calibrate_params_for_lsr(
     params: ChannelParams, lsr: float, reference_distance: float
 ) -> ChannelParams:
-    """Physical-mode params whose reference link has success probability lsr.
+    """Physical-channel params whose reference link has success probability lsr.
 
     Sets the detection threshold so a link at reference_distance succeeds
     with probability lsr; closer links do better, longer ones worse, per the
@@ -169,44 +157,34 @@ def calibrate_params_for_lsr(
     )
     gamma_lin = -math.log(lsr) * snr_ref
     threshold_db = -300.0 if gamma_lin <= 0 else 10.0 * math.log10(gamma_lin)
-    return replace(
-        params, mode=ChannelMode.PHYSICAL, lsr_value=None, sinr_threshold_db=threshold_db
-    )
+    return replace(params, lsr_value=None, sinr_threshold_db=threshold_db)
 
 
-@dataclass
 class Channel:
     """Pairwise channel view over a fixed placement; all methods pure."""
 
-    placements: list[NodePlacement]
-    params: ChannelParams
-    seed: int
-    _pos: dict[int, tuple[float, float]] = field(init=False, repr=False)
-    _links: dict[tuple[int, int], LinkModel] = field(init=False, repr=False)
-    _neighbors: dict[int, list[int]] = field(init=False, repr=False)
-    _relay_legs: dict[tuple[int, int], tuple[int, ...]] = field(init=False, repr=False)
-    _success: dict[tuple[int, int], float] = field(init=False, repr=False)
-    _ids: tuple[int, ...] = field(init=False, repr=False)
-    _grid: tuple[float, float, float] = field(init=False, repr=False)  # x0, y0, side
-    _cells: dict[tuple[int, int], list[int]] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._pos = {p.node_id: (p.x, p.y) for p in self.placements}
-        if len(self._pos) != len(self.placements):
+    def __init__(self, placements: list[NodePlacement], params: ChannelParams, seed: int):
+        self.placements = placements
+        self.params = params
+        self.seed = seed
+        self._pos = {p.node_id: (p.x, p.y) for p in placements}
+        if len(self._pos) != len(placements):
             raise ValueError("node ids must be unique")
-        self._links = {}
-        self._neighbors = {}
-        self._relay_legs = {}
-        self._success = {}
+        # filled on first read: each pair's mean received power (W) and
+        # success probability, each node's neighbours, each pair's relay legs
+        self._links: dict[tuple[int, int], float] = {}
+        self._success: dict[tuple[int, int], float] = {}
+        self._neighbors: dict[int, list[int]] = {}
+        self._relay_legs: dict[tuple[int, int], tuple[int, ...]] = {}
         self._ids = tuple(sorted(self._pos))
         # grid cells, each holding its nodes in ascending id order
         xs = [x for x, _ in self._pos.values()]
         ys = [y for _, y in self._pos.values()]
         x0, y0 = min(xs), min(ys)
         extent = max(max(xs) - x0, max(ys) - y0)
-        side = max(self.params.tx_range_m * _CELL_MARGIN, extent / _MAX_CELLS_PER_AXIS)
+        side = max(params.tx_range_m * _CELL_MARGIN, extent / _MAX_CELLS_PER_AXIS)
         self._grid = (x0, y0, side)
-        self._cells = {}
+        self._cells: dict[tuple[int, int], list[int]] = {}
         for node in self._ids:
             self._cells.setdefault(self._cell_of(node), []).append(node)
 
@@ -224,16 +202,16 @@ class Channel:
         xb, yb = self._pos[b]
         return math.hypot(xa - xb, ya - yb)
 
-    def link(self, src: int, dst: int) -> LinkModel:
+    def rx_power(self, src: int, dst: int) -> float:
+        """Mean received power (W) at dst of src's transmission, cached."""
         key = (src, dst)
-        cached = self._links.get(key)
-        if cached is not None:
-            return cached
-        d = self.distance(src, dst)
-        mean_rx = self.params.tx_power_w * path_loss_linear(d, self.params)
-        link = LinkModel(mean_rx, d <= self.params.tx_range_m)
-        self._links[key] = link
-        return link
+        power = self._links.get(key)
+        if power is None:
+            power = self.params.tx_power_w * path_loss_linear(
+                self.distance(src, dst), self.params
+            )
+            self._links[key] = power
+        return power
 
     def neighbors(self, node: int) -> list[int]:
         """Nodes within tx_range (closed ball), excluding the node itself, in
@@ -284,26 +262,31 @@ class Channel:
         if tx in concurrent_transmitters:
             raise ValueError("transmitter cannot interfere with itself")
         # the fading mean is gain 1, which is left out rather than multiplied
-        # in; cached links are read in place
+        # in; cached powers are read in place, and a cached 0.0 falls through
+        # to rx_power, which returns it again
         links = self._links
-        signal = (links.get((tx, rx)) or self.link(tx, rx)).mean_rx_power_w
+        signal = links.get((tx, rx)) or self.rx_power(tx, rx)
         if with_fading:
             signal *= fading_gain(tx, rx, slot, self.seed)
         interference = 0.0
         for other in concurrent_transmitters:
             if other == rx:
                 continue
-            power = (links.get((other, rx)) or self.link(other, rx)).mean_rx_power_w
+            power = links.get((other, rx)) or self.rx_power(other, rx)
             if with_fading:
                 power *= fading_gain(other, rx, slot, self.seed)
             interference += power
         return 10.0 * math.log10(signal / (self.params.noise_floor_w + interference))
 
     def success_probability(self, src: int, dst: int) -> float:
-        """Cached per-pair success probability (slot-invariant in both modes)."""
+        """Cached per-pair success probability, slot-invariant; 0.0 for a pair
+        beyond tx_range_m."""
         key = (src, dst)
         cached = self._success.get(key)
         if cached is None:
-            cached = link_success_probability(self.link(src, dst), self.params)
+            if self.distance(src, dst) > self.params.tx_range_m:
+                cached = 0.0
+            else:
+                cached = link_success_probability(self.rx_power(src, dst), self.params)
             self._success[key] = cached
         return cached

@@ -880,6 +880,29 @@ def test_main_rejects_workers_below_one(tmp_path, capsys, workers):
     assert not out_csv.exists()
 
 
+def test_main_config_that_cannot_be_opened_is_an_error(tmp_path, capsys):
+    # opening a directory raised IsADirectoryError out of main
+    assert main(["--config", str(tmp_path), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--trace", "--out"])
+def test_main_rejects_an_output_path_that_is_a_directory(tmp_path, capsys, monkeypatch, flag):
+    # --out used to fail with IsADirectoryError after the whole sweep had run
+    def no_point_runs(config, emit=None):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(sim_engine, "run_scenario", no_point_runs)
+    sweep = ["--sweep", "lsr", "--values", "0.5", "--seeds", "1"] if flag == "--out" else []
+    code = main([*sweep, flag, str(tmp_path), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"config error: {flag} names a directory: {tmp_path}\n"
+    assert "Traceback" not in err
+
+
 def test_main_sweep_writes_csv_and_comparison(tmp_path, capsys):
     cfg_path = tmp_path / "s.cfg"
     cfg_path.write_text(

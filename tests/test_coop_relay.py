@@ -238,7 +238,7 @@ def reference_selection(sender, states, channel, etx_of, routing_class, interfer
     neighbor_states = [states[n] for n in channel.neighbors(s)]
     metrics = []
     for r in sorted(filter_candidates_by_rank(sender, neighbor_states)):
-        if not channel.link(r, parent).exists:
+        if channel.distance(r, parent) > channel.params.tx_range_m:
             continue
         clean = frozenset(t for t in interferers if t not in (s, r))
         metrics.append(CandidateMetrics(

@@ -20,14 +20,13 @@ from coopmesh.forwarding import (
 from coopmesh.rng import uniform
 from coopmesh.rpl_core import EtxEstimate, NodeState, ParentEntry, TrickleState
 from coopmesh.sim_engine import ScenarioConfig
-from coopmesh.topology import Channel, ChannelMode, ChannelParams, NodePlacement
+from coopmesh.topology import Channel, ChannelParams, NodePlacement
 
 
 def lsr_channel(positions, lsr, seed=5, ids=None):
     params = ChannelParams(
         tx_power_w=2.0, path_loss_exponent=3.0, reference_loss_db=40.0,
-        noise_floor_w=1e-13, tx_range_m=50.0, sinr_threshold_db=35.0,
-        mode=ChannelMode.SWEPT_LSR, lsr_value=lsr,
+        noise_floor_w=1e-13, tx_range_m=50.0, sinr_threshold_db=35.0, lsr_value=lsr,
     )
     ids = range(len(positions)) if ids is None else ids
     placements = [NodePlacement(i, x, y) for i, (x, y) in zip(ids, positions)]

@@ -10,7 +10,6 @@ from coopmesh.forwarding import LinkLayer
 from coopmesh.rng import derive_seed, uniform
 from coopmesh.topology import (
     Channel,
-    ChannelMode,
     ChannelParams,
     NodePlacement,
     fading_gain,
@@ -34,8 +33,7 @@ BIG = 2**63
 def line_channel():
     params = ChannelParams(
         tx_power_w=2.0, path_loss_exponent=3.0, reference_loss_db=40.0,
-        noise_floor_w=1e-13, tx_range_m=50.0, sinr_threshold_db=35.0,
-        mode=ChannelMode.SWEPT_LSR, lsr_value=0.5,
+        noise_floor_w=1e-13, tx_range_m=50.0, sinr_threshold_db=35.0, lsr_value=0.5,
     )
     return Channel(
         [NodePlacement(0, 0.0, 0.0), NodePlacement(1, 10.0, 0.0), NodePlacement(BIG, 20.0, 0.0)],

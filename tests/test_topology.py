@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 
 from coopmesh.topology import (
     Channel,
-    ChannelMode,
     ChannelParams,
     DisconnectedRootError,
     GATEWAY_ID,
-    LinkModel,
     NodePlacement,
+    PLACEMENT_ATTEMPTS,
     Region,
     calibrate_params_for_lsr,
     fading_gain,
@@ -60,9 +59,11 @@ def test_place_nodes_gateway_centered_and_ids_unique():
 
 
 def test_place_nodes_empty_network_reports_disconnected_root():
-    # intensity so small the expected count is ~0: gateway alone, all retries fail
+    # intensity so small the expected count is ~0: gateway alone, all
+    # PLACEMENT_ATTEMPTS placements fail
+    assert PLACEMENT_ATTEMPTS == 20
     with pytest.raises(DisconnectedRootError, match="disconnected-root"):
-        place_nodes(Region(300.0), 1e-9, seed=3, params=PARAMS, max_retries=5)
+        place_nodes(Region(300.0), 1e-9, seed=3, params=PARAMS)
 
 
 def test_place_nodes_count_scales_with_intensity():
@@ -121,7 +122,7 @@ def test_fading_gain_deterministic_and_nonnegative():
 
 def test_compute_sinr_snr_only_case():
     ch = make_channel([(0.0, 0.0), (30.0, 0.0)])
-    rx_power = ch.link(1, 0).mean_rx_power_w
+    rx_power = ch.rx_power(1, 0)
     expected = 10.0 * math.log10(rx_power / PARAMS.noise_floor_w)
     assert ch.compute_sinr(0, 1, frozenset(), 0, False) == pytest.approx(expected)
 
@@ -148,27 +149,52 @@ def test_compute_sinr_rejects_tx_in_interferer_set():
 
 
 def test_swept_lsr_uniform_over_links():
-    params = replace(PARAMS, mode=ChannelMode.SWEPT_LSR, lsr_value=0.7)
+    params = replace(PARAMS, lsr_value=0.7)
     for power in [1e-12, 1e-9, 1.0]:  # weak to strong links
-        link = LinkModel(power, True)
-        assert link_success_probability(link, params) == 0.7
+        assert link_success_probability(power, params) == 0.7
 
 
 def test_physical_success_approaches_one_at_high_snr():
-    link = LinkModel(1.0, True)  # 1 W received: enormous SNR
-    assert link_success_probability(link, PARAMS) > 0.999999
+    # 1 W received: enormous SNR
+    assert link_success_probability(1.0, PARAMS) > 0.999999
 
 
 def test_physical_success_at_threshold_equals_inverse_e():
     # mean SNR equal to the detection threshold
     params = replace(PARAMS, sinr_threshold_db=20.0)
-    link = LinkModel(params.noise_floor_w * 100.0, True)
-    assert link_success_probability(link, params) == pytest.approx(math.exp(-1.0))
+    power = params.noise_floor_w * 100.0
+    assert link_success_probability(power, params) == pytest.approx(math.exp(-1.0))
 
 
 def test_nonexistent_link_never_succeeds():
-    link = LinkModel(1e-12, False)
-    assert link_success_probability(link, PARAMS) == 0.0
+    # 60 m apart, beyond the 50 m range, though the power alone would give
+    # the pair a fair chance on a physical and on a swept channel
+    for lsr_value in (None, 0.7):
+        params = replace(PARAMS, lsr_value=lsr_value)
+        ch = make_channel([(0.0, 0.0), (60.0, 0.0)], params=params)
+        assert link_success_probability(ch.rx_power(0, 1), params) > 0.5
+        assert ch.success_probability(0, 1) == ch.success_probability(1, 0) == 0.0
+
+
+def test_compute_sinr_caches_each_link_read_as_its_power():
+    ch = make_channel([(0.0, 0.0), (30.0, 0.0), (0.0, 40.0), (90.0, 0.0)])
+    assert ch._links == {}
+    ch.compute_sinr(0, 1, {2, 3}, 0, False)
+    ch.compute_sinr(1, 2, frozenset(), 5, True)
+    assert set(ch._links) == {(1, 0), (2, 0), (3, 0), (2, 1)}
+    for (src, dst), power in ch._links.items():
+        assert type(power) is float
+        assert power == ch.rx_power(src, dst)
+        assert power == PARAMS.tx_power_w * path_loss_linear(ch.distance(src, dst), PARAMS)
+
+
+def test_channel_takes_placements_params_and_seed_by_position():
+    placements = [NodePlacement(0, 0.0, 0.0), NodePlacement(1, 30.0, 0.0)]
+    ch = Channel(placements, PARAMS, 7)
+    assert (ch.placements, ch.params, ch.seed) == (placements, PARAMS, 7)
+    assert ch.node_ids == (0, 1)
+    with pytest.raises(ValueError, match="node ids must be unique"):
+        Channel([*placements, NodePlacement(1, 5.0, 5.0)], PARAMS, 7)
 
 
 def test_calibrated_lsr_hits_reference_distance():
