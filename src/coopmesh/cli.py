@@ -346,10 +346,32 @@ def run_sweep(
     Rows are ordered by (axis value, variant, seed); aggregate rows (seed
     column 'mean' / 'stddev', population stddev) follow the data rows.
     Raises FieldError, before any point runs, when config rejects
-    spec.values on spec.axis as it would a [sweep] section. At most one
-    worker process runs per (value, seed) point.
+    spec.values on spec.axis as it would a [sweep] section, and OSError,
+    also before any point runs, when the CSV cannot be created. At most
+    one worker process runs per (value, seed) point.
     """
     replace(config, sweep_axis=spec.axis, sweep_values=spec.values)
+    out_path = Path(out_path)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
+    # opened before the first point, so a path that cannot be written loses
+    # no results, and for appending, so a sweep that raises leaves an earlier
+    # CSV there whole; nothing is written until every row is in, so a worker
+    # pool starts with the file's buffer empty
+    with out_path.open("a", newline="", encoding="utf-8") as handle:
+        rows, aggregates = _sweep_rows(config, spec, workers)
+        handle.seek(0)
+        handle.truncate()
+        writer = csv.writer(handle)
+        writer.writerow(CSV_COLUMNS)
+        for row in rows + aggregates:
+            writer.writerow([_fmt(row.get(column)) for column in CSV_COLUMNS])
+    return rows, sum(1 for r in rows if r.get("error") is not None)
+
+
+def _sweep_rows(
+    config: ScenarioConfig, spec: SweepSpec, workers: int
+) -> tuple[list[dict], list[dict]]:
+    """Run every point of the sweep; return (data rows, aggregate rows)."""
     tasks = [
         (config, spec.axis, value, seed, spec.variants)
         for value in spec.values
@@ -383,16 +405,7 @@ def run_sweep(
                     samples = [r[column] for r in group if r[column] is not None]
                     agg[column] = fn(samples) if samples else None
                 aggregates.append(agg)
-    failed = sum(1 for r in rows if r.get("error") is not None)
-
-    out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    with out_path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(CSV_COLUMNS)
-        for row in rows + aggregates:
-            writer.writerow([_fmt(row.get(column)) for column in CSV_COLUMNS])
-    return rows, failed
+    return rows, aggregates
 
 
 def read_sweep_csv(path: str | Path) -> list[dict]:

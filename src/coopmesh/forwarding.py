@@ -76,6 +76,11 @@ class HopOutcome(NamedTuple):
     delivered_by_relay: bool = False
 
 
+# builds a HopOutcome from all seven fields as HopOutcome._make does, without
+# its length check or the Python-level __new__ a keyword call runs
+_new_tuple = tuple.__new__
+
+
 class LinkLayer:
     """Per-packet deterministic link draws.
 
@@ -155,7 +160,9 @@ def forward_hop(
             if transmit(holder, member, now) and receiver is None:
                 receiver = member
         if receiver is not None:
-            return HopOutcome(attempts, relay_used, relay_attempts, True, cursor, receiver)
+            return _new_tuple(
+                HopOutcome, (attempts, relay_used, relay_attempts, True, cursor, receiver, False)
+            )
         wait = retx_wait
         if relay is not None and transmit(holder, relay, now):
             relay_used = True
@@ -165,13 +172,15 @@ def forward_hop(
                 forwarded = transmit(relay, receivers[0], slot + cursor)
                 cursor += 1
                 if forwarded:
-                    return HopOutcome(
-                        attempts, True, relay_attempts, True, cursor, receivers[0],
-                        delivered_by_relay=True,
+                    return _new_tuple(
+                        HopOutcome,
+                        (attempts, True, relay_attempts, True, cursor, receivers[0], True),
                     )
         if attempts <= max_retx and wait > 0:
             cursor += wait
-    return HopOutcome(attempts, relay_used, relay_attempts, False, cursor, None)
+    return _new_tuple(
+        HopOutcome, (attempts, relay_used, relay_attempts, False, cursor, None, False)
+    )
 
 
 def build_forwarding_set(

@@ -10,7 +10,10 @@ from __future__ import annotations
 import hashlib
 import struct
 
-_U64 = 2**64
+# a u64 times 2**-64 is the double nearest u64 / 2**64: the int converts
+# with one rounding, the power-of-two scale is exact on the normal float
+# it gives, and the product skips the big-int division
+_SCALE = 2.0**-64
 # u64 / 2**64 rounds to 1.0 from here up; those values map to the largest
 # double below 1 instead, so every draw lies in [0, 1)
 _TOP = 2**64 - 2**10
@@ -55,7 +58,7 @@ def _draw_u64(seed: int, key: tuple) -> int:
 
 def _unit(u64: int) -> float:
     """u64 / 2**64, except that the top 2**10 values give 1 - 2**-53."""
-    return u64 / _U64 if u64 < _TOP else _BELOW_ONE
+    return u64 * _SCALE if u64 < _TOP else _BELOW_ONE
 
 
 def uniform(seed: int, *key: object) -> float:

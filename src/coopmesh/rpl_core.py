@@ -79,6 +79,11 @@ class ParentEntry(NamedTuple):
         return self.rank + self.etx
 
 
+# builds a ParentEntry as ParentEntry._make does, without its length check or
+# the Python-level __new__ a positional call runs
+_new_tuple = tuple.__new__
+
+
 @dataclass(slots=True)
 class NodeState:
     node_id: int
@@ -145,8 +150,8 @@ def process_dio(
     refresh that touches the current default parent re-derives our own rank,
     so cost increases still propagate.
     """
-    if not state.joined:
-        state.parent_set[sender] = ParentEntry(rank, link_etx)
+    if state.rank is None:  # not joined
+        state.parent_set[sender] = _new_tuple(ParentEntry, (rank, link_etx))
         _adopt_best_parent(state)
         return Decision.JOIN
 
@@ -154,7 +159,7 @@ def process_dio(
     is_parent = sender == state.default_parent
 
     if rank < state.rank:
-        state.parent_set[sender] = ParentEntry(rank, link_etx)
+        state.parent_set[sender] = _new_tuple(ParentEntry, (rank, link_etx))
     elif is_parent:
         # our default parent climbed to or above our own position: unusable
         state.parent_set.pop(sender, None)

@@ -16,7 +16,9 @@ not be orderable at all.
 
 Packet arrivals are generated up front as arrays and queued one at a time,
 each handled arrival queuing the next, so the heap holds at most one; a hop
-event's payload is its ``Packet``. See ``Simulation.run_traffic``.
+event's payload is its ``Packet``. An arrival sorts after the hops of its
+slot and runs its packet's first hop when handled, so a first hop never
+enters the heap. See ``Simulation.run_traffic``.
 
 This module alone writes the trace format: each record is a dict literal
 built where it is emitted (DIO, DIS and DAO records by their control
@@ -72,6 +74,9 @@ DOMAIN_TRAFFIC = 0x2A
 DEFAULT_REGION_SIDE = 300.0
 DEFAULT_NODE_COUNT = 80.0
 DEFAULT_INTENSITY = DEFAULT_NODE_COUNT / (DEFAULT_REGION_SIDE * DEFAULT_REGION_SIDE)
+
+# relay selection's interferers in a slot nobody transmits in
+_NO_TRANSMITTERS: frozenset[int] = frozenset()
 
 
 class Bound(NamedTuple):
@@ -207,8 +212,11 @@ class EventKind(Enum):
     DIO_TX = 1
     DIS_TX = 2
     DAO_TX = 3
-    PACKET_GEN = 4
-    HOP_ATTEMPT = 5
+    # an arrival sorts after its slot's hops, so it can run its first hop
+    # when handled: that hop is the slot's last either way, since no hop
+    # queues another in its own slot
+    HOP_ATTEMPT = 4
+    PACKET_GEN = 5
 
 
 @dataclass(frozen=True)
@@ -498,6 +506,8 @@ class Simulation:
             )
             for node in self.states
         }
+        self.trickle_imin_slots = config.ms_to_slots(config.trickle_imin_ms)
+        self.active_weights = config.active_weights()
         self.etx_table: dict[tuple[int, int], EtxEstimate] = {}
         self.etx_max = config.etx_max
         # (slot, priority, event_id, kind, payload); see the module docstring
@@ -576,8 +586,7 @@ class Simulation:
         trickle = self.trickles[node]
         process_dis(trickle)  # interval back to minimum
         trickle.seq += 1
-        fire_at = slot + self.config.ms_to_slots(trickle.interval_min_ms)
-        self.push(fire_at, EventKind.TRICKLE_FIRE, (node, trickle.seq))
+        self.push(slot + self.trickle_imin_slots, EventKind.TRICKLE_FIRE, (node, trickle.seq))
 
     def _handle_trickle_fire(self, slot: int, payload) -> None:
         node, seq = payload
@@ -592,15 +601,15 @@ class Simulation:
             self.push(slot, EventKind.DIO_TX, node)
 
     def _refresh_relay(self, node: int, slot: int) -> None:
-        interferers = frozenset(self.registry.get(slot, ()))
+        transmitters = self.registry.get(slot)
         selected, rates = run_selection(
             self.states[node],
             self.states,
             self.channel,
             self.etx_of,
             self.config.routing_class,
-            self.config.active_weights(),
-            interferers=interferers,
+            self.active_weights,
+            interferers=frozenset(transmitters) if transmitters else _NO_TRANSMITTERS,
             slot=slot,
             with_fading=self.config.sinr_per_slot,
         )
@@ -621,7 +630,8 @@ class Simulation:
 
     def _handle_dio_tx(self, slot: int, payload) -> None:
         node = payload
-        state = self.states[node]
+        states = self.states
+        state = states[node]
         if not state.joined:
             return
         if self.traffic_started and self.config.protocol is Protocol.COOP_RPL:
@@ -636,20 +646,23 @@ class Simulation:
                 "relay_suboption": self.relay_for.get(node),
             })
         changed: list[int] = []
+        # bound once per DIO, not once per neighbour
+        trickles = self.trickles
+        etx_of = self.etx_of
+        hysteresis = self.config.hysteresis
+        ignore = Decision.IGNORE
         for neighbor in self.channel.neighbors(node):
             if neighbor == GATEWAY_ID:
                 continue
-            other = self.states[neighbor]
+            other = states[neighbor]
             other.last_dio_slot = slot
             if dio_changes_nothing(other, node, rank):
-                self.trickles[neighbor].counter += 1
+                trickles[neighbor].counter += 1
                 continue
             was_parent = other.default_parent
-            decision = process_dio(
-                other, node, rank, self.etx_of(neighbor, node), self.config.hysteresis
-            )
-            if decision is Decision.IGNORE:
-                self.trickles[neighbor].counter += 1
+            decision = process_dio(other, node, rank, etx_of(neighbor, node), hysteresis)
+            if decision is ignore:
+                trickles[neighbor].counter += 1
                 continue
             changed.append(neighbor)
             self.last_change_slot = slot
@@ -755,8 +768,10 @@ class Simulation:
 
         Arrivals are queued one at a time in (slot, packet id) order: the
         first before the loop, each next one when its predecessor is
-        handled. A hop event carries its packet, so only in-flight packets
-        are held; each is folded into the tally as it resolves.
+        handled. An arrival pops after every hop of its slot and runs its
+        packet's first hop at once (see EventKind). A hop event carries its
+        packet, so only in-flight packets are held; each is folded into the
+        tally as it resolves.
         """
         cfg = self.config
         sources = self.joined_meters()
@@ -793,47 +808,49 @@ class Simulation:
             # hop attempts are most of the traffic phase's events: test them first
             if kind is hop_attempt:
                 packet = payload
-                if trace_relays:
-                    holder = packet.current_holder
-                outcome = advance_one_hop(packet, net, packet.link, slot)
-                if trace_relays and outcome is not None:
-                    self.emit({
-                        "type": "relay",
-                        "slot": slot,
-                        "sender": holder,
-                        "class": cfg.routing_class.value,
-                        "candidates": [
-                            {"id": r, "rate": rate}
-                            for r, rate in sorted(self.relay_rates.get(holder, {}).items())
-                        ],
-                        "selected": self.relay_for.get(holder),
-                        "used": outcome.relay_used,
-                    })
-                if packet.status is in_flight:
-                    push(slot + outcome.slots_consumed, hop_attempt, packet)
-                else:
-                    if self.emit is not None:
-                        # the one kind without a "type"; adding one would
-                        # change every trace file
-                        self.emit({
-                            "packet_id": packet.packet_id,
-                            "source": packet.source,
-                            "status": packet.status.value,
-                            "hops": packet.hop_count,
-                            "transmissions": packet.total_transmissions,
-                            "relay_hops": packet.relay_hops,
-                            "delay_slots": packet.delay_slots,
-                        })
-                    tally.fold(packet)
             elif kind is packet_gen:
                 source = int(arrival_sources[payload])
                 link = LinkLayer(self.channel, cfg.seed, payload, registry)
-                push(slot, hop_attempt, Packet(payload, source, slot, source, link=link))
+                packet = Packet(payload, source, slot, source, link=link)
                 following = next(arrivals, None)
                 if following is not None:
                     push(int(arrival_slots[following]), packet_gen, int(following))
             else:
                 self._handle_control(slot, kind, payload)
+                continue
+            # one hop of packet: a queued one, or a new packet's first
+            if trace_relays:
+                holder = packet.current_holder
+            outcome = advance_one_hop(packet, net, packet.link, slot)
+            if trace_relays and outcome is not None:
+                self.emit({
+                    "type": "relay",
+                    "slot": slot,
+                    "sender": holder,
+                    "class": cfg.routing_class.value,
+                    "candidates": [
+                        {"id": r, "rate": rate}
+                        for r, rate in sorted(self.relay_rates.get(holder, {}).items())
+                    ],
+                    "selected": self.relay_for.get(holder),
+                    "used": outcome.relay_used,
+                })
+            if packet.status is in_flight:
+                push(slot + outcome.slots_consumed, hop_attempt, packet)
+            else:
+                if self.emit is not None:
+                    # the one kind without a "type"; adding one would
+                    # change every trace file
+                    self.emit({
+                        "packet_id": packet.packet_id,
+                        "source": packet.source,
+                        "status": packet.status.value,
+                        "hops": packet.hop_count,
+                        "transmissions": packet.total_transmissions,
+                        "relay_hops": packet.relay_hops,
+                        "delay_slots": packet.delay_slots,
+                    })
+                tally.fold(packet)
         return tally.report(
             cfg.slot_ms,
             disconnected=disconnected,

@@ -702,6 +702,26 @@ def test_run_sweep_lets_program_errors_escape(tmp_path, monkeypatch):
         run_sweep(SMALL, spec, tmp_path / "z.csv")
 
 
+def test_a_sweep_that_raises_leaves_an_earlier_csv_whole(tmp_path, monkeypatch):
+    # the CSV is opened before the first point; it is cut only once every
+    # row is in
+    out = tmp_path / "sweep.csv"
+    spec = SweepSpec("lsr", (0.6,), default_variants(["rpl"]), seeds=1)
+    run_sweep(SMALL, spec, out)
+    earlier = out.read_bytes()
+
+    def broken(config, emit=None):
+        raise ZeroDivisionError("simulated bug")
+
+    monkeypatch.setattr(sim_engine, "run_scenario", broken)
+    with pytest.raises(ZeroDivisionError):
+        run_sweep(SMALL, SweepSpec("lsr", (0.7,), spec.variants, seeds=1), out)
+    assert out.read_bytes() == earlier
+    monkeypatch.undo()
+    run_sweep(SMALL, spec, out)
+    assert out.read_bytes() == earlier
+
+
 def _write_csv(path, rows):
     import csv as _csv
 
@@ -901,6 +921,28 @@ def test_main_rejects_an_output_path_that_is_a_directory(tmp_path, capsys, monke
     assert code == 1
     assert err == f"config error: {flag} names a directory: {tmp_path}\n"
     assert "Traceback" not in err
+
+
+def test_main_sweep_output_that_cannot_be_created_fails_before_any_point(
+    tmp_path, capsys, monkeypatch
+):
+    # the CSV used to be opened after every point had run, so its results
+    # were lost; a parent that is a plain file is found before the first
+    def no_point_runs(config, emit=None):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(sim_engine, "run_scenario", no_point_runs)
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    code = main([
+        "--sweep", "lsr", "--values", "0.5", "--seeds", "2", "--protocols", "rpl",
+        "--out", str(afile / "x.csv"), "--quiet",
+    ])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert afile.read_text() == ""
 
 
 def test_main_sweep_writes_csv_and_comparison(tmp_path, capsys):

@@ -163,12 +163,20 @@ def test_hop_path_state_is_slotted():
             obj.no_such_field = 1
 
 
+def assert_full_outcome(outcome, delivered_by_relay):
+    # forward_hop builds its outcome from a plain tuple of all seven fields
+    assert type(outcome) is HopOutcome
+    assert len(outcome) == len(HopOutcome._fields) == 7
+    assert outcome.delivered_by_relay is delivered_by_relay
+
+
 def test_forward_hop_rpl_perfect_link():
     ch = lsr_channel([(0.0, 0.0), (20.0, 0.0)], lsr=1.0)
     outcome = forward_hop(
         LinkLayer(ch, 1, 0), holder=1, receivers=(0,), relay=None, slot=0,
         max_retx=3, relay_retx=1, retx_wait=1,
     )
+    assert_full_outcome(outcome, delivered_by_relay=False)
     assert outcome.attempts == 1
     assert outcome.delivered is True
     assert outcome.slots_consumed == 1
@@ -181,8 +189,10 @@ def test_forward_hop_rpl_dead_link_exhausts_budget():
         LinkLayer(ch, 1, 0), holder=1, receivers=(0,), relay=None, slot=0,
         max_retx=3, relay_retx=1, retx_wait=1,
     )
+    assert_full_outcome(outcome, delivered_by_relay=False)
     assert outcome.attempts == 4
     assert outcome.delivered is False
+    assert outcome.receiver is None
 
 
 def test_forward_hop_rpl_delivery_probability_exact():
@@ -211,6 +221,8 @@ def test_forward_hop_coop_pure_relay_path():
     run = lambda layer: forward_hop(layer, 1, (0,), 2, 0, max_retx=3, relay_retx=1, retx_wait=1)
     layer = ScriptedLinkLayer([False, True, True])
     outcome = run(layer)
+    assert_full_outcome(outcome, delivered_by_relay=True)
+    assert outcome.receiver == 0
     assert outcome.delivered is True
     assert outcome.attempts == 1
     assert outcome.relay_attempts == 1

@@ -2,7 +2,7 @@ import hashlib
 import math
 import struct
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from coopmesh import rng
@@ -24,6 +24,21 @@ def test_top_u64_values_map_below_one():
     below = 2**64 - 2**10 - 1
     assert rng._unit(below) == below / 2**64 < 1.0
     assert rng._unit(0) == 0.0
+
+
+@example(u64=2**53 - 1)
+@example(u64=2**53 + 1)
+@example(u64=2**63 + 2**10)
+@example(u64=rng._TOP - 1)
+@example(u64=rng._TOP)
+@given(u64=st.integers(0, 2**64 - 1))
+def test_conversion_is_the_correctly_rounded_quotient(u64):
+    # the conversion scales by 2**-64 rather than dividing; both give the
+    # double nearest u64 / 2**64, capped below 1
+    if u64 < rng._TOP:
+        assert rng._unit(u64) == u64 / 2**64
+    else:
+        assert rng._unit(u64) == math.nextafter(1.0, 0.0)
 
 
 # a node id past int64, whose draws' keys do not pack

@@ -649,11 +649,50 @@ def test_events_pop_by_slot_then_kind_then_push_order():
         (7, EventKind.TRICKLE_FIRE, 10),
         (7, EventKind.DIO_TX, 6),
         (7, EventKind.DIS_TX, 9),
-        (7, EventKind.PACKET_GEN, 5),
         (7, EventKind.HOP_ATTEMPT, 0),
         (7, EventKind.HOP_ATTEMPT, 3),
         (7, EventKind.HOP_ATTEMPT, 8),
+        (7, EventKind.PACKET_GEN, 5),
     ]
+
+
+@pytest.mark.parametrize("protocol", list(Protocol))
+def test_arrivals_run_their_first_hop_without_queuing_it(monkeypatch, protocol):
+    # only continuing hops enter the heap; a first hop runs when its arrival
+    # is handled, after every hop of an older packet in that slot, which is
+    # where a queued first hop would have run
+    cfg = packet_trace_config(protocol)
+    sim = form_network(cfg)
+    hops = []  # (slot, created slot, packet id) per hop, in run order
+    advance = sim_engine.advance_one_hop
+
+    def recording(packet, net, link_layer, slot):
+        hops.append((slot, packet.created_slot, packet.packet_id))
+        return advance(packet, net, link_layer, slot)
+
+    monkeypatch.setattr(sim_engine, "advance_one_hop", recording)
+    push = sim.push
+    queued = []
+
+    def counting_push(slot, kind, payload=None):
+        if kind is EventKind.HOP_ATTEMPT:
+            queued.append(payload.packet_id)
+        push(slot, kind, payload)
+
+    sim.push = counting_push
+    sim.run_traffic()
+    assert len(queued) == len(hops) - cfg.n_packets > 0
+    by_slot = {}
+    for slot, created, packet_id in hops:
+        by_slot.setdefault(slot, []).append((created == slot, packet_id))
+    # some slot runs hops of both older and new packets
+    assert any(len({is_new for is_new, _ in order}) == 2 for order in by_slot.values())
+    for slot, order in by_slot.items():
+        new = [is_new for is_new, _ in order]
+        # older packets' hops first, then the slot's new packets by id
+        assert new == sorted(new), slot
+        ids = [packet_id for is_new, packet_id in order if is_new]
+        assert ids == sorted(ids), slot
 
 
 @pytest.mark.parametrize("protocol", list(Protocol))
