@@ -4,10 +4,10 @@ The config file is flat ``key = value`` text grouped into sections; every
 key is optional and unknown keys are rejected with their line number. A
 sweep fans (axis value, seed) points out to worker processes; each point
 runs every (protocol, class) variant as its own scenario, forming its own
-network (formation ignores the protocol, so every variant of a point sees
-the same DAG). It writes one CSV row per run plus mean/stddev rows per
-point, and prints the headline protocol comparison when the baselines are
-present.
+network on one placement and channel that the point's variants share
+(formation ignores the protocol, so every variant of a point sees the same
+DAG). It writes one CSV row per run plus mean/stddev rows per point, and
+prints the headline protocol comparison when the baselines are present.
 """
 
 from __future__ import annotations
@@ -306,32 +306,35 @@ def _class_token(protocol: Protocol, routing_class: RoutingClass) -> str:
 
 
 def _sweep_point(args) -> list[dict]:
-    """Worker: run every protocol variant on one (axis value, seed) point."""
+    """Worker: run every protocol variant on one (axis value, seed) point.
+    The variants share one placement and channel; each forms its own
+    network."""
     base, axis, value, seed, variants = args
     rows = []
-    for protocol, routing_class in variants:
-        config = _variant_config(base, axis, value, seed, protocol, routing_class)
-        row = {
-            "protocol": protocol.value,
-            "class": _class_token(protocol, routing_class),
-            "axis": axis,
-            "axis_value": value,
-            "seed": seed,
-        }
-        try:
-            report = sim_engine.run_scenario(config)
-            row.update(
-                pdr=report.pdr,
-                mean_retx=report.mean_retransmissions,
-                mean_delay_slots=report.mean_delay_slots,
-                mean_delay_ms=report.mean_delay_ms,
-                sent=report.packets_sent,
-                delivered=report.delivered,
-                dropped=report.dropped,
-            )
-        except DisconnectedRootError as exc:  # an unlucky topology, not a bug
-            row.update(dict.fromkeys(METRIC_COLUMNS), error=str(exc))
-        rows.append(row)
+    with sim_engine.shared_networks():
+        for protocol, routing_class in variants:
+            config = _variant_config(base, axis, value, seed, protocol, routing_class)
+            row = {
+                "protocol": protocol.value,
+                "class": _class_token(protocol, routing_class),
+                "axis": axis,
+                "axis_value": value,
+                "seed": seed,
+            }
+            try:
+                report = sim_engine.run_scenario(config)
+                row.update(
+                    pdr=report.pdr,
+                    mean_retx=report.mean_retransmissions,
+                    mean_delay_slots=report.mean_delay_slots,
+                    mean_delay_ms=report.mean_delay_ms,
+                    sent=report.packets_sent,
+                    delivered=report.delivered,
+                    dropped=report.dropped,
+                )
+            except DisconnectedRootError as exc:  # an unlucky topology, not a bug
+                row.update(dict.fromkeys(METRIC_COLUMNS), error=str(exc))
+            rows.append(row)
     return rows
 
 

@@ -112,8 +112,13 @@ class LinkLayer:
         key = (src, dst)
         idx = self._counters.get(key, 0)
         self._counters[key] = idx + 1
-        if self.registry is not None:
-            self.registry.setdefault(slot, set()).add(src)
+        registry = self.registry
+        if registry is not None:
+            # setdefault would build a throwaway set on every transmit
+            transmitters = registry.get(slot)
+            if transmitters is None:
+                transmitters = registry[slot] = set()
+            transmitters.add(src)
         channel = self.channel
         p = channel._success.get(key)  # success_probability's cache; a hit skips the call
         if p is None:

@@ -22,7 +22,11 @@ enters the heap. See ``Simulation.run_traffic``.
 
 This module alone writes the trace format: each record is a dict literal
 built where it is emitted (DIO, DIS and DAO records by their control
-handlers, relay and packet records by the traffic loop).
+handlers, relay and packet records by the traffic loop). A DAO event does
+nothing but emit its record, so only a traced run queues one.
+
+Within ``shared_networks()``, runs with equal placement inputs share one
+placement and one ``Channel``; a sweep point opens it around its variants.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ from __future__ import annotations
 import heapq
 import math
 import types
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Literal, NamedTuple, Union, get_args, get_origin, get_type_hints
@@ -64,6 +69,7 @@ from .topology import (
     ChannelParams,
     Channel,
     GATEWAY_ID,
+    NodePlacement,
     Region,
     calibrate_params_for_lsr,
     place_nodes,
@@ -476,25 +482,53 @@ def generate_traffic(
     return offsets, np.array(sorted(sources), dtype=np.int64)[picks]
 
 
+# (region_side, effective intensity, seed, channel params) -> the placement
+# and channel built for them; a dict only while shared_networks() is open
+_networks: dict[tuple, tuple[list[NodePlacement], Channel]] | None = None
+
+
+@contextmanager
+def shared_networks() -> Iterator[None]:
+    """While open, a Simulation reuses the placement and Channel built for
+    equal placement inputs. A Channel's caches memoise functions of the
+    pair alone, so sharing one moves no output; formation, traffic and
+    every per-run table stay per run. A placement that raises is not kept,
+    so each run that needs it raises again."""
+    global _networks
+    outer, _networks = _networks, {}
+    try:
+        yield
+    finally:
+        _networks = outer
+
+
 class Simulation:
     """Mutable state of one scenario run.
 
     form_network() builds one of these through the formation phase, which
     never reads the protocol; run_traffic() then plays the config's protocol
-    on it. Every run, sweep variants included, forms its own network. Both
-    phases dispatch control events through _handle_control; once
-    traffic_started is set, _refresh_route keeps each changed node's route
-    current.
+    on it. Every run, sweep variants included, forms its own network, though
+    inside shared_networks() runs on equal placement inputs share the
+    placement and channel. Both phases dispatch control events through
+    _handle_control; once traffic_started is set, _refresh_route keeps each
+    changed node's route current. DAO events are queued only while emit is
+    set: they do nothing but emit.
     """
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
         params = config.channel_params()
-        region = Region(config.region_side)
-        self.placements = place_nodes(
-            region, config.effective_intensity, config.seed, params
-        )
-        self.channel = Channel(self.placements, params, config.seed)
+        key = (config.region_side, config.effective_intensity, config.seed, params)
+        network = None if _networks is None else _networks.get(key)
+        if network is None:
+            # read from the module globals, so a tracer's stand-in is seen
+            placements = place_nodes(
+                Region(config.region_side), config.effective_intensity, config.seed, params
+            )
+            network = placements, Channel(placements, params, config.seed)
+            if _networks is not None:
+                _networks[key] = network
+        self.placements, self.channel = network
         self.states: dict[int, NodeState] = {
             p.node_id: NodeState(p.node_id) for p in self.placements
         }
@@ -507,6 +541,9 @@ class Simulation:
             for node in self.states
         }
         self.trickle_imin_slots = config.ms_to_slots(config.trickle_imin_ms)
+        self.dis_timeout_slots = config.ms_to_slots(config.dis_timeout_ms)
+        # trickle interval (ms) -> its slot count, filled as intervals occur
+        self.interval_slots: dict[float, int] = {}
         self.active_weights = config.active_weights()
         self.etx_table: dict[tuple[int, int], EtxEstimate] = {}
         self.etx_max = config.etx_max
@@ -595,8 +632,10 @@ class Simulation:
             return  # superseded by a reset
         emit, next_ms = trickle_fire(trickle)
         trickle.seq += 1
-        fire_at = slot + self.config.ms_to_slots(next_ms)
-        self.push(fire_at, EventKind.TRICKLE_FIRE, (node, trickle.seq))
+        slots = self.interval_slots.get(next_ms)
+        if slots is None:
+            slots = self.interval_slots[next_ms] = self.config.ms_to_slots(next_ms)
+        self.push(slot + slots, EventKind.TRICKLE_FIRE, (node, trickle.seq))
         if emit and self.states[node].joined:
             self.push(slot, EventKind.DIO_TX, node)
 
@@ -670,7 +709,8 @@ class Simulation:
             if other.default_parent != was_parent:
                 # children and connection counts read default parents only
                 self._move_counts(neighbor, was_parent)
-                self.push(slot, EventKind.DAO_TX, neighbor)
+                if self.emit is not None:
+                    self.push(slot, EventKind.DAO_TX, neighbor)
         if self.traffic_started:
             for neighbor in changed:
                 self._refresh_route(neighbor, slot)
@@ -678,7 +718,7 @@ class Simulation:
     def _handle_dis_tx(self, slot: int, payload) -> None:
         node = payload
         state = self.states[node]
-        timeout = self.config.ms_to_slots(self.config.dis_timeout_ms)
+        timeout = self.dis_timeout_slots
         if state.joined:
             return
         heard_recently = (
@@ -725,10 +765,9 @@ class Simulation:
         quiescence window (or the warmup budget runs out)."""
         cfg = self.config
         self._trickle_restart(GATEWAY_ID, 0)
-        dis_at = cfg.ms_to_slots(cfg.dis_timeout_ms)
         for node in sorted(self.states):
             if node != GATEWAY_ID:
-                self.push(dis_at, EventKind.DIS_TX, node)
+                self.push(self.dis_timeout_slots, EventKind.DIS_TX, node)
         # the gateway's trickle timer always has a fire queued, so the
         # queue never runs dry before one of the two limits is reached
         while True:

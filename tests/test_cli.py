@@ -1,10 +1,12 @@
 import concurrent.futures
+import gc
 import hashlib
 import io
 import math
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -720,6 +722,95 @@ def test_a_sweep_that_raises_leaves_an_earlier_csv_whole(tmp_path, monkeypatch):
     monkeypatch.undo()
     run_sweep(SMALL, spec, out)
     assert out.read_bytes() == earlier
+
+
+# SHA-256 of test_physical_channel_sweep_is_pinned's CSV: the one pin on the
+# uncalibrated physical channel (lsr_value unset)
+PHYSICAL_SWEEP_DIGEST = "962ebff32fe37147ace45527edc15744fe9a7a8c7c70d2819a768797b50f1f0e"
+
+
+def test_physical_channel_sweep_is_pinned(tmp_path):
+    config = ScenarioConfig(region_side=240.0, intensity=60.0 / 240.0**2, n_packets=300)
+    assert config.lsr_value is None
+    variants = default_variants(["rpl", "coop_rpl"], ["best_effort"])
+    out = tmp_path / "physical.csv"
+    rows, failed = run_sweep(config, SweepSpec("density", (0.8, 1.2), variants, 2), out)
+    assert failed == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PHYSICAL_SWEEP_DIGEST
+
+
+def _count_calls(monkeypatch, name):
+    """Count calls of sim_engine's name, which then runs as before."""
+    calls = []
+    original = getattr(sim_engine, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(sim_engine, name, counting)
+    return calls
+
+
+def test_a_sweep_point_places_its_meters_once(monkeypatch):
+    placed = _count_calls(monkeypatch, "place_nodes")
+    built = _count_calls(monkeypatch, "Channel")
+    rows = cli._sweep_point((SMALL, "lsr", 0.6, 2, default_variants()))
+    assert len(rows) == 6 and all(r.get("error") is None for r in rows)
+    assert len(placed) == len(built) == 1
+
+
+@pytest.mark.parametrize("axis, value", [("lsr", 0.6), ("density", 1.2)])
+def test_shared_variants_report_what_they_report_alone(monkeypatch, axis, value):
+    # the density axis leaves the channel physical: every link its own
+    # success probability, cached in the shared channel
+    runs = []
+    run = sim_engine.run_scenario
+
+    def recording(config, emit=None):
+        report = run(config, emit)
+        runs.append((config, report))
+        return report
+
+    monkeypatch.setattr(sim_engine, "run_scenario", recording)
+    cli._sweep_point((SMALL, axis, value, 2, default_variants()))
+    monkeypatch.undo()
+    assert len(runs) == 6
+    for config, report in runs:
+        assert run(config) == report
+
+
+def test_a_sweep_point_keeps_no_network_once_it_returns(monkeypatch):
+    channels = []
+    init = sim_engine.Simulation.__init__
+
+    def recording(sim, config):
+        init(sim, config)
+        channels.append(weakref.ref(sim.channel))
+
+    monkeypatch.setattr(sim_engine.Simulation, "__init__", recording)
+    cli._sweep_point((SMALL, "lsr", 0.6, 2, default_variants()))
+    assert sim_engine._networks is None
+    gc.collect()
+    assert len(channels) == 6 and all(ref() is None for ref in channels)
+
+
+def test_runs_outside_a_sweep_point_place_their_own_meters(monkeypatch):
+    placed = _count_calls(monkeypatch, "place_nodes")
+    config = replace(SMALL, lsr_value=0.6, seed=2)
+    assert sim_engine.run_scenario(config) == sim_engine.run_scenario(config)
+    assert len(placed) == 2
+
+
+def test_a_point_whose_placement_fails_gives_every_variant_an_error_row(monkeypatch):
+    # a failed placement is not kept, so every variant tries it and fails
+    placed = _count_calls(monkeypatch, "place_nodes")
+    broken = ScenarioConfig(region_side=80.0, intensity=1e-9, n_packets=10)
+    rows = cli._sweep_point((broken, "lsr", 0.5, 1, default_variants()))
+    assert [r["error"] for r in rows] == ["disconnected-root"] * 6
+    assert all(r["pdr"] is None for r in rows)
+    assert len(placed) == 6
+    assert sim_engine._networks is None
 
 
 def _write_csv(path, rows):

@@ -696,6 +696,61 @@ def test_arrivals_run_their_first_hop_without_queuing_it(monkeypatch, protocol):
 
 
 @pytest.mark.parametrize("protocol", list(Protocol))
+def test_only_a_traced_run_queues_dao_events(monkeypatch, protocol):
+    # a DAO event does nothing but emit its record, so an untraced run
+    # queues none; parent switches during traffic must report the same
+    cfg = packet_trace_config(protocol)
+    pushed = []  # (traced, kind) per push
+    push = Simulation.push
+
+    def recording(sim, slot, kind, payload=None):
+        pushed.append((sim.emit is not None, kind))
+        push(sim, slot, kind, payload)
+
+    monkeypatch.setattr(Simulation, "push", recording)
+    trace = []
+    traced = run_scenario(cfg, emit=trace.append)
+    untraced = run_scenario(cfg)
+    assert any(
+        r.get("type") == "DAO" and r["slot"] >= traced.formation_slots for r in trace
+    )
+    assert (True, EventKind.DAO_TX) in pushed
+    assert (False, EventKind.DAO_TX) not in pushed
+    assert untraced == traced
+
+
+@settings(max_examples=25, deadline=None)
+@given(cfg=runnable_configs())
+def test_every_trickle_fire_lands_its_interval_later(cfg):
+    # the fire a handled fire queues lands ms_to_slots(interval) later, the
+    # one rounding rule, however the slot counts are looked up
+    intervals = []  # the interval of the fire being handled
+    fires = []
+    with pytest.MonkeyPatch.context() as mp:
+        fire = sim_engine.trickle_fire
+        push = Simulation.push
+
+        def recording(trickle):
+            emit, next_ms = fire(trickle)
+            intervals.append(next_ms)
+            return emit, next_ms
+
+        def checking(sim, slot, kind, payload=None):
+            if kind is EventKind.TRICKLE_FIRE and intervals:
+                assert slot == sim.now + cfg.ms_to_slots(intervals.pop())
+                fires.append(slot)
+            push(sim, slot, kind, payload)
+
+        mp.setattr(sim_engine, "trickle_fire", recording)
+        mp.setattr(Simulation, "push", checking)
+        try:
+            run_scenario(cfg)
+        except DisconnectedRootError:
+            return  # placement found no meter in the gateway's range
+    assert fires and not intervals
+
+
+@pytest.mark.parametrize("protocol", list(Protocol))
 def test_traffic_queues_one_arrival_at_a_time(protocol):
     # arrivals share the one heap but enter it one by one, each handled
     # arrival queuing the next; a hop event carries its packet
