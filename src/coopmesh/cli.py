@@ -75,14 +75,6 @@ def _to_float(raw, line):
     return value
 
 
-def _to_bool(raw, line):
-    if raw.lower() in ("true", "yes", "1"):
-        return True
-    if raw.lower() in ("false", "no", "0"):
-        return False
-    raise ConfigError(f"expected true/false, got {raw!r}", line)
-
-
 # the noun an unknown token of each enum is reported with
 _ENUM_NOUNS = {Protocol: "protocol", RoutingClass: "routing class"}
 
@@ -124,7 +116,7 @@ def _converter(hint):
         return _to_values
     if issubclass(hint, Enum):
         return partial(_to_enum, hint)
-    return {int: _to_int, float: _to_float, bool: _to_bool}[hint]
+    return {int: _to_int, float: _to_float}[hint]
 
 
 # section -> its keys, in file order. A key names the ScenarioConfig field it
@@ -140,7 +132,7 @@ _SCHEMA = {
     "channel": (
         "tx_power_w", "path_loss_exponent", "reference_loss_db", "noise_floor_w",
         "tx_range_m", "sinr_threshold_db", "lsr_value", "lsr_mapping",
-        "reference_distance", "sinr_per_slot",
+        "reference_distance",
     ),
     "rpl": (
         "etx_max", "hysteresis", "trickle_imin_ms", "trickle_doublings",
@@ -219,8 +211,6 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
 def _render_value(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, Enum):
         return value.value
     if isinstance(value, str):

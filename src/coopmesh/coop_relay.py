@@ -200,8 +200,6 @@ def run_selection(
     routing_class: RoutingClass,
     weights: RateWeights,
     interferers: frozenset[int],
-    slot: int,
-    with_fading: bool,
 ) -> tuple[int | None, dict[int, float]]:
     """Full pipeline for one sender: rank filter, eligibility, rate argmax.
 
@@ -209,16 +207,15 @@ def run_selection(
     neighbors that also reach the parent (so both cooperative legs exist),
     applying the rules that filter_candidates_by_rank and eligible state
     (the tests hold this pass to them). Every SINR is channel.compute_sinr's
-    against the other nodes in interferers, the nodes transmitting in slot:
-    the fading-mean channel unless with_fading asks for per-slot gains, so
-    choices stay stable between advertisement rounds. A candidate's SINRs
-    are computed only when a class-a test or its rate reads them, and class
-    a's second leg only once its first beats the direct link. The direct
-    link's SINR is computed once per sender, and again only for a candidate
-    that is itself among the interferers. etx_of(a, b) supplies the current
-    link estimate; weights are the config's active_weights(). A sender
-    without a default parent gets no relay; one with a default parent has
-    joined.
+    against the other nodes in interferers, the nodes transmitting in the
+    sender's slot, on the fading-mean channel that the delivery draw's
+    outage probability averages over. A candidate's SINRs are computed only
+    when a class-a test or its rate reads them, and class a's second leg
+    only once its first beats the direct link. The direct link's SINR is
+    computed once per sender, and again only for a candidate that is itself
+    among the interferers. etx_of(a, b) supplies the current link estimate;
+    weights are the config's active_weights(). A sender without a default
+    parent gets no relay; one with a default parent has joined.
 
     Returns (selected relay or None, candidate rates for tracing).
     """
@@ -234,7 +231,7 @@ def run_selection(
     test_c = best_effort or routing_class is RoutingClass.CLASS_C
     # compute_sinr sums the interference in this set's order
     others = frozenset(t for t in interferers if t != s) if interferers else interferers
-    direct = compute_sinr(parent, s, others, slot, with_fading) if test_a else None
+    direct = compute_sinr(parent, s, others) if test_a else None
     rows = []
     for r in channel.relay_legs(s, parent):  # ascending ids
         relay_state = states.get(r)
@@ -250,15 +247,12 @@ def run_selection(
         clean = others
         if r in others:
             clean = frozenset(t for t in interferers if t not in (s, r))
-        sinr_s_r = compute_sinr(r, s, clean, slot, with_fading)
+        sinr_s_r = compute_sinr(r, s, clean)
         if not passed:  # class a is the test left, leg by leg
-            sinr_s_d = (
-                direct if clean is others
-                else compute_sinr(parent, s, clean, slot, with_fading)
-            )
+            sinr_s_d = direct if clean is others else compute_sinr(parent, s, clean)
             if not sinr_s_r > sinr_s_d:
                 continue
-        sinr_r_d = compute_sinr(parent, r, clean, slot, with_fading)
+        sinr_r_d = compute_sinr(parent, r, clean)
         if not (passed or sinr_r_d > sinr_s_d):
             continue
         rows.append(_row(r, sinr_s_r, sinr_r_d, nac_r, nch_r, etx_s_r, etx_r_d))

@@ -265,7 +265,6 @@ class ScenarioConfig:
     trickle_doublings: int = 8
     trickle_redundancy_k: int = 10
     dis_timeout_ms: float = 500.0
-    sinr_per_slot: bool = False
     # sweep description (consumed by the CLI)
     sweep_axis: Literal["lsr", "density"] | None = None
     sweep_values: tuple[float, ...] = ()
@@ -525,7 +524,7 @@ class Simulation:
             placements = place_nodes(
                 Region(config.region_side), config.effective_intensity, config.seed, params
             )
-            network = placements, Channel(placements, params, config.seed)
+            network = placements, Channel(placements, params)
             if _networks is not None:
                 _networks[key] = network
         self.placements, self.channel = network
@@ -649,8 +648,6 @@ class Simulation:
             self.config.routing_class,
             self.active_weights,
             interferers=frozenset(transmitters) if transmitters else _NO_TRANSMITTERS,
-            slot=slot,
-            with_fading=self.config.sinr_per_slot,
         )
         self.relay_for[node] = selected
         self.relay_rates[node] = rates

@@ -15,10 +15,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .rng import derive_seed, uniform
+from .rng import derive_seed
 
-# key-domain tags so draws for different purposes never collide
-DOMAIN_FADING = 0xFA
+# key-domain tag so placement draws never collide with the run's draws
 DOMAIN_PLACEMENT = 0x97
 
 
@@ -118,12 +117,6 @@ def path_loss_linear(distance: float, params: ChannelParams) -> float:
     return 10.0 ** (-loss_db / 10.0)
 
 
-def fading_gain(src: int, dst: int, slot: int, seed: int) -> float:
-    """Rayleigh power gain: exponential(mean 1), keyed by (link, slot, seed)."""
-    u = uniform(seed, DOMAIN_FADING, src, dst, slot)
-    return -math.log(1.0 - u)
-
-
 def link_success_probability(mean_rx_power_w: float, params: ChannelParams) -> float:
     """Per-transmission delivery probability for a link within tx_range.
 
@@ -163,10 +156,9 @@ def calibrate_params_for_lsr(
 class Channel:
     """Pairwise channel view over a fixed placement; all methods pure."""
 
-    def __init__(self, placements: list[NodePlacement], params: ChannelParams, seed: int):
+    def __init__(self, placements: list[NodePlacement], params: ChannelParams):
         self.placements = placements
         self.params = params
-        self.seed = seed
         self._pos = {p.node_id: (p.x, p.y) for p in placements}
         if len(self._pos) != len(placements):
             raise ValueError("node ids must be unique")
@@ -250,32 +242,24 @@ class Channel:
         rx: int,
         tx: int,
         concurrent_transmitters: set[int] | frozenset[int],
-        slot: int,
-        with_fading: bool,
     ) -> float:
-        """SINR in dB at rx for a transmission from tx.
+        """Fading-mean SINR in dB at rx for a transmission from tx.
 
-        with_fading=False evaluates the fading-mean channel (gain 1), the
-        form used for relay eligibility; with_fading=True draws the keyed
-        per-slot gains for every involved link.
+        Every power is the mean received power, the channel that
+        link_success_probability's outage form averages over, so the relay
+        scorer and the delivery draw see the same links.
         """
         if tx in concurrent_transmitters:
             raise ValueError("transmitter cannot interfere with itself")
-        # the fading mean is gain 1, which is left out rather than multiplied
-        # in; cached powers are read in place, and a cached 0.0 falls through
-        # to rx_power, which returns it again
+        # cached powers are read in place, and a cached 0.0 falls through to
+        # rx_power, which returns it again
         links = self._links
         signal = links.get((tx, rx)) or self.rx_power(tx, rx)
-        if with_fading:
-            signal *= fading_gain(tx, rx, slot, self.seed)
         interference = 0.0
         for other in concurrent_transmitters:
             if other == rx:
                 continue
-            power = links.get((other, rx)) or self.rx_power(other, rx)
-            if with_fading:
-                power *= fading_gain(other, rx, slot, self.seed)
-            interference += power
+            interference += links.get((other, rx)) or self.rx_power(other, rx)
         return 10.0 * math.log10(signal / (self.params.noise_floor_w + interference))
 
     def success_probability(self, src: int, dst: int) -> float:

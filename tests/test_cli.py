@@ -4,6 +4,7 @@ import hashlib
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -74,6 +75,19 @@ def test_unknown_key_rejected_with_line_number():
     # the key is checked before a blank value would keep a default
     with pytest.raises(ConfigError, match="line 2: unknown key 'bogus_key'"):
         parse_scenario_text("[scenario]\nbogus_key =\n")
+
+
+def test_removed_sinr_per_slot_key_is_an_unknown_key(tmp_path, capsys):
+    # a file written for the removed per-slot fading option fails at the
+    # config boundary, not by running on a channel it did not ask for
+    text = "[channel]\nsinr_per_slot = true\n"
+    message = "line 2: unknown key 'sinr_per_slot' in [channel]"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_scenario_text(text)
+    path = tmp_path / "old.cfg"
+    path.write_text(text)
+    assert main(["--config", str(path), "--quiet"]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -361,7 +375,7 @@ RENDERED_DEFAULTS = (
     "warmup_slots = 3000\ntraffic_window_slots = \nquiescence_slots = 20\nslot_ms = 10.0\n"
     "\n[channel]\ntx_power_w = 2.0\npath_loss_exponent = 3.0\nreference_loss_db = 40.0\n"
     "noise_floor_w = 1e-13\ntx_range_m = 70.0\nsinr_threshold_db = 40.0\nlsr_value = \n"
-    "lsr_mapping = reference\nreference_distance = 41.5\nsinr_per_slot = false\n"
+    "lsr_mapping = reference\nreference_distance = 41.5\n"
     "\n[rpl]\netx_max = 16.0\nhysteresis = 0.5\ntrickle_imin_ms = 100.0\n"
     "trickle_doublings = 8\ntrickle_redundancy_k = 10\ndis_timeout_ms = 500.0\n"
 )
@@ -487,7 +501,6 @@ def valid_configs(draw, sides=st.floats(min_value=1e-6, max_value=1e6)):
         trickle_doublings=draw(st.integers(0, 16)),
         trickle_redundancy_k=draw(st.integers(1, 100)),
         dis_timeout_ms=trickle_imin_ms + draw(st.floats(min_value=slot_ms, max_value=1e4)),
-        sinr_per_slot=draw(st.booleans()),
         sweep_axis=axis,
         sweep_values=sweep_values,
     )

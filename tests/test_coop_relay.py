@@ -230,8 +230,7 @@ def test_filter_requires_joined_sender():
         filter_candidates_by_rank(NodeState(5), [])
 
 
-def reference_selection(sender, states, channel, etx_of, routing_class, interferers,
-                        slot, with_fading):
+def reference_selection(sender, states, channel, etx_of, routing_class, interferers):
     """The selection stage by stage: rank filter, full compute_sinr metrics
     for every candidate that reaches the parent, eligibility, rates."""
     s, parent = sender.node_id, sender.default_parent
@@ -243,9 +242,9 @@ def reference_selection(sender, states, channel, etx_of, routing_class, interfer
         clean = frozenset(t for t in interferers if t not in (s, r))
         metrics.append(CandidateMetrics(
             r,
-            channel.compute_sinr(r, s, clean, slot, with_fading),
-            channel.compute_sinr(parent, r, clean, slot, with_fading),
-            channel.compute_sinr(parent, s, clean, slot, with_fading),
+            channel.compute_sinr(r, s, clean),
+            channel.compute_sinr(parent, r, clean),
+            channel.compute_sinr(parent, s, clean),
             states[r].active_connections, sender.active_connections,
             len(states[r].children), len(sender.children),
             etx_of(s, r), etx_of(r, parent), etx_of(s, parent),
@@ -269,15 +268,12 @@ def test_run_selection_equals_stage_by_stage_reference():
         for sender in senders:
             pool = [sender.node_id, sender.default_parent] + sim.channel.neighbors(sender.node_id)
             for routing_class in RoutingClass:
-                for with_fading in (False, True):
-                    size = rng.choice([0, 1, 1, 2, 3, 5])
-                    interferers = frozenset(rng.sample(pool, min(size, len(pool))))
-                    seen_sizes.add(len(interferers))
-                    args = (sender, sim.states, sim.channel, sim.etx_of, routing_class)
-                    got = run_selection(
-                        *args, WEIGHT_PRESETS[routing_class], interferers, 17, with_fading
-                    )
-                    assert got == reference_selection(*args, interferers, 17, with_fading)
+                size = rng.choice([0, 1, 1, 2, 3, 5])
+                interferers = frozenset(rng.sample(pool, min(size, len(pool))))
+                seen_sizes.add(len(interferers))
+                args = (sender, sim.states, sim.channel, sim.etx_of, routing_class)
+                got = run_selection(*args, WEIGHT_PRESETS[routing_class], interferers)
+                assert got == reference_selection(*args, interferers)
     assert {0, 1, 2, 3, 5} <= seen_sizes
 
 
@@ -291,7 +287,6 @@ def test_run_selection_rank_and_reach_rules():
             tx_power_w=2.0, path_loss_exponent=3.0, reference_loss_db=40.0,
             noise_floor_w=1e-13, tx_range_m=70.0, sinr_threshold_db=35.0,
         ),
-        seed=1,
     )
     ranks = {0: 0.0, 1: 3.0, 2: 2.0, 3: 3.0, 4: None, 5: 1.5}
     states = {n: _node(n, rank) for n, rank in ranks.items()}
@@ -299,11 +294,9 @@ def test_run_selection_rank_and_reach_rules():
     sender.default_parent = 0
     sender.active_connections, sender.children = 2, {7, 8}
     args = (sender, states, channel, lambda a, b: 1.0, RoutingClass.CLASS_B)
-    selected, rates = run_selection(
-        *args, WEIGHT_PRESETS[RoutingClass.CLASS_B], frozenset(), 0, False
-    )
+    selected, rates = run_selection(*args, WEIGHT_PRESETS[RoutingClass.CLASS_B], frozenset())
     assert (selected, set(rates)) == (2, {2})
-    assert (selected, rates) == reference_selection(*args, frozenset(), 0, False)
+    assert (selected, rates) == reference_selection(*args, frozenset())
 
 
 @pytest.mark.parametrize("candidate_at, first_leg_holds", [((0, 60), False), ((30, 20), True)])
@@ -318,11 +311,10 @@ def test_class_a_second_leg_is_computed_only_when_the_first_holds(candidate_at, 
             tx_power_w=2.0, path_loss_exponent=3.0, reference_loss_db=40.0,
             noise_floor_w=1e-13, tx_range_m=100.0, sinr_threshold_db=35.0,
         ),
-        seed=1,
     )
     states = {0: _node(0, 0.0), 1: _node(1, 3.0, parent=0), 2: _node(2, 2.0)}
     args = (states[1], states, channel, lambda a, b: 1.0, RoutingClass.BEST_EFFORT)
-    expected = reference_selection(*args, frozenset(), 0, False)
+    expected = reference_selection(*args, frozenset())
     calls = []
     compute_sinr = channel.compute_sinr
 
@@ -331,7 +323,7 @@ def test_class_a_second_leg_is_computed_only_when_the_first_holds(candidate_at, 
         return compute_sinr(rx, tx, *rest)
 
     channel.compute_sinr = recording
-    got = run_selection(*args, WEIGHT_PRESETS[RoutingClass.BEST_EFFORT], frozenset(), 0, False)
+    got = run_selection(*args, WEIGHT_PRESETS[RoutingClass.BEST_EFFORT], frozenset())
     assert got == expected
     assert got[0] == (2 if first_leg_holds else None)
     naming_candidate = [call for call in calls if 2 in call]

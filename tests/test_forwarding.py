@@ -23,14 +23,14 @@ from coopmesh.sim_engine import ScenarioConfig
 from coopmesh.topology import Channel, ChannelParams, NodePlacement
 
 
-def lsr_channel(positions, lsr, seed=5, ids=None):
+def lsr_channel(positions, lsr, ids=None):
     params = ChannelParams(
         tx_power_w=2.0, path_loss_exponent=3.0, reference_loss_db=40.0,
         noise_floor_w=1e-13, tx_range_m=50.0, sinr_threshold_db=35.0, lsr_value=lsr,
     )
     ids = range(len(positions)) if ids is None else ids
     placements = [NodePlacement(i, x, y) for i, (x, y) in zip(ids, positions)]
-    return Channel(placements, params, seed)
+    return Channel(placements, params)
 
 
 # --- scripted enumeration of a hop engine's full outcome tree ---
@@ -88,15 +88,15 @@ def exact_hop_stats(run, link_p):
 
 
 def test_transmit_certain_and_impossible_links():
-    sure = lsr_channel([(0.0, 0.0), (10.0, 0.0)], lsr=1.0, seed=3)
-    dead = lsr_channel([(0.0, 0.0), (10.0, 0.0)], lsr=0.0, seed=3)
+    sure = lsr_channel([(0.0, 0.0), (10.0, 0.0)], lsr=1.0)
+    dead = lsr_channel([(0.0, 0.0), (10.0, 0.0)], lsr=0.0)
     for n in range(50):
         assert LinkLayer(sure, seed=3, packet_id=n).transmit(1, 0, slot=0) is True
         assert LinkLayer(dead, seed=3, packet_id=n).transmit(1, 0, slot=0) is False
 
 
 def test_transmit_empirical_frequency():
-    ch = lsr_channel([(0.0, 0.0), (10.0, 0.0)], lsr=0.6, seed=9)
+    ch = lsr_channel([(0.0, 0.0), (10.0, 0.0)], lsr=0.6)
     hits = sum(
         LinkLayer(ch, seed=9, packet_id=n).transmit(1, 0, slot=0)
         for n in range(10_000)
@@ -553,7 +553,7 @@ def _two_hop_net(lsr, seed=13, protocol=Protocol.RPL):
     """2 -> 1 -> 0 (gateway), relay 3 near the middle. The view holds the
     table protocol's route refresh fills: coop_rpl the relay, opp_rpl the
     forwarding sets, rpl neither."""
-    ch = lsr_channel([(0.0, 0.0), (30.0, 0.0), (60.0, 0.0), (45.0, 10.0)], lsr=lsr, seed=seed)
+    ch = lsr_channel([(0.0, 0.0), (30.0, 0.0), (60.0, 0.0), (45.0, 10.0)], lsr=lsr)
     states = {
         0: NodeState(0, rank=0.0),
         1: _joined(1, 1.0, 0),

@@ -94,7 +94,7 @@ def test_none_accepted_only_where_a_field_is_optional():
         ("n_packets", 100.0),
         ("max_retx", False),
         ("tx_power_w", True),
-        ("sinr_per_slot", 1),
+        ("traffic_window_slots", True),
         ("lsr_mapping", None),
         ("weights", (0.25, 0.25, 0.25, 0.25)),
         ("sweep_values", [0.5]),
@@ -247,15 +247,13 @@ def test_link_budget_rule_keeps_every_in_range_link_finite(**fields):
         (0.0, 0.0), (side, side), (edge, edge),
     ]
     placements = [NodePlacement(i, x, y) for i, (x, y) in enumerate(dict.fromkeys(points))]
-    channel = Channel(placements, config.channel_params(), config.seed)
+    channel = Channel(placements, config.channel_params())
     everyone = frozenset(channel.node_ids)
     for tx in channel.node_ids:
         for rx in channel.neighbors(tx):
             assert 0.0 <= channel.success_probability(tx, rx) <= 1.0
-            for with_fading in (False, True):
-                # every other node transmits at once
-                sinr = channel.compute_sinr(rx, tx, everyone - {tx}, 7, with_fading)
-                assert math.isfinite(sinr)
+            # every other node transmits at once
+            assert math.isfinite(channel.compute_sinr(rx, tx, everyone - {tx}))
 
 
 def test_run_parameters_have_no_default_outside_scenario_config():
@@ -274,8 +272,8 @@ def test_run_parameters_have_no_default_outside_scenario_config():
     for fn, names in (
         (process_dio, ("hysteresis",)),
         (EtxEstimate.observe, ("etx_max",)),
-        (run_selection, ("weights", "interferers", "slot", "with_fading")),
-        (Channel.compute_sinr, ("concurrent_transmitters", "slot", "with_fading")),
+        (run_selection, ("weights", "interferers")),
+        (Channel.compute_sinr, ("concurrent_transmitters",)),
     ):
         parameters = inspect.signature(fn).parameters
         for name in names:
@@ -328,9 +326,10 @@ def test_trace_replay_is_identical():
     assert report_a == report_b
 
 
-# SHA-256 of the five traces of test_relay_scoring_trace_is_pinned; relay
-# selection must reproduce every choice and every rate bit for bit
-RELAY_TRACE_DIGEST = "fb70feed9213998a08ed2f7733bfac96a6c901b9802b01927408819068f64d46"
+# SHA-256 of the four traces of test_relay_scoring_trace_is_pinned, one per
+# routing class; relay selection must reproduce every choice and every rate
+# bit for bit
+RELAY_TRACE_DIGEST = "565f9deb7fa6a445d589659399024476f2a897b8fda9812656c6e2ba4fb5dd68"
 
 
 def test_relay_scoring_trace_is_pinned(monkeypatch):
@@ -345,13 +344,11 @@ def test_relay_scoring_trace_is_pinned(monkeypatch):
 
     monkeypatch.setattr(sim_engine, "run_selection", recording)
     digest = hashlib.sha256()
-    runs = [(c, False) for c in RoutingClass] + [(RoutingClass.BEST_EFFORT, True)]
-    for routing_class, per_slot in runs:
+    for routing_class in RoutingClass:
         cfg = tiny_config(
             region_side=100.0, intensity=20.0 / 100.0**2, tx_range_m=40.0,
             lsr_value=0.5, n_packets=400, traffic_window_slots=80, seed=1,
             protocol=Protocol.COOP_RPL, routing_class=routing_class,
-            sinr_per_slot=per_slot,
         )
         sink = []
         run_scenario(cfg, emit=sink.append)
@@ -393,6 +390,64 @@ def test_packet_trace_is_pinned(protocol):
     assert any(r["transmissions"] > r["hops"] for r in packets)
     digest = hashlib.sha256(json.dumps(sink, sort_keys=True).encode())
     assert digest.hexdigest() == PACKET_TRACE_DIGESTS[protocol]
+
+
+def packet_records(cfg):
+    """The run's report and its packet records, relay_hops left out: the
+    one field that counts relays which heard a hop, whether or not they
+    forwarded."""
+    sink = []
+    report = run_scenario(cfg, emit=sink.append)
+    records = [
+        {k: v for k, v in r.items() if k != "relay_hops"} for r in sink if "packet_id" in r
+    ]
+    return report, records
+
+
+# default-size fields where coop_rpl's relays forward on many hops: the
+# default physical channel, LSR 0.5 calibrated, LSR 0.6 uniform, and
+# density 1.4 at LSR 0.7. A runnable_configs() draw often has links that
+# never fail, and there no relay forwards whatever the protocol.
+COOPERATING_CHANNELS = (
+    {},
+    {"lsr_value": 0.5},
+    {"lsr_value": 0.6, "lsr_mapping": "uniform"},
+    {"lsr_value": 0.7, "density_ratio": 1.4},
+)
+
+
+@st.composite
+def cooperating_configs(draw):
+    return ScenarioConfig(
+        n_packets=300,
+        seed=draw(st.integers(1, 1000)),
+        routing_class=draw(st.sampled_from(RoutingClass)),
+        **draw(st.sampled_from(COOPERATING_CHANNELS)),
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(runnable_configs(), cooperating_configs()))
+def test_coop_rpl_without_cooperation_is_rpl(cfg):
+    # no draw key holds the protocol, and relay selection writes only the
+    # relay tables a hop reads, so a coop_rpl run whose relays never
+    # forward is an rpl run, packet for packet: p_coop = 0 never asks a
+    # relay, and relay_retx = 0 leaves an asked relay no attempt
+    try:
+        expected = packet_records(replace(cfg, protocol=Protocol.RPL))
+    except DisconnectedRootError:
+        return  # placement found no meter in the gateway's range
+    coop = replace(cfg, protocol=Protocol.COOP_RPL)
+    assert packet_records(replace(coop, p_coop=0.0)) == expected
+    assert packet_records(replace(coop, relay_retx=0)) == expected
+
+
+def test_coop_rpl_with_cooperation_is_not_rpl():
+    # the relation above is not vacuous: where relays forward, the packet
+    # records differ from rpl's
+    rpl = packet_records(packet_trace_config(Protocol.RPL, p_coop=1.0))
+    coop = packet_records(packet_trace_config(Protocol.COOP_RPL, p_coop=1.0))
+    assert coop[1] != rpl[1]
 
 
 def test_full_cooperation_spends_no_decision_draw(monkeypatch):

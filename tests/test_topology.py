@@ -14,7 +14,6 @@ from coopmesh.topology import (
     PLACEMENT_ATTEMPTS,
     Region,
     calibrate_params_for_lsr,
-    fading_gain,
     link_success_probability,
     path_loss_linear,
     place_nodes,
@@ -28,9 +27,9 @@ PARAMS = ChannelParams(
 )
 
 
-def make_channel(positions, params=PARAMS, seed=1):
+def make_channel(positions, params=PARAMS):
     placements = [NodePlacement(i, x, y) for i, (x, y) in enumerate(positions)]
-    return Channel(placements, params, seed)
+    return Channel(placements, params)
 
 
 def test_region_rejects_nonpositive_side():
@@ -101,51 +100,32 @@ def test_path_loss_zero_distance_is_degenerate():
         path_loss_linear(0.0, PARAMS)
 
 
-def test_fading_gain_mean_is_one():
-    # Monte-Carlo oracle over the stated exponential(1) distribution
-    n = 10**6
-    total = 0.0
-    for slot in range(n):
-        total += fading_gain(1, 2, slot, seed=99)
-    assert total / n == pytest.approx(1.0, abs=0.01)
-
-
-def test_fading_gain_deterministic_and_nonnegative():
-    draws = [fading_gain(4, 9, slot, seed=5) for slot in range(200)]
-    again = [fading_gain(4, 9, slot, seed=5) for slot in range(200)]
-    assert draws == again
-    assert all(g >= 0.0 for g in draws)
-    # different link or seed gives a different draw
-    assert fading_gain(4, 9, 0, seed=5) != fading_gain(9, 4, 0, seed=5)
-    assert fading_gain(4, 9, 0, seed=5) != fading_gain(4, 9, 0, seed=6)
-
-
 def test_compute_sinr_snr_only_case():
     ch = make_channel([(0.0, 0.0), (30.0, 0.0)])
     rx_power = ch.rx_power(1, 0)
     expected = 10.0 * math.log10(rx_power / PARAMS.noise_floor_w)
-    assert ch.compute_sinr(0, 1, frozenset(), 0, False) == pytest.approx(expected)
+    assert ch.compute_sinr(0, 1, frozenset()) == pytest.approx(expected)
 
 
 def test_compute_sinr_equal_power_interferer_near_zero_db():
     # tx and interferer equidistant from rx; noise far below rx power
     ch = make_channel([(0.0, 0.0), (30.0, 0.0), (-30.0, 0.0)])
-    sinr = ch.compute_sinr(0, 1, {2}, 0, False)
+    sinr = ch.compute_sinr(0, 1, {2})
     assert abs(sinr) < 0.01
 
 
 def test_compute_sinr_interferers_strictly_decrease():
     ch = make_channel([(0.0, 0.0), (30.0, 0.0), (0.0, 40.0), (40.0, 40.0)])
-    clean = ch.compute_sinr(0, 1, frozenset(), 0, False)
-    one = ch.compute_sinr(0, 1, {2}, 0, False)
-    two = ch.compute_sinr(0, 1, {2, 3}, 0, False)
+    clean = ch.compute_sinr(0, 1, frozenset())
+    one = ch.compute_sinr(0, 1, {2})
+    two = ch.compute_sinr(0, 1, {2, 3})
     assert clean > one > two
 
 
 def test_compute_sinr_rejects_tx_in_interferer_set():
     ch = make_channel([(0.0, 0.0), (30.0, 0.0)])
     with pytest.raises(ValueError):
-        ch.compute_sinr(0, 1, {1}, 0, False)
+        ch.compute_sinr(0, 1, {1})
 
 
 def test_swept_lsr_uniform_over_links():
@@ -179,8 +159,8 @@ def test_nonexistent_link_never_succeeds():
 def test_compute_sinr_caches_each_link_read_as_its_power():
     ch = make_channel([(0.0, 0.0), (30.0, 0.0), (0.0, 40.0), (90.0, 0.0)])
     assert ch._links == {}
-    ch.compute_sinr(0, 1, {2, 3}, 0, False)
-    ch.compute_sinr(1, 2, frozenset(), 5, True)
+    ch.compute_sinr(0, 1, {2, 3})
+    ch.compute_sinr(1, 2, frozenset())
     assert set(ch._links) == {(1, 0), (2, 0), (3, 0), (2, 1)}
     for (src, dst), power in ch._links.items():
         assert type(power) is float
@@ -188,13 +168,13 @@ def test_compute_sinr_caches_each_link_read_as_its_power():
         assert power == PARAMS.tx_power_w * path_loss_linear(ch.distance(src, dst), PARAMS)
 
 
-def test_channel_takes_placements_params_and_seed_by_position():
+def test_channel_takes_placements_and_params_by_position():
     placements = [NodePlacement(0, 0.0, 0.0), NodePlacement(1, 30.0, 0.0)]
-    ch = Channel(placements, PARAMS, 7)
-    assert (ch.placements, ch.params, ch.seed) == (placements, PARAMS, 7)
+    ch = Channel(placements, PARAMS)
+    assert (ch.placements, ch.params) == (placements, PARAMS)
     assert ch.node_ids == (0, 1)
     with pytest.raises(ValueError, match="node ids must be unique"):
-        Channel([*placements, NodePlacement(1, 5.0, 5.0)], PARAMS, 7)
+        Channel([*placements, NodePlacement(1, 5.0, 5.0)], PARAMS)
 
 
 def test_calibrated_lsr_hits_reference_distance():
@@ -231,7 +211,7 @@ def test_neighbors_boundary_is_closed_ball():
 def test_neighbor_relation_symmetric_and_loop_free():
     region = Region(300.0)
     placements = place_nodes(region, 8.9e-4, seed=21, params=PARAMS)
-    ch = Channel(placements, PARAMS, seed=21)
+    ch = Channel(placements, PARAMS)
     for node in ch.node_ids:
         assert node not in ch.neighbors(node)
         for other in ch.neighbors(node):
@@ -255,7 +235,7 @@ def assert_grid_equals_scan(ch):
 def test_grid_neighbors_equal_the_scan_on_placements(seed, tx_range_m):
     params = replace(PARAMS, tx_range_m=tx_range_m)
     placements = place_nodes(Region(300.0), 1.5e-3, seed=seed, params=params)
-    assert_grid_equals_scan(Channel(placements, params, seed=seed))
+    assert_grid_equals_scan(Channel(placements, params))
 
 
 @pytest.mark.parametrize("tx_range_m", [10.0, 50.0, 123.4])
@@ -263,7 +243,7 @@ def test_grid_neighbors_equal_the_scan_on_placements(seed, tx_range_m):
 def test_relay_legs_are_the_shared_neighbours(seed, tx_range_m):
     params = replace(PARAMS, tx_range_m=tx_range_m)
     placements = place_nodes(Region(300.0), 1.5e-3, seed=seed, params=params)
-    ch = Channel(placements, params, seed=seed)
+    ch = Channel(placements, params)
     for src in ch.node_ids:
         for dst in ch.node_ids:
             shared = set(ch.neighbors(src)) & set(ch.neighbors(dst)) - {dst}
@@ -348,7 +328,7 @@ def test_grid_neighbors_on_cell_edges():
 @pytest.mark.parametrize("reach", [300.0, 1e3, 1e300])
 def test_grid_neighbors_with_range_past_the_region(reach):
     placements = place_nodes(Region(300.0), 5e-4, seed=4, params=PARAMS)
-    ch = Channel(placements, replace(PARAMS, tx_range_m=reach), seed=4)
+    ch = Channel(placements, replace(PARAMS, tx_range_m=reach))
     assert_grid_equals_scan(ch)
     if reach > 300.0 * math.sqrt(2.0):
         assert all(len(ch.neighbors(n)) == len(placements) - 1 for n in ch.node_ids)
@@ -362,7 +342,7 @@ def test_grid_neighbors_with_range_far_below_the_region(reach):
     placements = place_nodes(Region(1e6), 1e-10, seed=2, params=replace(PARAMS, tx_range_m=1e6))
     base = placements[1]
     placements.append(NodePlacement(len(placements), base.x + reach / 2.0, base.y))
-    ch = Channel(placements, replace(PARAMS, tx_range_m=reach), seed=2)
+    ch = Channel(placements, replace(PARAMS, tx_range_m=reach))
     assert_grid_equals_scan(ch)
     assert ch.neighbors(base.node_id) == [len(placements) - 1]
 
