@@ -24,19 +24,13 @@ class Decision(Enum):
 
 @dataclass(slots=True)
 class TrickleState:
-    """One node's DIO timer (RFC 6206). seq numbers the scheduled fire, so
-    a reset can supersede the fire already queued."""
+    """One node's DIO timer (RFC 6206): its interval is Imin doubled
+    doublings times, in the slots the run's config gives each level. seq
+    numbers the scheduled fire, so a reset can supersede the one queued."""
 
-    interval_min_ms: float
-    max_doublings: int
-    redundancy_k: int
-    current_interval_ms: float
+    doublings: int = 0
     counter: int = 0  # consistent DIOs heard this interval
     seq: int = 0
-
-    @property
-    def interval_max_ms(self) -> float:
-        return self.interval_min_ms * 2**self.max_doublings
 
 
 DEAD_LINK_WINDOW = 8  # consecutive failed attempts before sampling etx_max
@@ -190,24 +184,22 @@ def dio_changes_nothing(state: NodeState, sender: int, rank: float) -> bool:
     return state.rank is not None and state.rank <= rank and state.default_parent != sender
 
 
-def trickle_fire(trickle: TrickleState) -> tuple[bool, float]:
-    """Advance the trickle timer at interval expiry.
+def trickle_fire(trickle: TrickleState, redundancy_k: int, max_doublings: int) -> bool:
+    """Advance the trickle timer at interval expiry; return whether to emit.
 
-    The interval doubles (capped), and the node emits only while fewer than
-    redundancy_k consistent messages were heard; an inconsistency resets the
-    timer through process_dis instead.
+    The interval doubles, up to max_doublings levels above the minimum, and
+    the node emits only while fewer than redundancy_k consistent messages
+    were heard; an inconsistency resets the timer through process_dis instead.
     """
-    emit = trickle.counter < trickle.redundancy_k
-    trickle.current_interval_ms = min(
-        trickle.current_interval_ms * 2.0, trickle.interval_max_ms
-    )
+    emit = trickle.counter < redundancy_k
+    trickle.doublings = min(trickle.doublings + 1, max_doublings)
     trickle.counter = 0
-    return emit, trickle.current_interval_ms
+    return emit
 
 
 def process_dis(trickle: TrickleState) -> None:
     """A solicitation resets the receiver's trickle so a DIO follows promptly."""
-    trickle.current_interval_ms = trickle.interval_min_ms
+    trickle.doublings = 0
     trickle.counter = 0
 
 

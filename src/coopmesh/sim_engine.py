@@ -319,13 +319,21 @@ class ScenarioConfig:
                     f" [{LINK_SNR_DB[0]:g}, {LINK_SNR_DB[1]:g}] dB",
                     LINK_BUDGET_FIELDS + fields,
                 )
-        for name in ("trickle_imin_ms", "dis_timeout_ms"):
-            if not math.isfinite(getattr(self, name) / self.slot_ms):
+        try:  # the longest trickle interval, the last of trickle_slots()
+            longest_ms = math.ldexp(self.trickle_imin_ms, self.trickle_doublings)
+        except OverflowError:
+            longest_ms = math.inf
+        for name, ms, fields in (
+            ("trickle_imin_ms", self.trickle_imin_ms, ("trickle_imin_ms",)),
+            ("dis_timeout_ms", self.dis_timeout_ms, ("dis_timeout_ms",)),
+            ("trickle_imin_ms * 2**trickle_doublings", longest_ms,
+             ("trickle_doublings", "trickle_imin_ms")),
+        ):
+            if not math.isfinite(ms / self.slot_ms):
                 raise FieldError(
-                    f"{name} / slot_ms overflows: too many slots to count",
-                    (name, "slot_ms"),
+                    f"{name} / slot_ms overflows: too many slots to count", fields + ("slot_ms",)
                 )
-        imin = self.ms_to_slots(self.trickle_imin_ms)
+        imin = self.trickle_slots()[0]
         if self.ms_to_slots(self.dis_timeout_ms) < imin:
             # each DIS resets its neighbors' trickle timers, so the
             # gateway's first DIO keeps moving out and nothing joins
@@ -349,6 +357,14 @@ class ScenarioConfig:
 
     def ms_to_slots(self, ms: float) -> int:
         return max(1, round(ms / self.slot_ms))
+
+    def trickle_slots(self) -> tuple[int, ...]:
+        """Each trickle level's slot count: level d is trickle_imin_ms doubled
+        d times. A method, not a cached attribute, so __dict__ holds fields alone."""
+        return tuple(
+            self.ms_to_slots(math.ldexp(self.trickle_imin_ms, d))
+            for d in range(self.trickle_doublings + 1)
+        )
 
     @property
     def effective_intensity(self) -> float:
@@ -532,17 +548,9 @@ class Simulation:
             p.node_id: NodeState(p.node_id) for p in self.placements
         }
         self.states[GATEWAY_ID].rank = 0.0
-        self.trickles = {
-            node: TrickleState(
-                config.trickle_imin_ms, config.trickle_doublings,
-                config.trickle_redundancy_k, config.trickle_imin_ms,
-            )
-            for node in self.states
-        }
-        self.trickle_imin_slots = config.ms_to_slots(config.trickle_imin_ms)
+        self.trickles = {node: TrickleState() for node in self.states}
+        self.trickle_slots = config.trickle_slots()
         self.dis_timeout_slots = config.ms_to_slots(config.dis_timeout_ms)
-        # trickle interval (ms) -> its slot count, filled as intervals occur
-        self.interval_slots: dict[float, int] = {}
         self.active_weights = config.active_weights()
         self.etx_table: dict[tuple[int, int], EtxEstimate] = {}
         self.etx_max = config.etx_max
@@ -622,18 +630,17 @@ class Simulation:
         trickle = self.trickles[node]
         process_dis(trickle)  # interval back to minimum
         trickle.seq += 1
-        self.push(slot + self.trickle_imin_slots, EventKind.TRICKLE_FIRE, (node, trickle.seq))
+        self.push(slot + self.trickle_slots[0], EventKind.TRICKLE_FIRE, (node, trickle.seq))
 
     def _handle_trickle_fire(self, slot: int, payload) -> None:
         node, seq = payload
         trickle = self.trickles[node]
         if seq != trickle.seq:
             return  # superseded by a reset
-        emit, next_ms = trickle_fire(trickle)
+        config = self.config
+        emit = trickle_fire(trickle, config.trickle_redundancy_k, config.trickle_doublings)
         trickle.seq += 1
-        slots = self.interval_slots.get(next_ms)
-        if slots is None:
-            slots = self.interval_slots[next_ms] = self.config.ms_to_slots(next_ms)
+        slots = self.trickle_slots[trickle.doublings]
         self.push(slot + slots, EventKind.TRICKLE_FIRE, (node, trickle.seq))
         if emit and self.states[node].joined:
             self.push(slot, EventKind.DIO_TX, node)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from coopmesh import cli, sim_engine
+from coopmesh import cli, forwarding, sim_engine
 from coopmesh.cli import (
     ConfigError,
     SweepSpec,
@@ -330,27 +330,59 @@ def test_link_budget_and_intensity_rules_name_a_line(text, line):
         parse_scenario_text(text)
 
 
-# a quotient of in-bound values that overflows to infinity slots
+# in-bound values whose quotient overflows to infinity slots: Imin or the
+# DIS timeout over slot_ms, or the longest trickle interval, Imin doubled
+# trickle_doublings times (up to 1017 doublings pass at the default Imin)
+IMIN_OVERFLOW = "trickle_imin_ms / slot_ms overflows"
+DIS_OVERFLOW = "dis_timeout_ms / slot_ms overflows"
+LONGEST_OVERFLOW = "trickle_imin_ms * 2**trickle_doublings / slot_ms overflows"
+LONGEST_FIELDS = ("trickle_doublings", "trickle_imin_ms", "slot_ms")
+
+
 @pytest.mark.parametrize(
-    "text, name",
+    "text, line, changes, message, fields",
     [
-        ("[scenario]\nslot_ms = 1e-300\n[rpl]\ntrickle_imin_ms = 1e300\n", "trickle_imin_ms"),
-        ("[scenario]\nslot_ms = 1e-300\n[rpl]\ndis_timeout_ms = 1e300\n", "dis_timeout_ms"),
-        ("[rpl]\ntrickle_imin_ms = 1e300\n[scenario]\nslot_ms = 1e-300\n", "trickle_imin_ms"),
-        ("[rpl]\ndis_timeout_ms = 1e300\n[scenario]\nslot_ms = 1e-300\n", "dis_timeout_ms"),
+        ("[scenario]\nslot_ms = 1e-300\n[rpl]\ntrickle_imin_ms = 1e300\n", 4,
+         {"trickle_imin_ms": 1e300, "slot_ms": 1e-300}, IMIN_OVERFLOW,
+         ("trickle_imin_ms", "slot_ms")),
+        ("[scenario]\nslot_ms = 1e-300\n[rpl]\ndis_timeout_ms = 1e300\n", 4,
+         {"dis_timeout_ms": 1e300, "slot_ms": 1e-300}, DIS_OVERFLOW,
+         ("dis_timeout_ms", "slot_ms")),
+        ("[rpl]\ntrickle_imin_ms = 1e300\n[scenario]\nslot_ms = 1e-300\n", 4,
+         {"trickle_imin_ms": 1e300, "slot_ms": 1e-300}, IMIN_OVERFLOW,
+         ("trickle_imin_ms", "slot_ms")),
+        ("[rpl]\ndis_timeout_ms = 1e300\n[scenario]\nslot_ms = 1e-300\n", 4,
+         {"dis_timeout_ms": 1e300, "slot_ms": 1e-300}, DIS_OVERFLOW,
+         ("dis_timeout_ms", "slot_ms")),
+        ("[rpl]\ntrickle_doublings = 1024\n", 2,
+         {"trickle_doublings": 1024}, LONGEST_OVERFLOW, LONGEST_FIELDS),
+        ("[rpl]\ntrickle_doublings = 1018\n", 2,
+         {"trickle_doublings": 1018}, LONGEST_OVERFLOW, LONGEST_FIELDS),
+        ("[rpl]\ntrickle_doublings = 10000000000000000000000\n", 2,
+         {"trickle_doublings": 10**22}, LONGEST_OVERFLOW, LONGEST_FIELDS),
+        ("[rpl]\ntrickle_doublings = 1000\ntrickle_imin_ms = 1e20\n", 3,
+         {"trickle_doublings": 1000, "trickle_imin_ms": 1e20}, LONGEST_OVERFLOW,
+         LONGEST_FIELDS),
+        ("[rpl]\ntrickle_doublings = 1000\n[scenario]\nslot_ms = 1e-300\n", 4,
+         {"trickle_doublings": 1000, "slot_ms": 1e-300}, LONGEST_OVERFLOW, LONGEST_FIELDS),
     ],
-    ids=["imin-after-slot", "dis-after-slot", "slot-after-imin", "slot-after-dis"],
+    ids=["imin-after-slot", "dis-after-slot", "slot-after-imin", "slot-after-dis",
+         "doublings-1024", "doublings-1018", "doublings-huge", "imin-after-doublings",
+         "slot-after-doublings"],
 )
-def test_slot_count_overflow_is_a_config_error(text, name, tmp_path, capsys):
-    with pytest.raises(FieldError, match="overflows") as caught:
-        ScenarioConfig(**{name: 1e300, "slot_ms": 1e-300})
-    assert set(caught.value.fields) == {name, "slot_ms"}
-    with pytest.raises(ConfigError, match=f"line 4: {name} / slot_ms overflows"):
+def test_slot_count_overflow_is_a_config_error(
+    text, line, changes, message, fields, tmp_path, capsys
+):
+    with pytest.raises(FieldError, match=re.escape(message)) as caught:
+        ScenarioConfig(**changes)
+    assert set(caught.value.fields) == set(fields)
+    with pytest.raises(ConfigError, match=f"line {line}: {re.escape(message)}"):
         parse_scenario_text(text)
     cfg_path = tmp_path / "overflow.cfg"
     cfg_path.write_text(text)
     assert main(["--config", str(cfg_path), "--quiet"]) == 1
-    assert "line 4" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"config error: line {line}: " in err and "Traceback" not in err
 
 
 def test_help_epilog_quotes_scenario_defaults():
@@ -445,6 +477,16 @@ def link_budgets(draw, region_side):
     return budget
 
 
+def most_doublings(trickle_imin_ms, slot_ms):
+    """The most trickle doublings ScenarioConfig accepts at trickle_imin_ms
+    and slot_ms: the longest interval, trickle_imin_ms * 2**doublings, and
+    its slot count must be finite floats."""
+    doublings = 1024 - math.frexp(trickle_imin_ms)[1]  # the last finite power
+    while not math.isfinite(math.ldexp(trickle_imin_ms, doublings) / slot_ms):
+        doublings -= 1
+    return doublings
+
+
 @st.composite
 def valid_configs(draw, sides=st.floats(min_value=1e-6, max_value=1e6)):
     positive = st.floats(min_value=1e-6, max_value=1e6)
@@ -498,7 +540,11 @@ def valid_configs(draw, sides=st.floats(min_value=1e-6, max_value=1e6)):
         etx_max=draw(st.floats(min_value=1.0, max_value=1e3)),
         hysteresis=draw(st.floats(min_value=0.0, max_value=10.0)),
         trickle_imin_ms=trickle_imin_ms,
-        trickle_doublings=draw(st.integers(0, 16)),
+        # short schedules, as a run uses, and any up to the longest the
+        # config accepts
+        trickle_doublings=draw(
+            st.integers(0, 16) | st.integers(0, most_doublings(trickle_imin_ms, slot_ms))
+        ),
         trickle_redundancy_k=draw(st.integers(1, 100)),
         dis_timeout_ms=trickle_imin_ms + draw(st.floats(min_value=slot_ms, max_value=1e4)),
         sweep_axis=axis,
@@ -512,13 +558,27 @@ def test_render_then_parse_is_identity(cfg):
     assert parse_scenario_text(render_scenario(cfg)) == cfg
 
 
+# the link budget and range fields of the default channel
+DEFAULT_CHANNEL = {
+    name: getattr(ScenarioConfig(), name)
+    for name in (*sim_engine.LINK_BUDGET_FIELDS, "tx_range_m", "sinr_threshold_db",
+                 "reference_distance")
+}
+
+
 @st.composite
 def runnable_configs(draw):
     """valid_configs() cut down to runs of well under a second: a region of
     at most 150 m holding about 30 meters at most, at most 50 packets sent
     within 200 slots, and a warmup of at most 2,000 slots past the
-    gateway's first DIO. Every other field is valid_configs()' draw."""
+    gateway's first DIO. About half the draws replace the drawn channel by
+    the default link budget at an LSR in [0.3, 0.9], where links fail and
+    relays forward; a drawn budget mostly gives links that never fail.
+    Every other field is valid_configs()' draw."""
     cfg = draw(valid_configs(st.floats(min_value=10.0, max_value=150.0)))
+    if draw(st.booleans()):
+        lsr = draw(st.floats(min_value=0.3, max_value=0.9))
+        cfg = replace(cfg, **DEFAULT_CHANNEL, lsr_value=lsr)
     meters = draw(st.floats(min_value=1.0, max_value=30.0))
     imin_slots = cfg.ms_to_slots(cfg.trickle_imin_ms)
     window = cfg.traffic_window_slots
@@ -561,6 +621,34 @@ def test_generated_configs_run_soundly(cfg):
     for delay in (report.mean_delay_slots, report.mean_delay_ms):
         assert (delay is None) == (report.delivered == 0)
         assert delay is None or (math.isfinite(delay) and delay >= 0)
+
+
+def test_generated_configs_reach_the_loss_paths(monkeypatch):
+    # the property tests over runnable_configs() are not vacuous: over a
+    # fixed sample of drawn configs, run as coop_rpl, some run retransmits
+    # and some hop is delivered by the relay that overheard it
+    retransmitted = []
+    relayed = []
+    hop = forwarding.forward_hop
+
+    def counting_hop(*args):
+        outcome = hop(*args)
+        relayed.append(outcome.delivered_by_relay)
+        return outcome
+
+    monkeypatch.setattr(forwarding, "forward_hop", counting_hop)
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(runnable_configs())
+    def run(cfg):
+        try:
+            report = sim_engine.run_scenario(replace(cfg, protocol=Protocol.COOP_RPL))
+        except DisconnectedRootError:
+            return  # placement found no meter in the gateway's range
+        retransmitted.append(report.mean_retransmissions > 0)
+
+    run()
+    assert any(retransmitted) and any(relayed)
 
 
 @settings(max_examples=10, deadline=None)

@@ -155,7 +155,7 @@ def test_hop_path_state_is_slotted():
         LinkLayer(ch, seed=1, packet_id=0),
         NodeState(1),
         EtxEstimate(1.0),
-        TrickleState(100.0, 3, 1, 100.0),
+        TrickleState(),
     )
     for obj in instances:
         assert not hasattr(obj, "__dict__"), type(obj).__name__

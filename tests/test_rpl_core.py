@@ -183,56 +183,59 @@ def test_parent_set_invariants_hold_after_every_dio(history, hysteresis):
         assert state.rank == state.parent_set[state.default_parent].cost
 
 
-def trickle(current_interval_ms=100.0):
-    """Imin 100 ms, 8 doublings, k = 10 (RFC 6206's example values)."""
-    return TrickleState(100.0, 8, 10, current_interval_ms)
+# RFC 6206's example values: at most 8 doublings, k = 10
+MAX_DOUBLINGS = 8
+REDUNDANCY_K = 10
+
+
+def fire(trickle):
+    return trickle_fire(trickle, REDUNDANCY_K, MAX_DOUBLINGS)
 
 
 def test_trickle_consistent_doubles_interval():
-    t = trickle()
-    emit, nxt = trickle_fire(t)
-    assert emit is True
-    assert nxt == 200.0
+    t = TrickleState()
+    assert fire(t) is True
+    assert t.doublings == 1
 
 
 def test_trickle_inconsistent_resets_and_emits():
     # an inconsistency reaches the timer as process_dis: back to the
     # minimum interval, counter cleared, so the next fire emits even after
     # a suppressed interval
-    t = trickle(current_interval_ms=6400.0)
-    for _ in range(10):
+    t = TrickleState(doublings=6)
+    for _ in range(REDUNDANCY_K):
         t.counter += 1  # a consistent DIO heard
     process_dis(t)
-    assert (t.current_interval_ms, t.counter) == (100.0, 0)
-    emit, nxt = trickle_fire(t)
-    assert emit is True
-    assert nxt == 200.0
+    assert (t.doublings, t.counter) == (0, 0)
+    assert fire(t) is True
+    assert t.doublings == 1
 
 
 def test_trickle_suppression_with_saturated_counter():
-    t = trickle()
-    for _ in range(10):
+    t = TrickleState()
+    for _ in range(REDUNDANCY_K):
         t.counter += 1  # a consistent DIO heard
-    emit, nxt = trickle_fire(t)
-    assert emit is False
-    assert nxt == 200.0
+    assert fire(t) is False
+    assert t.doublings == 1
     assert t.counter == 0
 
 
 def test_trickle_interval_stays_bounded():
-    t = trickle()
-    for _ in range(20):
-        _, interval = trickle_fire(t)
-        assert 100.0 <= interval <= 100.0 * 2**8
-    assert t.current_interval_ms == 100.0 * 2**8
+    t = TrickleState()
+    for expected in [*range(1, MAX_DOUBLINGS + 1), *[MAX_DOUBLINGS] * 12]:
+        fire(t)
+        assert t.doublings == expected
+    # a timer that never doubles stays at its minimum
+    flat = TrickleState()
+    trickle_fire(flat, REDUNDANCY_K, 0)
+    assert flat.doublings == 0
 
 
 def test_dis_emission_and_trickle_reset_on_receipt():
-    receiver = trickle(current_interval_ms=3200.0)
-    receiver.counter = 5
+    receiver = TrickleState(doublings=5, counter=5, seq=3)
     process_dis(receiver)
-    assert receiver.current_interval_ms == receiver.interval_min_ms
-    assert receiver.counter == 0
+    assert (receiver.doublings, receiver.counter) == (0, 0)
+    assert receiver.seq == 3  # the run renumbers the fire it queues
 
 
 def _joined(node_id, rank, parent):

@@ -25,6 +25,7 @@ from coopmesh.rpl_core import (
     TrickleState,
     ancestor_chain,
     process_dio,
+    trickle_fire,
     update_children_and_connections,
 )
 from coopmesh.sim_engine import (
@@ -267,9 +268,13 @@ def test_run_parameters_have_no_default_outside_scenario_config():
         ]
 
     assert defaulted(dataclasses.fields(NetworkView)) == []
-    timer = ("interval_min_ms", "max_doublings", "redundancy_k", "current_interval_ms")
-    assert not set(defaulted(dataclasses.fields(TrickleState))) & set(timer)
+    # a trickle timer is three integers of its own state; the config holds
+    # every parameter and each level's slot count
+    timer = [(f.name, f.type) for f in dataclasses.fields(TrickleState)]
+    assert timer == [("doublings", "int"), ("counter", "int"), ("seq", "int")]
+    assert not {name for name, _ in timer} & {f.name for f in dataclasses.fields(ScenarioConfig)}
     for fn, names in (
+        (trickle_fire, ("redundancy_k", "max_doublings")),
         (process_dio, ("hysteresis",)),
         (EtxEstimate.observe, ("etx_max",)),
         (run_selection, ("weights", "interferers")),
@@ -406,8 +411,8 @@ def packet_records(cfg):
 
 # default-size fields where coop_rpl's relays forward on many hops: the
 # default physical channel, LSR 0.5 calibrated, LSR 0.6 uniform, and
-# density 1.4 at LSR 0.7. A runnable_configs() draw often has links that
-# never fail, and there no relay forwards whatever the protocol.
+# density 1.4 at LSR 0.7. A runnable_configs() draw is a small network, so
+# its relays forward on few runs.
 COOPERATING_CHANNELS = (
     {},
     {"lsr_value": 0.5},
@@ -774,25 +779,36 @@ def test_only_a_traced_run_queues_dao_events(monkeypatch, protocol):
     assert untraced == traced
 
 
+def test_trickle_levels_are_the_configs_slot_table():
+    # each level rounds its own interval, not a doubled rounding (4, 8, ...),
+    # and a run binds the table its config's formation rules read
+    cfg = ScenarioConfig(trickle_imin_ms=35.0, trickle_doublings=5)
+    assert cfg.trickle_slots() == (4, 7, 14, 28, 56, 112)
+    assert Simulation(cfg).trickle_slots == cfg.trickle_slots()
+
+
 @settings(max_examples=25, deadline=None)
 @given(cfg=runnable_configs())
 def test_every_trickle_fire_lands_its_interval_later(cfg):
-    # the fire a handled fire queues lands ms_to_slots(interval) later, the
-    # one rounding rule, however the slot counts are looked up
-    intervals = []  # the interval of the fire being handled
+    # the fire a handled fire queues lands its level's interval later: Imin
+    # doubled once per fire since the last reset, capped at
+    # trickle_doublings, and rounded to slots by the one rounding rule
+    levels = []  # the level of the fire being handled
     fires = []
     with pytest.MonkeyPatch.context() as mp:
         fire = sim_engine.trickle_fire
         push = Simulation.push
 
-        def recording(trickle):
-            emit, next_ms = fire(trickle)
-            intervals.append(next_ms)
-            return emit, next_ms
+        def recording(trickle, redundancy_k, max_doublings):
+            emit = fire(trickle, redundancy_k, max_doublings)
+            levels.append(trickle.doublings)
+            return emit
 
         def checking(sim, slot, kind, payload=None):
-            if kind is EventKind.TRICKLE_FIRE and intervals:
-                assert slot == sim.now + cfg.ms_to_slots(intervals.pop())
+            if kind is EventKind.TRICKLE_FIRE and levels:
+                level = levels.pop()
+                interval_ms = cfg.trickle_imin_ms * 2.0 ** min(level, cfg.trickle_doublings)
+                assert slot == sim.now + cfg.ms_to_slots(interval_ms)
                 fires.append(slot)
             push(sim, slot, kind, payload)
 
@@ -802,7 +818,7 @@ def test_every_trickle_fire_lands_its_interval_later(cfg):
             run_scenario(cfg)
         except DisconnectedRootError:
             return  # placement found no meter in the gateway's range
-    assert fires and not intervals
+    assert fires and not levels
 
 
 @pytest.mark.parametrize("protocol", list(Protocol))
