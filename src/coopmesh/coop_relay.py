@@ -26,6 +26,12 @@ class RoutingClass(Enum):
     BEST_EFFORT = "best_effort"
 
 
+# Python 3.10 and 3.11 read a member off an Enum class through the slow
+# EnumType.__getattr__ hook; run_selection reads these names instead
+_CLASS_A, _CLASS_B, _CLASS_C = RoutingClass.CLASS_A, RoutingClass.CLASS_B, RoutingClass.CLASS_C
+_BEST_EFFORT = RoutingClass.BEST_EFFORT
+
+
 @dataclass(frozen=True)
 class RateWeights:
     w_sinr: float
@@ -225,10 +231,10 @@ def run_selection(
     compute_sinr = channel.compute_sinr
     nac_s, nch_s = sender.active_connections, len(sender.children)
     etx_s_d = etx_of(s, parent)
-    best_effort = routing_class is RoutingClass.BEST_EFFORT
-    test_a = best_effort or routing_class is RoutingClass.CLASS_A
-    test_b = best_effort or routing_class is RoutingClass.CLASS_B
-    test_c = best_effort or routing_class is RoutingClass.CLASS_C
+    best_effort = routing_class is _BEST_EFFORT
+    test_a = best_effort or routing_class is _CLASS_A
+    test_b = best_effort or routing_class is _CLASS_B
+    test_c = best_effort or routing_class is _CLASS_C
     # compute_sinr sums the interference in this set's order
     others = frozenset(t for t in interferers if t != s) if interferers else interferers
     direct = compute_sinr(parent, s, others) if test_a else None

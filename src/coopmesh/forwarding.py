@@ -39,6 +39,11 @@ class PacketStatus(Enum):
     DROPPED = "dropped"
 
 
+# Python 3.10 and 3.11 read a member off an Enum class through the slow
+# EnumType.__getattr__ hook; advance_one_hop reads these names instead
+_DELIVERED, _DROPPED = PacketStatus.DELIVERED, PacketStatus.DROPPED
+
+
 @dataclass(slots=True)
 class Packet:
     packet_id: int
@@ -245,7 +250,7 @@ def advance_one_hop(
     holder = packet.current_holder
     parent = net.states[holder].default_parent
     if parent is None:
-        packet.status = PacketStatus.DROPPED
+        packet.status = _DROPPED
         packet.drop_reason = "no-route"
         return None
     receivers = net.fsets.get(holder, (parent,))
@@ -275,16 +280,16 @@ def advance_one_hop(
         packet.relay_hops += 1
     packet.retransmissions += attempts - 1 + relay_attempts
     if not delivered:
-        packet.status = PacketStatus.DROPPED
+        packet.status = _DROPPED
         packet.drop_reason = "link-failure"
         return outcome
     packet.hop_count += 1
     packet.current_holder = receiver
     if receiver == net.gateway:
-        packet.status = PacketStatus.DELIVERED
+        packet.status = _DELIVERED
         packet.delivered_slot = slot + slots
     elif receiver in packet.visited:
-        packet.status = PacketStatus.DROPPED
+        packet.status = _DROPPED
         packet.drop_reason = "loop"
     else:
         packet.visited.add(receiver)

@@ -22,6 +22,11 @@ class Decision(Enum):
     IGNORE = "ignore"
 
 
+# Python 3.10 and 3.11 read a member off an Enum class through the slow
+# EnumType.__getattr__ hook; per-event code reads these names instead
+_JOIN, _UPDATE, _IGNORE = Decision.JOIN, Decision.UPDATE, Decision.IGNORE
+
+
 @dataclass(slots=True)
 class TrickleState:
     """One node's DIO timer (RFC 6206): its interval is Imin doubled
@@ -61,7 +66,9 @@ class EtxEstimate:
         else:
             return
         self.pending_attempts = 0
-        self.etx = min(etx_max, (1.0 - EWMA_ALPHA) * self.etx + EWMA_ALPHA * sample)
+        etx = (1.0 - EWMA_ALPHA) * self.etx + EWMA_ALPHA * sample
+        # min(etx_max, etx) without the call: the same value, ties and NaN included
+        self.etx = etx if etx < etx_max else etx_max
 
 
 class ParentEntry(NamedTuple):
@@ -147,7 +154,7 @@ def process_dio(
     if state.rank is None:  # not joined
         state.parent_set[sender] = _new_tuple(ParentEntry, (rank, link_etx))
         _adopt_best_parent(state)
-        return Decision.JOIN
+        return _JOIN
 
     candidate = compute_rank(rank, link_etx)
     is_parent = sender == state.default_parent
@@ -163,17 +170,21 @@ def process_dio(
             _adopt_best_parent(state)
         else:
             state.rank = None
-        return Decision.UPDATE
+        return _UPDATE
 
     if candidate < state.rank - hysteresis:
         _adopt_best_parent(state)
-        return Decision.UPDATE
+        return _UPDATE
 
     if is_parent:
-        # same position, refreshed cost: rank increases must still propagate
+        # same position, refreshed cost: rank increases must still propagate.
+        # Every other entry already ranks below the old rank, so only a fall
+        # can leave one to prune
+        old_rank = state.rank
         state.rank = state.parent_set[sender].cost
-        _prune_parent_set(state)
-    return Decision.IGNORE
+        if state.rank < old_rank:
+            _prune_parent_set(state)
+    return _IGNORE
 
 
 def dio_changes_nothing(state: NodeState, sender: int, rank: float) -> bool:

@@ -14,9 +14,10 @@ A heap entry is a plain tuple ``(slot, priority, event_id, kind, payload)``.
 the first three fields and never reaches ``kind`` or ``payload``, which need
 not be orderable at all.
 
-Packet arrivals are generated up front as arrays and queued one at a time,
-each handled arrival queuing the next, so the heap holds at most one; a hop
-event's payload is its ``Packet``. An arrival sorts after the hops of its
+Packet arrivals are generated up front as numpy arrays, which the loop reads
+through ``array('q')`` copies, and queued one at a time, each handled
+arrival queuing the next, so the heap holds at most one; a hop event's
+payload is its ``Packet``. An arrival sorts after the hops of its
 slot and runs its packet's first hop when handled, so a first hop never
 enters the heap. See ``Simulation.run_traffic``.
 
@@ -34,6 +35,7 @@ from __future__ import annotations
 import heapq
 import math
 import types
+from array import array
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -223,6 +225,19 @@ class EventKind(Enum):
     # queues another in its own slot
     HOP_ATTEMPT = 4
     PACKET_GEN = 5
+
+
+# Python 3.10 and 3.11 read a member off an Enum class through the slow
+# EnumType.__getattr__ hook; per-event code reads these names instead
+_TRICKLE_FIRE, _DIO_TX, _DIS_TX, _DAO_TX = (
+    EventKind.TRICKLE_FIRE, EventKind.DIO_TX, EventKind.DIS_TX, EventKind.DAO_TX
+)
+_HOP_ATTEMPT, _PACKET_GEN = EventKind.HOP_ATTEMPT, EventKind.PACKET_GEN
+_COOP_RPL, _OPP_RPL = Protocol.COOP_RPL, Protocol.OPP_RPL
+_IN_FLIGHT, _DELIVERED, _DROPPED = (
+    PacketStatus.IN_FLIGHT, PacketStatus.DELIVERED, PacketStatus.DROPPED
+)
+_IGNORE = Decision.IGNORE
 
 
 @dataclass(frozen=True)
@@ -426,7 +441,7 @@ class MetricsReport:
                 raise ValueError("pdr must equal delivered/sent")
 
 
-@dataclass
+@dataclass(slots=True)
 class MetricsTally:
     """Integer running totals of the packets folded in so far.
 
@@ -447,10 +462,10 @@ class MetricsTally:
     def fold(self, packet: Packet) -> None:
         self.sent += 1
         self.retransmissions += packet.retransmissions
-        if packet.status is PacketStatus.DELIVERED:
+        if packet.status is _DELIVERED:
             self.delivered += 1
             self.delay_slots += packet.delay_slots
-        elif packet.status is PacketStatus.DROPPED:
+        elif packet.status is _DROPPED:
             self.dropped += 1
 
     def report(
@@ -481,6 +496,14 @@ class MetricsTally:
             total_nodes=total_nodes,
             formation_slots=formation_slots,
         )
+
+
+def _int_array(values: np.ndarray) -> array:
+    """values' items, as int64, in an array('q'), copied from values' own
+    buffer with no bytes object in between."""
+    items = array("q")
+    items.frombytes(memoryview(values.astype(np.int64, copy=False)).cast("B"))
+    return items
 
 
 def generate_traffic(
@@ -630,7 +653,7 @@ class Simulation:
         trickle = self.trickles[node]
         process_dis(trickle)  # interval back to minimum
         trickle.seq += 1
-        self.push(slot + self.trickle_slots[0], EventKind.TRICKLE_FIRE, (node, trickle.seq))
+        self.push(slot + self.trickle_slots[0], _TRICKLE_FIRE, (node, trickle.seq))
 
     def _handle_trickle_fire(self, slot: int, payload) -> None:
         node, seq = payload
@@ -641,9 +664,9 @@ class Simulation:
         emit = trickle_fire(trickle, config.trickle_redundancy_k, config.trickle_doublings)
         trickle.seq += 1
         slots = self.trickle_slots[trickle.doublings]
-        self.push(slot + slots, EventKind.TRICKLE_FIRE, (node, trickle.seq))
+        self.push(slot + slots, _TRICKLE_FIRE, (node, trickle.seq))
         if emit and self.states[node].joined:
-            self.push(slot, EventKind.DIO_TX, node)
+            self.push(slot, _DIO_TX, node)
 
     def _refresh_relay(self, node: int, slot: int) -> None:
         transmitters = self.registry.get(slot)
@@ -663,9 +686,9 @@ class Simulation:
         """Rebuild what node's hops read: coop_rpl's relay, opp_rpl's
         forwarding set; an rpl hop reads the default parent alone."""
         protocol = self.config.protocol
-        if protocol is Protocol.COOP_RPL:
+        if protocol is _COOP_RPL:
             self._refresh_relay(node, slot)
-        elif protocol is Protocol.OPP_RPL:
+        elif protocol is _OPP_RPL:
             self.fsets[node] = build_forwarding_set(
                 self.states[node], self.states, self.channel, self.etx_of,
                 self.config.fset_size,
@@ -677,7 +700,7 @@ class Simulation:
         state = states[node]
         if not state.joined:
             return
-        if self.traffic_started and self.config.protocol is Protocol.COOP_RPL:
+        if self.traffic_started and self.config.protocol is _COOP_RPL:
             self._refresh_relay(node, slot)
         rank = state.rank
         if self.emit is not None:
@@ -693,7 +716,6 @@ class Simulation:
         trickles = self.trickles
         etx_of = self.etx_of
         hysteresis = self.config.hysteresis
-        ignore = Decision.IGNORE
         for neighbor in self.channel.neighbors(node):
             if neighbor == GATEWAY_ID:
                 continue
@@ -704,7 +726,7 @@ class Simulation:
                 continue
             was_parent = other.default_parent
             decision = process_dio(other, node, rank, etx_of(neighbor, node), hysteresis)
-            if decision is ignore:
+            if decision is _IGNORE:
                 trickles[neighbor].counter += 1
                 continue
             changed.append(neighbor)
@@ -714,7 +736,7 @@ class Simulation:
                 # children and connection counts read default parents only
                 self._move_counts(neighbor, was_parent)
                 if self.emit is not None:
-                    self.push(slot, EventKind.DAO_TX, neighbor)
+                    self.push(slot, _DAO_TX, neighbor)
         if self.traffic_started:
             for neighbor in changed:
                 self._refresh_route(neighbor, slot)
@@ -733,7 +755,7 @@ class Simulation:
                 self.emit({"slot": slot, "type": "DIS", "sender": node})
             for neighbor in self.channel.neighbors(node):
                 self._trickle_restart(neighbor, slot)
-        self.push(slot + timeout, EventKind.DIS_TX, node)
+        self.push(slot + timeout, _DIS_TX, node)
 
     def _handle_dao_tx(self, slot: int, payload) -> None:
         node = payload
@@ -753,13 +775,13 @@ class Simulation:
 
     def _handle_control(self, slot: int, kind: EventKind, payload) -> None:
         """Process one control-plane event; formation and traffic alike."""
-        if kind is EventKind.TRICKLE_FIRE:
+        if kind is _TRICKLE_FIRE:
             self._handle_trickle_fire(slot, payload)
-        elif kind is EventKind.DIO_TX:
+        elif kind is _DIO_TX:
             self._handle_dio_tx(slot, payload)
-        elif kind is EventKind.DIS_TX:
+        elif kind is _DIS_TX:
             self._handle_dis_tx(slot, payload)
-        elif kind is EventKind.DAO_TX:
+        elif kind is _DAO_TX:
             self._handle_dao_tx(slot, payload)
 
     # --- phases ---
@@ -771,7 +793,7 @@ class Simulation:
         self._trickle_restart(GATEWAY_ID, 0)
         for node in sorted(self.states):
             if node != GATEWAY_ID:
-                self.push(self.dis_timeout_slots, EventKind.DIS_TX, node)
+                self.push(self.dis_timeout_slots, _DIS_TX, node)
         # the gateway's trickle timer always has a fire queued, so the
         # queue never runs dry before one of the two limits is reached
         while True:
@@ -823,11 +845,14 @@ class Simulation:
         for node in sorted(sources):
             self._refresh_route(node, self.now)
         arrival_slots, arrival_sources = generate_traffic(cfg, sources, self.formation_slots)
-        # a stable sort keeps packet ids rising within a slot
-        arrivals = iter(np.argsort(arrival_slots, kind="stable"))
-        packet_gen = EventKind.PACKET_GEN
-        first = int(next(arrivals))
-        self.push(int(arrival_slots[first]), packet_gen, first)
+        # a stable sort keeps packet ids rising within a slot. The loop reads
+        # array('q') copies, whose items read as ints in less than half the
+        # time numpy's take; rebinding each name frees its numpy array at once
+        arrivals = iter(_int_array(np.argsort(arrival_slots, kind="stable")))
+        arrival_slots = _int_array(arrival_slots)
+        arrival_sources = _int_array(arrival_sources)
+        first = next(arrivals)
+        self.push(arrival_slots[first], _PACKET_GEN, first)
         tally = MetricsTally()
         net = self.network_view()
         queue = self.queue
@@ -835,11 +860,9 @@ class Simulation:
         # sim_engine.heapq installed before the run is used
         heappop = heapq.heappop
         push = self.push
-        hop_attempt = EventKind.HOP_ATTEMPT
-        in_flight = PacketStatus.IN_FLIGHT
         n_packets = cfg.n_packets
         registry = self.registry
-        trace_relays = self.emit is not None and cfg.protocol is Protocol.COOP_RPL
+        trace_relays = self.emit is not None and cfg.protocol is _COOP_RPL
         while tally.sent < n_packets:  # the queue never runs dry, as in formation
             slot, _, _, kind, payload = heappop(queue)
             if registry is not None and slot > self.now:
@@ -849,15 +872,15 @@ class Simulation:
                     registry.pop(past, None)
             self.now = slot
             # hop attempts are most of the traffic phase's events: test them first
-            if kind is hop_attempt:
+            if kind is _HOP_ATTEMPT:
                 packet = payload
-            elif kind is packet_gen:
-                source = int(arrival_sources[payload])
+            elif kind is _PACKET_GEN:
+                source = arrival_sources[payload]
                 link = LinkLayer(self.channel, cfg.seed, payload, registry)
                 packet = Packet(payload, source, slot, source, link=link)
                 following = next(arrivals, None)
                 if following is not None:
-                    push(int(arrival_slots[following]), packet_gen, int(following))
+                    push(arrival_slots[following], _PACKET_GEN, following)
             else:
                 self._handle_control(slot, kind, payload)
                 continue
@@ -878,8 +901,8 @@ class Simulation:
                     "selected": self.relay_for.get(holder),
                     "used": outcome.relay_used,
                 })
-            if packet.status is in_flight:
-                push(slot + outcome.slots_consumed, hop_attempt, packet)
+            if packet.status is _IN_FLIGHT:
+                push(slot + outcome.slots_consumed, _HOP_ATTEMPT, packet)
             else:
                 if self.emit is not None:
                     # the one kind without a "type"; adding one would
