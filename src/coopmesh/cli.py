@@ -28,13 +28,7 @@ from typing import Literal, Union, get_args, get_origin
 from . import sim_engine
 from .coop_relay import RateWeights, RoutingClass
 from .forwarding import Protocol
-from .sim_engine import (
-    _FIELD_TYPES,
-    SWEPT_FIELD,
-    FieldError,
-    MetricsReport,
-    ScenarioConfig,
-)
+from .sim_engine import _FIELD_TYPES, FieldError, MetricsReport, ScenarioConfig
 from .topology import DisconnectedRootError
 
 # a sweep's --seeds and --workers when not given; main applies them only
@@ -238,15 +232,13 @@ def render_scenario(config: ScenarioConfig) -> str:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    axis: str  # "lsr" or "density"
+    # run_sweep checks the axis and values, against the config they sweep
+    axis: Literal["lsr", "density"]
     values: tuple[float, ...]
     variants: tuple[tuple[Protocol, RoutingClass], ...]
     seeds: int
 
     def __post_init__(self):
-        # run_sweep checks the values, against the config they sweep
-        if self.axis not in SWEPT_FIELD:
-            raise ConfigError("sweep axis must be 'lsr' or 'density'")
         if self.seeds < 1:
             raise ConfigError("seeds must be >= 1")
 
@@ -266,21 +258,6 @@ def default_variants(
         else:
             variants.append((protocol, RoutingClass.BEST_EFFORT))
     return tuple(variants)
-
-
-def _variant_config(
-    base: ScenarioConfig, spec_axis: str, value: float, seed: int,
-    protocol: Protocol, routing_class: RoutingClass,
-) -> ScenarioConfig:
-    updates = {
-        "seed": seed,
-        "protocol": protocol,
-        "routing_class": routing_class,
-        "sweep_axis": None,
-        "sweep_values": (),
-        SWEPT_FIELD[spec_axis]: value,
-    }
-    return replace(base, **updates)
 
 
 def _fmt(value) -> str:
@@ -303,7 +280,9 @@ def _sweep_point(args) -> list[dict]:
     rows = []
     with sim_engine.shared_networks():
         for protocol, routing_class in variants:
-            config = _variant_config(base, axis, value, seed, protocol, routing_class)
+            config = base.swept(
+                axis, value, seed=seed, protocol=protocol, routing_class=routing_class
+            )
             row = {
                 "protocol": protocol.value,
                 "class": _class_token(protocol, routing_class),

@@ -9,10 +9,10 @@ forwarding sets) are kept fresh by one refresh rule. Events are processed
 by slot, then kind priority, then push order, so a replay with the same
 config and seed is bit-identical.
 
-A heap entry is a plain tuple ``(slot, priority, event_id, kind, payload)``.
-``event_id`` is unique per run, so tuple comparison is always settled within
-the first three fields and never reaches ``kind`` or ``payload``, which need
-not be orderable at all.
+A heap entry is a plain tuple ``(slot, kind, event_id, payload)``; an
+``EventKind`` is an int, its own same-slot priority. ``event_id`` is unique
+per run, so tuple comparison is always settled within the first three
+fields and never reaches ``payload``, which need not be orderable at all.
 
 Packet arrivals are generated up front as numpy arrays, which the loop reads
 through ``array('q')`` copies, and queued one at a time, each handled
@@ -39,7 +39,7 @@ from array import array
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from enum import Enum
+from enum import IntEnum
 from typing import Literal, NamedTuple, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -175,23 +175,11 @@ def bound_violation(name: str, value) -> str | None:
 
 # sweep axis -> the ScenarioConfig field each of its values sets
 SWEPT_FIELD = {"lsr": "lsr_value", "density": "density_ratio"}
+SWEEP_FIELDS = ("sweep_axis", "sweep_values")
 
-
-def sweep_violation(axis: str | None, values: tuple[float, ...]) -> str | None:
-    """Why sweeping axis over values is malformed, or None when it is sound.
-    Values must rise strictly; with an axis there must be some, and each
-    must pass the FIELD_BOUNDS entry of the field the axis sets."""
-    if any(a >= b for a, b in zip(values, values[1:])):
-        return "sweep values must be strictly increasing"
-    if axis is None:
-        return None
-    if not values:
-        return "sweep_axis needs nonempty sweep_values"
-    for value in values:
-        message = bound_violation(SWEPT_FIELD[axis], value)
-        if message is not None:
-            return f"sweep value {value!r}: {message}"
-    return None
+# arrival slots are int64: the window starts where formation ends, by
+# warmup_slots at the latest, so warmup_slots + window_slots bounds them
+MAX_ARRIVAL_SLOTS = 2**63
 
 
 def _fits(hint, value) -> bool:
@@ -214,8 +202,8 @@ def _fits(hint, value) -> bool:
     return isinstance(value, hint)
 
 
-class EventKind(Enum):
-    # enum values double as same-slot processing priority
+class EventKind(IntEnum):
+    # a kind is its own same-slot processing priority
     TRICKLE_FIRE = 0
     DIO_TX = 1
     DIS_TX = 2
@@ -293,27 +281,28 @@ class ScenarioConfig:
             message = bound_violation(name, getattr(self, name))
             if message is not None:
                 raise FieldError(message, (name,))
-        message = sweep_violation(self.sweep_axis, self.sweep_values)
-        if message is not None:
-            raise FieldError(message, ("sweep_axis", "sweep_values"))
-        densities = self.sweep_values if self.sweep_axis == "density" else ()
-        side = self.region_side
-        for name, ratios in (("density_ratio", (self.density_ratio,)), ("sweep_values", densities)):
-            # placement draws the meter count from the effective intensity,
-            # a Poisson count whose mean is that intensity times the area
-            if not all(0.0 < self.intensity * ratio < math.inf for ratio in ratios):
-                raise FieldError(
-                    f"the effective intensity, intensity * {name}, must be a positive"
-                    " finite number",
-                    ("intensity", name),
-                )
-            meters = max((self.intensity * ratio * side * side for ratio in ratios), default=0.0)
-            if meters > MAX_EXPECTED_METERS:
-                raise FieldError(
-                    f"the expected meter count, intensity * {name} * region_side**2,"
-                    f" is {meters:.4g}, above {MAX_EXPECTED_METERS:g}",
-                    ("intensity", name, "region_side"),
-                )
+        # placement draws the meter count from the effective intensity, a
+        # Poisson count whose mean is that intensity times the area
+        if not 0.0 < self.effective_intensity < math.inf:
+            raise FieldError(
+                "the effective intensity, intensity * density_ratio, must be a positive"
+                " finite number",
+                ("intensity", "density_ratio"),
+            )
+        meters = self.effective_intensity * self.region_side * self.region_side
+        if meters > MAX_EXPECTED_METERS:
+            raise FieldError(
+                f"the expected meter count, intensity * density_ratio * region_side**2,"
+                f" is {meters:.4g}, above {MAX_EXPECTED_METERS:g}",
+                ("intensity", "density_ratio", "region_side"),
+            )
+        if self.warmup_slots + self.window_slots > MAX_ARRIVAL_SLOTS:
+            window = "n_packets" if self.traffic_window_slots is None else "traffic_window_slots"
+            raise FieldError(
+                f"warmup_slots + the traffic window, which {window} sets, must be at most"
+                " 2**63 slots: arrival slots are drawn as int64",
+                ("warmup_slots", window),
+            )
         # placement draws coordinates at 53-bit resolution: two meters lie
         # about region_side * 2**-53 apart at the closest
         log_side, log_2 = math.log10(self.region_side), math.log10(2.0)
@@ -369,6 +358,33 @@ class ScenarioConfig:
                 "warmup_slots must not be fewer than the slots trickle_imin_ms rounds to",
                 ("warmup_slots", "trickle_imin_ms", "slot_ms"),
             )
+        # last: the base config has passed every other rule, so a value can
+        # only break a rule that reads the field it sets
+        values = self.sweep_values
+        if any(a >= b for a, b in zip(values, values[1:])):
+            raise FieldError("sweep values must be strictly increasing", SWEEP_FIELDS)
+        if self.sweep_axis is None:
+            return
+        if not values:
+            raise FieldError("sweep_axis needs nonempty sweep_values", SWEEP_FIELDS)
+        swept_field = SWEPT_FIELD[self.sweep_axis]
+        for value in values:
+            try:
+                self.swept(self.sweep_axis, value)
+            except FieldError as exc:
+                fields = tuple(
+                    name
+                    for f in exc.fields
+                    for name in (SWEEP_FIELDS if f == swept_field else (f,))
+                )
+                raise FieldError(f"sweep value {value!r}: {exc}", fields) from None
+
+    def swept(self, axis: str, value: float, **changes) -> ScenarioConfig:
+        """The config that value of a sweep on axis runs: value on the field
+        the axis sets, no sweep of its own, then changes."""
+        return replace(
+            self, sweep_axis=None, sweep_values=(), **{SWEPT_FIELD[axis]: value}, **changes
+        )
 
     def ms_to_slots(self, ms: float) -> int:
         return max(1, round(ms / self.slot_ms))
@@ -577,7 +593,7 @@ class Simulation:
         self.active_weights = config.active_weights()
         self.etx_table: dict[tuple[int, int], EtxEstimate] = {}
         self.etx_max = config.etx_max
-        # (slot, priority, event_id, kind, payload); see the module docstring
+        # (slot, kind, event_id, payload); see the module docstring
         self.queue: list[tuple] = []
         self.event_id = 0
         self.last_change_slot = 0
@@ -600,8 +616,7 @@ class Simulation:
 
     def push(self, slot: int, kind: EventKind, payload=None) -> None:
         self.event_id += 1
-        # _value_ skips the Python-level .value descriptor, once per event
-        heapq.heappush(self.queue, (slot, kind._value_, self.event_id, kind, payload))
+        heapq.heappush(self.queue, (slot, kind, self.event_id, payload))
 
     def _seed_etx(self, src: int, dst: int) -> EtxEstimate:
         p = self.channel.success_probability(src, dst)
@@ -804,7 +819,7 @@ class Simulation:
             if head_slot > cfg.warmup_slots:
                 self.formation_slots = cfg.warmup_slots
                 break
-            slot, _, _, kind, payload = heapq.heappop(self.queue)
+            slot, kind, _, payload = heapq.heappop(self.queue)
             self.now = slot
             self._handle_control(slot, kind, payload)
 
@@ -864,7 +879,7 @@ class Simulation:
         registry = self.registry
         trace_relays = self.emit is not None and cfg.protocol is _COOP_RPL
         while tally.sent < n_packets:  # the queue never runs dry, as in formation
-            slot, _, _, kind, payload = heappop(queue)
+            slot, kind, _, payload = heappop(queue)
             if registry is not None and slot > self.now:
                 # transmissions register at their own slot or later, and the
                 # registry is read at the current slot only

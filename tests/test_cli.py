@@ -330,6 +330,22 @@ def test_link_budget_and_intensity_rules_name_a_line(text, line):
         parse_scenario_text(text)
 
 
+# each formed the network, then ended in numpy's raw "high is out of bounds
+# for int64" when the arrival slots were drawn
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("[scenario]\ntraffic_window_slots = 10000000000000000000\nn_packets = 20\n", 2),
+        ("[scenario]\ntraffic_window_slots = 9223372036854775000\nwarmup_slots = 3000\n", 3),
+        ("[scenario]\n# a window of 2 * n_packets\nn_packets = 4611686018427387904\n", 3),
+    ],
+    ids=["window", "window-plus-warmup", "packets"],
+)
+def test_arrival_slot_rule_names_a_line(text, line):
+    with pytest.raises(ConfigError, match=f"line {line}: warmup_slots \\+ the traffic window"):
+        parse_scenario_text(text)
+
+
 # in-bound values whose quotient overflows to infinity slots: Imin or the
 # DIS timeout over slot_ms, or the longest trickle interval, Imin doubled
 # trickle_doublings times (up to 1017 doublings pass at the default Imin)
@@ -1064,7 +1080,9 @@ def test_main_puts_cli_sweep_values_through_the_config_rules(tmp_path, capsys):
     ])
     captured = capsys.readouterr()
     assert code == 1
-    assert captured.err.startswith("config error: --values: the effective intensity")
+    assert captured.err.startswith(
+        "config error: --values: sweep value 1e-322: the effective intensity"
+    )
     assert not out_csv.exists()
 
 

@@ -138,7 +138,7 @@ def test_every_rejection_is_a_field_error_naming_its_fields():
         ({"intensity": 1e200, "density_ratio": 1e200}, ("intensity", "density_ratio")),
         (
             {"intensity": 1e-200, "sweep_axis": "density", "sweep_values": (1e-200, 1.0)},
-            ("intensity", "sweep_values"),
+            ("intensity", "sweep_axis", "sweep_values"),
         ),
     ],
     ids=["underflow", "overflow", "sweep-underflow"],
@@ -164,7 +164,7 @@ def test_effective_intensity_must_be_a_positive_finite_number(changes, fields):
         (
             {"region_side": 1000.0, "intensity": 1.0, "sweep_axis": "density",
              "sweep_values": (0.5, 2.0)},
-            ("intensity", "sweep_values", "region_side"),
+            ("intensity", "sweep_axis", "sweep_values", "region_side"),
         ),
     ],
     ids=["intensity-1e300", "ratio", "sweep"],
@@ -181,6 +181,59 @@ def test_expected_meter_count_is_capped(changes, fields):
     ScenarioConfig(
         region_side=1000.0, intensity=0.5, sweep_axis="density", sweep_values=(0.5, 2.0)
     )
+
+
+def test_arrival_slots_fit_in_int64():
+    # numpy drew the window offsets and raised a raw "high is out of bounds
+    # for int64" after formation; a window just inside 2**63 could wrap when
+    # shifted to the end of formation, which is warmup_slots at the latest.
+    # The widest window accepted draws, shifted, inside int64.
+    widest = 2**63 - 3000
+    cfg = ScenarioConfig(warmup_slots=3000, traffic_window_slots=widest, n_packets=5)
+    slots, _ = generate_traffic(cfg, sources=[1, 2], start_slot=cfg.warmup_slots)
+    assert (slots >= cfg.warmup_slots).all()
+    with pytest.raises(FieldError, match="2\\*\\*63 slots") as info:
+        replace(cfg, traffic_window_slots=widest + 1)
+    assert info.value.fields == ("warmup_slots", "traffic_window_slots")
+    with pytest.raises(FieldError) as info:
+        ScenarioConfig(warmup_slots=3000, n_packets=2**62)  # a window of 2**63
+    assert info.value.fields == ("warmup_slots", "n_packets")
+
+
+# sweep values a point's rules reject: out of bound on either axis, tiny
+# enough that the effective intensity underflows, or huge enough to place
+# too many meters
+SWEEP_VALUES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-1.0, 0.0, 5e-324, 1e-322, 1e-200, 0.5, 0.9, 1.0, 1.5, 1e30, 1e300]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    base=runnable_configs(),
+    axis=st.sampled_from(sorted(sim_engine.SWEPT_FIELD)),
+    values=st.lists(SWEEP_VALUES, max_size=4).map(tuple),
+)
+def test_a_sweep_is_sound_exactly_when_its_points_are(base, axis, values):
+    point_errors = []
+    for value in values:
+        try:
+            base.swept(axis, value)
+        except FieldError as exc:
+            point_errors.append((value, exc))
+    rising = all(a < b for a, b in zip(values, values[1:]))
+    try:
+        replace(base, sweep_axis=axis, sweep_values=values)
+    except FieldError as exc:
+        assert not rising or not values or point_errors
+        # the parser points at the [sweep] lines, not at the field a value sets
+        assert "sweep_values" in exc.fields
+        assert sim_engine.SWEPT_FIELD[axis] not in exc.fields
+        if rising and values:
+            value, error = point_errors[0]
+            assert str(exc) == f"sweep value {value!r}: {error}"
+    else:
+        assert rising and values and not point_errors
 
 
 LINK_BUDGET = ("tx_power_w", "noise_floor_w", "reference_loss_db", "path_loss_exponent")
@@ -698,7 +751,7 @@ def test_events_pop_by_slot_then_kind_then_push_order():
         sim.push(slot, kind, payload)
     popped = []
     while sim.queue:
-        slot, _, _, kind, payload = heapq.heappop(sim.queue)
+        slot, kind, _, payload = heapq.heappop(sim.queue)
         popped.append((slot, kind, payload["n"]))
     assert popped == [
         (1, EventKind.HOP_ATTEMPT, 7),
@@ -835,7 +888,7 @@ def test_traffic_queues_one_arrival_at_a_time(protocol):
             arrivals.append(payload)
         elif kind is EventKind.HOP_ATTEMPT:
             assert isinstance(payload, Packet)
-        assert sum(entry[3] is EventKind.PACKET_GEN for entry in sim.queue) <= 1
+        assert sum(entry[1] is EventKind.PACKET_GEN for entry in sim.queue) <= 1
 
     sim.push = checking_push
     report = sim.run_traffic()
