@@ -1,8 +1,6 @@
-"""Command-line front end: scenario configs, sweeps, CSV output.
+"""Command-line front end: sweeps, CSV output, the protocol comparison.
 
-The config file is flat ``key = value`` text grouped into sections; every
-key is optional and unknown keys are rejected with their line number. A
-sweep fans (axis value, seed) points out to worker processes; each point
+A sweep fans (axis value, seed) points out to worker processes; each point
 runs every (protocol, class) variant as its own scenario, forming its own
 network on one placement and channel that the point's variants share
 (formation ignores the protocol, so every variant of a point sees the same
@@ -15,20 +13,20 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import statistics
 import sys
-import types
-from dataclasses import dataclass, fields as dataclass_fields, replace
-from enum import Enum
-from functools import partial
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Literal, Union, get_args, get_origin
+from typing import Literal
 
 from . import sim_engine
-from .coop_relay import RateWeights, RoutingClass
+from .config import (
+    SWEPT_FIELD, ConfigError, FieldError, ScenarioConfig, parse_scenario, render_scenario,
+    to_enum, to_values,
+)
+from .coop_relay import RoutingClass
 from .forwarding import Protocol
-from .sim_engine import _FIELD_TYPES, FieldError, MetricsReport, ScenarioConfig
+from .sim_engine import MetricsReport
 from .topology import DisconnectedRootError
 
 # a sweep's --seeds and --workers when not given; main applies them only
@@ -45,190 +43,6 @@ CSV_COLUMNS = [
 # the mean and stddev rows average
 METRIC_COLUMNS = CSV_COLUMNS[5:]
 
-class ConfigError(Exception):
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        prefix = f"line {line}: " if line is not None else ""
-        super().__init__(prefix + message)
-
-
-def _to_int(raw, line):
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"expected integer, got {raw!r}", line)
-
-
-def _to_float(raw, line):
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigError(f"expected number, got {raw!r}", line)
-    if not math.isfinite(value):
-        raise ConfigError(f"expected a finite number, got {raw!r}", line)
-    return value
-
-
-# the noun an unknown token of each enum is reported with
-_ENUM_NOUNS = {Protocol: "protocol", RoutingClass: "routing class"}
-
-
-def _to_enum(enum, raw, line=None):
-    """The member whose value is raw, case-insensitive."""
-    try:
-        return enum(raw.lower())
-    except ValueError:
-        raise ConfigError(f"unknown {_ENUM_NOUNS[enum]} {raw!r}", line)
-
-
-def _to_choice(choices, raw, line):
-    if raw not in choices:
-        raise ConfigError(f"expected one of {', '.join(choices)}, got {raw!r}", line)
-    return raw
-
-
-def _to_values(raw, line):
-    try:
-        values = tuple(float(v) for v in raw.split(",") if v.strip())
-    except ValueError:
-        raise ConfigError(f"expected comma-separated numbers, got {raw!r}", line)
-    if not all(math.isfinite(v) for v in values):
-        raise ConfigError(f"expected finite numbers, got {raw!r}", line)
-    if not values:
-        raise ConfigError("sweep values must be nonempty", line)
-    return values
-
-
-def _converter(hint):
-    """The converter for a ScenarioConfig field of annotation hint; an
-    optional field converts like its non-None part."""
-    if isinstance(hint, types.UnionType) or get_origin(hint) is Union:
-        (hint,) = [arg for arg in get_args(hint) if arg is not type(None)]
-    if get_origin(hint) is Literal:
-        return partial(_to_choice, get_args(hint))
-    if get_origin(hint) is tuple:  # tuple[float, ...]
-        return _to_values
-    if issubclass(hint, Enum):
-        return partial(_to_enum, hint)
-    return {int: _to_int, float: _to_float}[hint]
-
-
-# section -> its keys, in file order. A key names the ScenarioConfig field it
-# sets, except that [sweep] keys drop the field's "sweep_" prefix and the
-# [weights] keys together set one RateWeights.
-_SCHEMA = {
-    "scenario": (
-        "seed", "region_side", "intensity", "density_ratio", "protocol",
-        "routing_class", "p_coop", "max_retx", "relay_retx", "retx_wait_slots",
-        "fset_size", "n_packets", "warmup_slots", "traffic_window_slots",
-        "quiescence_slots", "slot_ms",
-    ),
-    "channel": (
-        "tx_power_w", "path_loss_exponent", "reference_loss_db", "noise_floor_w",
-        "tx_range_m", "sinr_threshold_db", "lsr_value", "lsr_mapping",
-        "reference_distance",
-    ),
-    "rpl": (
-        "etx_max", "hysteresis", "trickle_imin_ms", "trickle_doublings",
-        "trickle_redundancy_k", "dis_timeout_ms",
-    ),
-    "weights": tuple(f.name for f in dataclass_fields(RateWeights)),
-    "sweep": ("axis", "values"),
-}
-
-
-def _field_name(section: str, key: str) -> str:
-    return f"sweep_{key}" if section == "sweep" else key
-
-
-def parse_scenario_text(text: str) -> ScenarioConfig:
-    """Parse config text; see parse_scenario for the file variant."""
-    section = None
-    fields: dict[str, object] = {}
-    field_lines: dict[str, int] = {}
-    weights: dict[str, float] = {}
-    weights_line: int | None = None
-    key_lines: dict[tuple[str, str], int] = {}
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip().lower()
-            if section not in _SCHEMA:
-                raise ConfigError(f"unknown section [{section}]", lineno)
-            continue
-        if "=" not in line:
-            raise ConfigError(f"expected 'key = value', got {line!r}", lineno)
-        if section is None:
-            raise ConfigError("key outside of any [section]", lineno)
-        key, raw_value = (part.strip() for part in line.split("=", 1))
-        if key not in _SCHEMA[section]:
-            raise ConfigError(f"unknown key {key!r} in [{section}]", lineno)
-        first = key_lines.setdefault((section, key), lineno)
-        if first != lineno:
-            raise ConfigError(f"{key!r} in [{section}] is already set at line {first}", lineno)
-        if not raw_value:
-            continue  # blank value keeps the default
-        if section == "weights":
-            weights[key] = _to_float(raw_value, lineno)
-            weights_line = weights_line or lineno
-            continue
-        attr = _field_name(section, key)
-        fields[attr] = _converter(_FIELD_TYPES[attr][0])(raw_value, lineno)
-        field_lines[attr] = lineno
-    if weights:
-        missing = [k for k in _SCHEMA["weights"] if k not in weights]
-        if missing:
-            raise ConfigError(f"[weights] missing {', '.join(missing)}", weights_line)
-        try:
-            fields["weights"] = RateWeights(**weights)
-        except ValueError as exc:
-            raise ConfigError(str(exc), weights_line)
-    try:
-        return ScenarioConfig(**fields)
-    except FieldError as exc:
-        # the constructor checks every value; point at the last line that
-        # set a field the broken rule reads
-        lines = [field_lines[f] for f in exc.fields if f in field_lines]
-        raise ConfigError(str(exc), max(lines, default=None))
-
-
-def parse_scenario(path: str | Path) -> ScenarioConfig:
-    """Load a scenario config file; empty file means all defaults."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    return parse_scenario_text(path.read_text(encoding="utf-8"))
-
-
-def _render_value(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, Enum):
-        return value.value
-    if isinstance(value, str):
-        return value
-    if isinstance(value, tuple):
-        return ", ".join(repr(v) for v in value)
-    return repr(value)
-
-
-def render_scenario(config: ScenarioConfig) -> str:
-    """Resolved config in the file format; re-parsing it round-trips.
-    [weights] and [sweep] appear only when set."""
-    blocks = []
-    for section, keys in _SCHEMA.items():
-        owner = config.weights if section == "weights" else config
-        if owner is None:
-            continue
-        values = [getattr(owner, _field_name(section, key)) for key in keys]
-        if section == "sweep" and not any(values):
-            continue
-        lines = [f"{key} = {_render_value(v)}" for key, v in zip(keys, values)]
-        blocks.append("\n".join([f"[{section}]", *lines]))
-    return "\n\n".join(blocks) + "\n"
-
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -241,6 +55,10 @@ class SweepSpec:
     def __post_init__(self):
         if self.seeds < 1:
             raise ConfigError("seeds must be >= 1")
+        for index, (protocol, routing_class) in enumerate(self.variants):
+            if (protocol, routing_class) in self.variants[:index]:
+                token = _class_token(protocol, routing_class)
+                raise ConfigError(f"variant {protocol.value},{token} is named more than once")
 
 
 def default_variants(
@@ -251,10 +69,10 @@ def default_variants(
     class_list = classes or ["a", "b", "c", "best_effort"]
     variants = []
     for token in protocol_list:
-        protocol = _to_enum(Protocol, token)
+        protocol = to_enum(Protocol, token)
         if protocol is Protocol.COOP_RPL:
             for cls_token in class_list:
-                variants.append((protocol, _to_enum(RoutingClass, cls_token)))
+                variants.append((protocol, to_enum(RoutingClass, cls_token)))
         else:
             variants.append((protocol, RoutingClass.BEST_EFFORT))
     return tuple(variants)
@@ -480,7 +298,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--config", type=Path, help="scenario config file")
-    parser.add_argument("--sweep", choices=["lsr", "density"], help="sweep axis")
+    parser.add_argument("--sweep", choices=list(SWEPT_FIELD), help="sweep axis")
     parser.add_argument("--values", help="comma-separated sweep values")
     parser.add_argument("--protocols", help="comma list: rpl,opp_rpl,coop_rpl")
     parser.add_argument("--classes", help="comma list: a,b,c,best_effort")
@@ -535,9 +353,7 @@ def main(argv: list[str] | None = None) -> int:
             for line in _report_lines(report):
                 print(line)
             return 0
-        values = (
-            _to_values(args.values, None) if args.values else tuple(config.sweep_values)
-        )
+        values = to_values(args.values, None) if args.values else config.sweep_values
         protocols = args.protocols.split(",") if args.protocols else None
         classes = args.classes.split(",") if args.classes else None
         spec = SweepSpec(

@@ -168,7 +168,6 @@ class Channel:
         self._success: dict[tuple[int, int], float] = {}
         self._neighbors: dict[int, list[int]] = {}
         self._relay_legs: dict[tuple[int, int], tuple[int, ...]] = {}
-        self._ids = tuple(sorted(self._pos))
         # grid cells, each holding its nodes in ascending id order
         xs = [x for x, _ in self._pos.values()]
         ys = [y for _, y in self._pos.values()]
@@ -177,17 +176,13 @@ class Channel:
         side = max(params.tx_range_m * _CELL_MARGIN, extent / _MAX_CELLS_PER_AXIS)
         self._grid = (x0, y0, side)
         self._cells: dict[tuple[int, int], list[int]] = {}
-        for node in self._ids:
+        for node in sorted(self._pos):
             self._cells.setdefault(self._cell_of(node), []).append(node)
 
     def _cell_of(self, node: int) -> tuple[int, int]:
         x0, y0, side = self._grid
         x, y = self._pos[node]
         return int((x - x0) / side), int((y - y0) / side)
-
-    @property
-    def node_ids(self) -> tuple[int, ...]:
-        return self._ids
 
     def distance(self, a: int, b: int) -> float:
         xa, ya = self._pos[a]

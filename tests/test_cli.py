@@ -15,23 +15,28 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from coopmesh import cli, forwarding, sim_engine
+from coopmesh import cli, config, forwarding, sim_engine
 from coopmesh.cli import (
-    ConfigError,
     SweepSpec,
     build_arg_parser,
     default_variants,
     emit_comparison,
     main,
+    read_sweep_csv,
+    run_sweep,
+)
+from coopmesh.config import (
+    MAX_EXPECTED_METERS,
+    ConfigError,
+    FieldError,
+    ScenarioConfig,
     parse_scenario,
     parse_scenario_text,
-    read_sweep_csv,
     render_scenario,
-    run_sweep,
 )
 from coopmesh.coop_relay import RateWeights, RoutingClass
 from coopmesh.forwarding import Protocol
-from coopmesh.sim_engine import MAX_EXPECTED_METERS, FieldError, ScenarioConfig, form_network
+from coopmesh.sim_engine import form_network
 from coopmesh.topology import GATEWAY_ID, DisconnectedRootError
 
 
@@ -117,6 +122,23 @@ def test_importing_the_cli_leaves_the_process_pool_out():
     assert out.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize(
+    "module, left_out",
+    [("coopmesh.config", {"coopmesh.sim_engine", "coopmesh.cli"}),
+     ("coopmesh.sim_engine", {"coopmesh.cli"})],
+)
+def test_imports_run_from_the_config_to_the_engine_to_the_cli(module, left_out):
+    # the config describes a run, the engine runs it, the cli fronts both
+    code = f"import sys, {module}; print(*sys.modules)"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert module in out.stdout.split()
+    assert not left_out & set(out.stdout.split())
+
+
 def test_malformed_value_names_the_line():
     with pytest.raises(ConfigError, match="line 2"):
         parse_scenario_text("[scenario]\nseed = banana\n")
@@ -197,12 +219,12 @@ def test_field_bounds_enforced_by_config_and_parser(section, key, bad, lowest_ok
 
 
 FLOAT_FIELDS = [
-    name for name, (_, annotation) in sim_engine._FIELD_TYPES.items()
+    name for name, (_, annotation) in config._FIELD_TYPES.items()
     if "float" in annotation
 ]
 CONFIG_KEYS = {
-    cli._field_name(section, key): (section, key)
-    for section, keys in cli._SCHEMA.items()
+    config._field_name(section, key): (section, key)
+    for section, keys in config._SCHEMA.items()
     for key in keys
 }
 
@@ -210,12 +232,12 @@ CONFIG_KEYS = {
 def test_every_config_field_is_set_by_exactly_one_key():
     # a field added to ScenarioConfig without a config key fails here
     set_by_keys = sorted(
-        cli._field_name(section, key)
-        for section, keys in cli._SCHEMA.items()
+        config._field_name(section, key)
+        for section, keys in config._SCHEMA.items()
         if section != "weights"
         for key in keys
     )
-    assert set_by_keys == sorted(set(sim_engine._FIELD_TYPES) - {"weights"})
+    assert set_by_keys == sorted(set(config._FIELD_TYPES) - {"weights"})
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -577,7 +599,7 @@ def test_render_then_parse_is_identity(cfg):
 # the link budget and range fields of the default channel
 DEFAULT_CHANNEL = {
     name: getattr(ScenarioConfig(), name)
-    for name in (*sim_engine.LINK_BUDGET_FIELDS, "tx_range_m", "sinr_threshold_db",
+    for name in (*config.LINK_BUDGET_FIELDS, "tx_range_m", "sinr_threshold_db",
                  "reference_distance")
 }
 
@@ -719,6 +741,17 @@ def test_sweep_spec_validation(tmp_path, monkeypatch):
         with pytest.raises(FieldError, match=message):
             run_sweep(ScenarioConfig(n_packets=50), spec, out)
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "protocols, classes, repeated",
+    [(["rpl", "rpl"], None, "rpl,-"), (["rpl", "RPL"], None, "rpl,-"),
+     (None, ["a", "a"], "coop_rpl,a")],
+)
+def test_sweep_spec_rejects_a_variant_named_twice(protocols, classes, repeated):
+    # it ran twice, and the CSV held two identical data rows and aggregates
+    with pytest.raises(ConfigError, match=f"^variant {repeated} is named more than once$"):
+        SweepSpec("lsr", (0.5,), default_variants(protocols, classes), 1)
 
 
 SMALL = ScenarioConfig(region_side=80.0, intensity=10.0 / 6400.0, n_packets=60)
@@ -1107,6 +1140,27 @@ def test_main_rejects_workers_below_one(tmp_path, capsys, workers):
     ])
     assert code == 1
     assert f"--workers must be >= 1, got {workers}" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, repeated",
+    [("--protocols", "rpl,RPL", "rpl,-"), ("--classes", "a,a", "coop_rpl,a")],
+)
+def test_main_rejects_a_variant_named_twice_before_any_point(
+    tmp_path, capsys, monkeypatch, flag, value, repeated
+):
+    def no_point_runs(config, emit=None):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(sim_engine, "run_scenario", no_point_runs)
+    out_csv = tmp_path / "out.csv"
+    code = main([
+        "--sweep", "density", "--values", "0.5", "--seeds", "1", flag, value,
+        "--out", str(out_csv), "--quiet",
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == f"config error: variant {repeated} is named more than once\n"
     assert not out_csv.exists()
 
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from coopmesh import forwarding, rpl_core, sim_engine
 from coopmesh.cli import default_variants
+from coopmesh.config import FIELD_BOUNDS, SWEPT_FIELD, FieldError, ScenarioConfig
 from coopmesh.coop_relay import RoutingClass, run_selection
 from coopmesh.forwarding import NetworkView, Packet, PacketStatus, Protocol
 from coopmesh.rpl_core import (
@@ -29,11 +30,8 @@ from coopmesh.rpl_core import (
     update_children_and_connections,
 )
 from coopmesh.sim_engine import (
-    FIELD_BOUNDS,
     EventKind,
-    FieldError,
     MetricsReport,
-    ScenarioConfig,
     Simulation,
     MetricsTally,
     form_network,
@@ -211,7 +209,7 @@ SWEEP_VALUES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_fro
 @settings(max_examples=200, deadline=None)
 @given(
     base=runnable_configs(),
-    axis=st.sampled_from(sorted(sim_engine.SWEPT_FIELD)),
+    axis=st.sampled_from(sorted(SWEPT_FIELD)),
     values=st.lists(SWEEP_VALUES, max_size=4).map(tuple),
 )
 def test_a_sweep_is_sound_exactly_when_its_points_are(base, axis, values):
@@ -228,7 +226,7 @@ def test_a_sweep_is_sound_exactly_when_its_points_are(base, axis, values):
         assert not rising or not values or point_errors
         # the parser points at the [sweep] lines, not at the field a value sets
         assert "sweep_values" in exc.fields
-        assert sim_engine.SWEPT_FIELD[axis] not in exc.fields
+        assert SWEPT_FIELD[axis] not in exc.fields
         if rising and values:
             value, error = point_errors[0]
             assert str(exc) == f"sweep value {value!r}: {error}"
@@ -302,8 +300,8 @@ def test_link_budget_rule_keeps_every_in_range_link_finite(**fields):
     ]
     placements = [NodePlacement(i, x, y) for i, (x, y) in enumerate(dict.fromkeys(points))]
     channel = Channel(placements, config.channel_params())
-    everyone = frozenset(channel.node_ids)
-    for tx in channel.node_ids:
+    everyone = frozenset(p.node_id for p in placements)
+    for tx in sorted(everyone):
         for rx in channel.neighbors(tx):
             assert 0.0 <= channel.success_probability(tx, rx) <= 1.0
             # every other node transmits at once
