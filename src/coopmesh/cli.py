@@ -64,15 +64,14 @@ class SweepSpec:
 def default_variants(
     protocols: list[str] | None = None, classes: list[str] | None = None
 ) -> tuple[tuple[Protocol, RoutingClass], ...]:
-    """Expand protocol/class tokens into run variants in canonical order."""
-    protocol_list = protocols or ["rpl", "opp_rpl", "coop_rpl"]
-    class_list = classes or ["a", "b", "c", "best_effort"]
+    """Expand protocol/class tokens into run variants in canonical order.
+    Every class token is checked, whether or not coop_rpl is listed."""
+    class_list = [to_enum(RoutingClass, t) for t in classes or ["a", "b", "c", "best_effort"]]
     variants = []
-    for token in protocol_list:
+    for token in protocols or ["rpl", "opp_rpl", "coop_rpl"]:
         protocol = to_enum(Protocol, token)
         if protocol is Protocol.COOP_RPL:
-            for cls_token in class_list:
-                variants.append((protocol, to_enum(RoutingClass, cls_token)))
+            variants.extend((protocol, routing_class) for routing_class in class_list)
         else:
             variants.append((protocol, RoutingClass.BEST_EFFORT))
     return tuple(variants)
@@ -327,6 +326,8 @@ def main(argv: list[str] | None = None) -> int:
         ):
             if value is not None and not axis:
                 raise ConfigError(f"{flag} needs --sweep (or a [sweep] section)")
+            if value == "":
+                raise ConfigError(f"{flag} names nothing")
         if config.sweep_values and not axis:
             raise ConfigError("[sweep] values need an axis (in the file or --sweep)")
         if args.trace and axis:

@@ -33,17 +33,6 @@ class Protocol(Enum):
     OPP_RPL = "opp_rpl"
 
 
-class PacketStatus(Enum):
-    IN_FLIGHT = "in_flight"
-    DELIVERED = "delivered"
-    DROPPED = "dropped"
-
-
-# Python 3.10 and 3.11 read a member off an Enum class through the slow
-# EnumType.__getattr__ hook; advance_one_hop reads these names instead
-_DELIVERED, _DROPPED = PacketStatus.DELIVERED, PacketStatus.DROPPED
-
-
 @dataclass(slots=True)
 class Packet:
     packet_id: int
@@ -53,7 +42,8 @@ class Packet:
     hop_count: int = 0
     total_transmissions: int = 0
     retransmissions: int = 0
-    status: PacketStatus = PacketStatus.IN_FLIGHT
+    # a packet resolves by setting exactly one of these: delivered_slot at
+    # the gateway, drop_reason ("no-route", "link-failure" or "loop") on a drop
     delivered_slot: int | None = None
     drop_reason: str | None = None
     relay_hops: int = 0  # hops on which the relay overheard a copy
@@ -243,14 +233,13 @@ def advance_one_hop(
 ) -> HopOutcome | None:
     """Run one hop of the packet's journey at the given slot.
 
-    Mutates the packet (status, holder, tallies, delivery slot) and reports
-    every link the hop used to net.observe_link. Returns the hop outcome,
-    or None when the holder has no route.
+    Mutates the packet (holder, tallies, delivery slot or drop reason) and
+    reports every link the hop used to net.observe_link. Returns the hop
+    outcome, or None when the holder has no route.
     """
     holder = packet.current_holder
     parent = net.states[holder].default_parent
     if parent is None:
-        packet.status = _DROPPED
         packet.drop_reason = "no-route"
         return None
     receivers = net.fsets.get(holder, (parent,))
@@ -280,16 +269,13 @@ def advance_one_hop(
         packet.relay_hops += 1
     packet.retransmissions += attempts - 1 + relay_attempts
     if not delivered:
-        packet.status = _DROPPED
         packet.drop_reason = "link-failure"
         return outcome
     packet.hop_count += 1
     packet.current_holder = receiver
     if receiver == net.gateway:
-        packet.status = _DELIVERED
         packet.delivered_slot = slot + slots
     elif receiver in packet.visited:
-        packet.status = _DROPPED
         packet.drop_reason = "loop"
     else:
         packet.visited.add(receiver)

@@ -22,13 +22,15 @@ _BELOW_ONE = 1.0 - 2.0**-53
 # state hashes exactly as a new blake2b(digest_size=8) would, without
 # parsing the keyword on every draw
 _EMPTY = hashlib.blake2b(digest_size=8)
+# bound once: reading int.from_bytes binds a new classmethod on every call
+_from_bytes = int.from_bytes
 
 
 def _hash_u64(material: bytes) -> int:
     """The 8-byte blake2b digest of material, as a little-endian u64."""
     h = _EMPTY.copy()
     h.update(material)
-    return int.from_bytes(h.digest(), "little")
+    return _from_bytes(h.digest(), "little")
 
 
 def derive_seed(seed: int, *key: object) -> int:

@@ -9,22 +9,10 @@ DAO is an advertisement with no downward route table behind it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import NamedTuple
 
 ETX_MAX_DEFAULT = 16.0
 EWMA_ALPHA = 0.3
-
-
-class Decision(Enum):
-    JOIN = "join"
-    UPDATE = "update"
-    IGNORE = "ignore"
-
-
-# Python 3.10 and 3.11 read a member off an Enum class through the slow
-# EnumType.__getattr__ hook; per-event code reads these names instead
-_JOIN, _UPDATE, _IGNORE = Decision.JOIN, Decision.UPDATE, Decision.IGNORE
 
 
 @dataclass(slots=True)
@@ -141,8 +129,9 @@ def process_dio(
     rank: float,
     link_etx: float,
     hysteresis: float,
-) -> Decision:
-    """Absorb a neighbor's DIO.
+) -> bool:
+    """Absorb a neighbor's DIO; return whether it joined, moved or detached
+    the receiver.
 
     Unjoined nodes join through the sender. Joined nodes switch position only
     when the candidate rank beats the current one by more than the hysteresis
@@ -154,7 +143,7 @@ def process_dio(
     if state.rank is None:  # not joined
         state.parent_set[sender] = _new_tuple(ParentEntry, (rank, link_etx))
         _adopt_best_parent(state)
-        return _JOIN
+        return True
 
     candidate = compute_rank(rank, link_etx)
     is_parent = sender == state.default_parent
@@ -170,11 +159,11 @@ def process_dio(
             _adopt_best_parent(state)
         else:
             state.rank = None
-        return _UPDATE
+        return True
 
     if candidate < state.rank - hysteresis:
         _adopt_best_parent(state)
-        return _UPDATE
+        return True
 
     if is_parent:
         # same position, refreshed cost: rank increases must still propagate.
@@ -184,14 +173,14 @@ def process_dio(
         state.rank = state.parent_set[sender].cost
         if state.rank < old_rank:
             _prune_parent_set(state)
-    return _IGNORE
+    return False
 
 
 def dio_changes_nothing(state: NodeState, sender: int, rank: float) -> bool:
-    """Whether process_dio would ignore a DIO from sender advertising rank
-    and leave state as it is: the node is joined, does not route through
-    sender, and sits at or below rank, which plus a link ETX >= 1 cannot
-    beat its own."""
+    """Whether process_dio would leave state as it is for a DIO from sender
+    advertising rank: the node is joined, does not route through sender,
+    and sits at or below rank, which plus a link ETX >= 1 cannot beat its
+    own."""
     return state.rank is not None and state.rank <= rank and state.default_parent != sender
 
 

@@ -48,14 +48,12 @@ from .forwarding import (
     LinkLayer,
     NetworkView,
     Packet,
-    PacketStatus,
     Protocol,
     advance_one_hop,
     build_forwarding_set,
 )
 from .rng import derive_seed
 from .rpl_core import (
-    Decision,
     EtxEstimate,
     NodeState,
     TrickleState,
@@ -94,11 +92,6 @@ _TRICKLE_FIRE, _DIO_TX, _DIS_TX, _DAO_TX = (
 )
 _HOP_ATTEMPT, _PACKET_GEN = EventKind.HOP_ATTEMPT, EventKind.PACKET_GEN
 _COOP_RPL, _OPP_RPL = Protocol.COOP_RPL, Protocol.OPP_RPL
-_IN_FLIGHT, _DELIVERED, _DROPPED = (
-    PacketStatus.IN_FLIGHT, PacketStatus.DELIVERED, PacketStatus.DROPPED
-)
-_IGNORE = Decision.IGNORE
-
 
 
 @dataclass(frozen=True)
@@ -144,10 +137,10 @@ class MetricsTally:
     def fold(self, packet: Packet) -> None:
         self.sent += 1
         self.retransmissions += packet.retransmissions
-        if packet.status is _DELIVERED:
+        if packet.delivered_slot is not None:
             self.delivered += 1
             self.delay_slots += packet.delay_slots
-        elif packet.status is _DROPPED:
+        elif packet.drop_reason is not None:
             self.dropped += 1
 
     def report(
@@ -406,8 +399,7 @@ class Simulation:
                 trickles[neighbor].counter += 1
                 continue
             was_parent = other.default_parent
-            decision = process_dio(other, node, rank, etx_of(neighbor, node), hysteresis)
-            if decision is _IGNORE:
+            if not process_dio(other, node, rank, etx_of(neighbor, node), hysteresis):
                 trickles[neighbor].counter += 1
                 continue
             changed.append(neighbor)
@@ -582,7 +574,7 @@ class Simulation:
                     "selected": self.relay_for.get(holder),
                     "used": outcome.relay_used,
                 })
-            if packet.status is _IN_FLIGHT:
+            if packet.delivered_slot is None and packet.drop_reason is None:
                 push(slot + outcome.slots_consumed, _HOP_ATTEMPT, packet)
             else:
                 if self.emit is not None:
@@ -591,7 +583,7 @@ class Simulation:
                     self.emit({
                         "packet_id": packet.packet_id,
                         "source": packet.source,
-                        "status": packet.status.value,
+                        "status": "delivered" if packet.drop_reason is None else "dropped",
                         "hops": packet.hop_count,
                         "transmissions": packet.total_transmissions,
                         "relay_hops": packet.relay_hops,

@@ -651,7 +651,23 @@ def test_generated_configs_run_soundly(cfg):
             assert parent.node_id not in seen
             seen.add(parent.node_id)
             state = parent
-    report = sim.run_traffic()
+    # every packet the report counts resolved one way: delivered at a slot,
+    # or dropped for one of the hop engine's three reasons
+    folded = []
+    fold = sim_engine.MetricsTally.fold
+
+    def recording_fold(tally, packet):
+        folded.append(packet)
+        fold(tally, packet)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim_engine.MetricsTally, "fold", recording_fold)
+        report = sim.run_traffic()
+    assert len(folded) == report.packets_sent
+    for packet in folded:
+        assert (packet.delivered_slot is None) != (packet.drop_reason is None)
+        assert packet.drop_reason in (None, "no-route", "link-failure", "loop")
+    assert report.dropped == sum(packet.drop_reason is not None for packet in folded)
     assert report.joined_nodes >= 1  # a config that validates forms a network
     assert report.packets_sent == cfg.n_packets
     assert report.delivered + report.dropped == report.packets_sent
@@ -1161,6 +1177,36 @@ def test_main_rejects_a_variant_named_twice_before_any_point(
     ])
     assert code == 1
     assert capsys.readouterr().err == f"config error: variant {repeated} is named more than once\n"
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        # the unknown class exited 0 and wrote the CSV of rpl alone
+        (["--protocols", "rpl", "--classes", "zzz"], "unknown routing class 'zzz'"),
+        (["--protocols", "zzz"], "unknown protocol 'zzz'"),
+        # an empty list ran every protocol, or every class, and empty
+        # values ran the config file's
+        (["--protocols", ""], "--protocols names nothing"),
+        (["--classes", ""], "--classes names nothing"),
+        (["--values", ""], "--values names nothing"),
+    ],
+)
+def test_main_rejects_an_unknown_name_or_an_empty_list_before_any_point(
+    tmp_path, capsys, monkeypatch, flags, message
+):
+    def no_point_runs(config, emit=None):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(sim_engine, "run_scenario", no_point_runs)
+    out_csv = tmp_path / "out.csv"
+    code = main([
+        "--sweep", "lsr", "--values", "0.5", "--seeds", "1", *flags,
+        "--out", str(out_csv), "--quiet",
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out_csv.exists()
 
 

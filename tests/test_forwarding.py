@@ -11,7 +11,6 @@ from coopmesh.forwarding import (
     LinkLayer,
     NetworkView,
     Packet,
-    PacketStatus,
     Protocol,
     advance_one_hop,
     build_forwarding_set,
@@ -540,7 +539,7 @@ def route_to_gateway(packet: Packet, net: NetworkView, channel: Channel) -> list
     outcomes: list[HopOutcome] = []
     cursor = packet.created_slot
     link_layer = LinkLayer(channel, net.seed, packet.packet_id)
-    while packet.status is PacketStatus.IN_FLIGHT:
+    while packet.delivered_slot is None and packet.drop_reason is None:
         outcome = advance_one_hop(packet, net, link_layer, cursor)
         if outcome is None:
             break
@@ -574,7 +573,7 @@ def test_route_adjacent_source_perfect_link():
     net, ch = _two_hop_net(lsr=1.0)
     packet = Packet(packet_id=1, source=1, created_slot=0, current_holder=1)
     route_to_gateway(packet, net, ch)
-    assert packet.status is PacketStatus.DELIVERED
+    assert (packet.delivered_slot, packet.drop_reason) == (1, None)
     assert packet.hop_count == 1
     assert packet.delay_slots == 1
     assert packet.retransmissions == 0
@@ -584,7 +583,7 @@ def test_route_chain_delay_is_additive():
     net, ch = _two_hop_net(lsr=1.0)
     packet = Packet(packet_id=2, source=2, created_slot=10, current_holder=2)
     outcomes = route_to_gateway(packet, net, ch)
-    assert packet.status is PacketStatus.DELIVERED
+    assert (packet.delivered_slot, packet.drop_reason) == (12, None)
     assert packet.hop_count == 2
     assert packet.delay_slots == 2
     assert packet.total_transmissions == sum(
@@ -597,8 +596,7 @@ def test_route_no_parent_drops_with_reason():
     net.states[4] = NodeState(4)  # unjoined
     packet = Packet(packet_id=3, source=4, created_slot=0, current_holder=4)
     route_to_gateway(packet, net, ch)
-    assert packet.status is PacketStatus.DROPPED
-    assert packet.drop_reason == "no-route"
+    assert (packet.delivered_slot, packet.drop_reason) == (None, "no-route")
 
 
 def test_route_loop_trap():
@@ -611,8 +609,7 @@ def test_route_loop_trap():
     net = network_view(states, seed=1)
     packet = Packet(packet_id=4, source=1, created_slot=0, current_holder=1)
     route_to_gateway(packet, net, ch)
-    assert packet.status is PacketStatus.DROPPED
-    assert packet.drop_reason == "loop"
+    assert (packet.delivered_slot, packet.drop_reason) == (None, "loop")
 
 
 def test_route_outcomes_deterministic_across_replays():
@@ -628,7 +625,10 @@ def _run_replay(protocol):
     for packet_id in range(300):
         packet = Packet(packet_id=packet_id, source=2, created_slot=0, current_holder=2)
         outcomes = route_to_gateway(packet, net, ch)
-        results.append((packet.status, packet.total_transmissions, tuple(outcomes)))
+        results.append((
+            packet.delivered_slot, packet.drop_reason,
+            packet.total_transmissions, tuple(outcomes),
+        ))
     return results
 
 
@@ -641,7 +641,7 @@ def test_route_retransmission_accounting_identity():
             assert packet.total_transmissions == sum(
                 o.attempts + o.relay_attempts for o in outcomes
             )
-            if packet.status is PacketStatus.DELIVERED:
+            if packet.delivered_slot is not None:
                 assert packet.total_transmissions >= packet.hop_count
                 assert packet.delay_slots == sum(o.slots_consumed for o in outcomes)
 
@@ -655,5 +655,5 @@ def test_coop_route_beats_rpl_packetwise_with_shared_draws():
         route_to_gateway(rpl_packet, rpl_net, ch)
         coop_packet = Packet(packet_id=packet_id, source=2, created_slot=0, current_holder=2)
         route_to_gateway(coop_packet, coop_net, ch)
-        if rpl_packet.status is PacketStatus.DELIVERED:
-            assert coop_packet.status is PacketStatus.DELIVERED
+        if rpl_packet.delivered_slot is not None:
+            assert coop_packet.delivered_slot is not None

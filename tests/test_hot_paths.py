@@ -1,7 +1,7 @@
 """Per-event code reads no member off an Enum class.
 
 On Python 3.10 and 3.11 ``EnumType`` defines ``__getattr__``, so a read such
-as ``Decision.IGNORE`` goes through that slow hook on every call. The
+as ``Protocol.RPL`` goes through that slow hook on every call. The
 functions below run once per event, hop or draw, and read Enum members
 through module-level names bound once at import instead.
 """
@@ -13,7 +13,7 @@ import types
 import pytest
 
 from coopmesh import coop_relay, forwarding, rpl_core, sim_engine
-from coopmesh.rpl_core import Decision
+from coopmesh.forwarding import Protocol
 
 PER_EVENT = [
     rpl_core.process_dio,
@@ -64,17 +64,17 @@ def test_per_event_code_reads_no_enum_member_off_its_class(func):
 
 
 def test_the_guard_flags_an_enum_member_read():
-    def reads_ignore(decision):
-        return decision is Decision.IGNORE
+    def reads_rpl(protocol):
+        return protocol is Protocol.RPL
 
-    def reads_in_a_comprehension(decisions):
-        return [d for d in decisions if d is Decision.JOIN]
+    def reads_in_a_comprehension(protocols):
+        return [p for p in protocols if p is Protocol.COOP_RPL]
 
-    ignore = Decision.IGNORE
+    rpl = Protocol.RPL
 
-    def reads_a_bound_name(decision):
-        return decision is ignore
+    def reads_a_bound_name(protocol):
+        return protocol is rpl
 
-    assert enum_member_reads(reads_ignore) == ["Decision.IGNORE"]
-    assert enum_member_reads(reads_in_a_comprehension) == ["Decision.JOIN"]
+    assert enum_member_reads(reads_rpl) == ["Protocol.RPL"]
+    assert enum_member_reads(reads_in_a_comprehension) == ["Protocol.COOP_RPL"]
     assert enum_member_reads(reads_a_bound_name) == []

@@ -6,7 +6,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coopmesh.rpl_core import (
-    Decision,
     EtxEstimate,
     NodeState,
     ParentEntry,
@@ -83,8 +82,8 @@ def test_select_default_parent_empty_raises():
 
 def test_process_dio_first_join():
     state = NodeState(5)
-    decision = process_dio(state, 0, 0.0, link_etx=1.2, hysteresis=0.5)
-    assert decision is Decision.JOIN
+    assert process_dio(state, 0, 0.0, link_etx=1.2, hysteresis=0.5) is True
+    assert state.joined
     assert state.rank == pytest.approx(1.2)
     assert state.default_parent == 0
 
@@ -92,8 +91,8 @@ def test_process_dio_first_join():
 def test_process_dio_within_hysteresis_ignored():
     state = NodeState(5)
     process_dio(state, 0, 0.0, link_etx=3.0, hysteresis=0.5)
-    decision = process_dio(state, 1, 1.0, link_etx=1.7, hysteresis=0.5)
-    assert decision is Decision.IGNORE
+    assert process_dio(state, 1, 1.0, link_etx=1.7, hysteresis=0.5) is False
+    assert state.rank == pytest.approx(3.0)
     assert state.default_parent == 0
     # sender had lower rank, so it still lands in the parent set
     assert 1 in state.parent_set
@@ -103,8 +102,7 @@ def test_process_dio_strict_improvement_updates():
     state = NodeState(5)
     process_dio(state, 3, 4.0, link_etx=1.0, hysteresis=0.5)
     assert state.rank == pytest.approx(5.0)
-    decision = process_dio(state, 1, 1.0, link_etx=1.0, hysteresis=0.5)
-    assert decision is Decision.UPDATE
+    assert process_dio(state, 1, 1.0, link_etx=1.0, hysteresis=0.5) is True
     assert state.rank == pytest.approx(2.0)
     assert state.default_parent == 1
     # the old parent now sits above us and was pruned
@@ -114,8 +112,8 @@ def test_process_dio_strict_improvement_updates():
 def test_process_dio_parent_cost_increase_propagates():
     state = NodeState(5)
     process_dio(state, 0, 0.0, link_etx=1.0, hysteresis=0.5)
-    decision = process_dio(state, 0, 0.0, link_etx=2.5, hysteresis=0.5)
-    assert decision is Decision.IGNORE
+    # the rank moves with the parent's cost, but the node keeps its parent
+    assert process_dio(state, 0, 0.0, link_etx=2.5, hysteresis=0.5) is False
     assert state.rank == pytest.approx(2.5)
     assert state.default_parent == 0
 
@@ -124,10 +122,19 @@ def test_process_dio_parent_climbing_above_us_forces_reselect():
     state = NodeState(5)
     process_dio(state, 2, 1.0, link_etx=1.0, hysteresis=0.5)  # rank 2
     process_dio(state, 7, 1.4, link_etx=1.0, hysteresis=0.5)  # backup entry
-    decision = process_dio(state, 2, 9.0, link_etx=1.0, hysteresis=0.5)
-    assert decision is Decision.UPDATE
+    assert process_dio(state, 2, 9.0, link_etx=1.0, hysteresis=0.5) is True
+    assert 2 not in state.parent_set
     assert state.default_parent == 7
     assert state.rank == pytest.approx(2.4)
+
+
+def test_process_dio_parent_climbing_with_no_backup_detaches():
+    state = NodeState(5)
+    process_dio(state, 2, 1.0, link_etx=1.0, hysteresis=0.5)  # rank 2
+    assert process_dio(state, 2, 9.0, link_etx=1.0, hysteresis=0.5) is True
+    assert not state.joined
+    assert state.default_parent is None
+    assert state.parent_set == {}
 
 
 # (sender, advertised rank, link ETX) of a DIO
@@ -158,7 +165,7 @@ def test_dio_from_a_non_parent_not_below_us_changes_nothing(
     rank = (state.rank or 0.0) + offset
     assume(dio_changes_nothing(state, sender, rank))
     before = copy.deepcopy(state)
-    assert process_dio(state, sender, rank, link_etx, hysteresis) is Decision.IGNORE
+    assert process_dio(state, sender, rank, link_etx, hysteresis) is False
     assert state.rank == before.rank
     assert state.default_parent == before.default_parent
     assert state.parent_set == before.parent_set

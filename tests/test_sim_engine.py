@@ -19,7 +19,7 @@ from coopmesh import forwarding, rpl_core, sim_engine
 from coopmesh.cli import default_variants
 from coopmesh.config import FIELD_BOUNDS, SWEPT_FIELD, FieldError, ScenarioConfig
 from coopmesh.coop_relay import RoutingClass, run_selection
-from coopmesh.forwarding import NetworkView, Packet, PacketStatus, Protocol
+from coopmesh.forwarding import NetworkView, Packet, Protocol
 from coopmesh.rpl_core import (
     EtxEstimate,
     NodeState,
@@ -1035,14 +1035,13 @@ def test_generate_traffic_requires_sources():
         generate_traffic(tiny_config(), sources=[], start_slot=0)
 
 
-def _packet(status, retx=0, delay=None):
-    from coopmesh.forwarding import Packet
-
+def _packet(retx=0, delay=None, drop_reason=None):
+    # created at slot 0, so a delivered packet's delay is its delivery slot;
+    # with neither delay nor drop_reason the packet is still in flight
     p = Packet(packet_id=0, source=1, created_slot=0, current_holder=1)
-    p.status = status
     p.retransmissions = retx
-    if delay is not None:
-        p.delivered_slot = delay
+    p.delivered_slot = delay
+    p.drop_reason = drop_reason
     return p
 
 
@@ -1055,8 +1054,8 @@ def tally_report(packets, slot_ms):
 
 
 def test_collect_metrics_definitions():
-    packets = [_packet(PacketStatus.DELIVERED, retx=0, delay=2) for _ in range(8)]
-    packets += [_packet(PacketStatus.DROPPED, retx=3) for _ in range(2)]
+    packets = [_packet(retx=0, delay=2) for _ in range(8)]
+    packets += [_packet(retx=3, drop_reason="link-failure") for _ in range(2)]
     report = tally_report(packets, slot_ms=10.0)
     assert report.pdr == 0.8
     assert report.packets_sent == 10
@@ -1067,9 +1066,9 @@ def test_collect_metrics_definitions():
 
 def test_collect_metrics_delay_example():
     packets = [
-        _packet(PacketStatus.DELIVERED, delay=2),
-        _packet(PacketStatus.DELIVERED, delay=4),
-        _packet(PacketStatus.DROPPED),
+        _packet(delay=2),
+        _packet(delay=4),
+        _packet(drop_reason="no-route"),
     ]
     report = tally_report(packets, slot_ms=10.0)
     assert report.mean_delay_slots == 3.0
@@ -1077,7 +1076,7 @@ def test_collect_metrics_delay_example():
 
 
 def test_collect_metrics_zero_delivered_has_no_delay():
-    packets = [_packet(PacketStatus.DROPPED, retx=3) for _ in range(4)]
+    packets = [_packet(retx=3, drop_reason="link-failure") for _ in range(4)]
     report = tally_report(packets, slot_ms=10.0)
     assert report.mean_delay_slots is None
     assert report.mean_delay_ms is None
@@ -1086,7 +1085,7 @@ def test_collect_metrics_zero_delivered_has_no_delay():
 
 def test_collect_metrics_rejects_unresolved():
     with pytest.raises(ValueError):
-        tally_report([_packet(PacketStatus.IN_FLIGHT)], slot_ms=10.0)
+        tally_report([_packet()], slot_ms=10.0)
 
 
 def test_metrics_report_conservation_enforced():

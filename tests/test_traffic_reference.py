@@ -20,7 +20,7 @@ from coopmesh import cli
 from coopmesh.cli import default_variants
 from coopmesh.config import ScenarioConfig
 from coopmesh.forwarding import (
-    LinkLayer, NetworkView, Packet, PacketStatus, Protocol, advance_one_hop,
+    LinkLayer, NetworkView, Packet, Protocol, advance_one_hop,
 )
 from coopmesh.sim_engine import (
     EventKind, MetricsReport, form_network, generate_traffic, run_scenario,
@@ -68,16 +68,16 @@ def reference_traffic(sim) -> MetricsReport:
                     "candidates": [{"id": r, "rate": rate} for r, rate in rates],
                     "selected": sim.relay_for.get(holder), "used": outcome.relay_used,
                 })
-            if payload.status is PacketStatus.IN_FLIGHT:
+            if payload.delivered_slot is None and payload.drop_reason is None:
                 sim.push(slot + outcome.slots_consumed, EventKind.HOP_ATTEMPT, payload)
             else:
                 unresolved -= 1
-    delays = [p.delay_slots for p in packets if p.status is PacketStatus.DELIVERED]
+    delays = [p.delay_slots for p in packets if p.delivered_slot is not None]
     mean_delay = sum(delays) / len(delays) if delays else None
     return MetricsReport(
         packets_sent=len(packets),
         delivered=len(delays),
-        dropped=sum(p.status is PacketStatus.DROPPED for p in packets),
+        dropped=sum(p.drop_reason is not None for p in packets),
         pdr=len(delays) / len(packets),
         mean_retransmissions=sum(p.retransmissions for p in packets) / len(packets),
         mean_delay_slots=mean_delay,
